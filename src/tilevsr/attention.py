@@ -1,9 +1,11 @@
 """Attention kernels and cross-tile key/value plumbing.
 
 All kernels accept matrices of shape (..., tokens, d); leading axes are
-batched (the video denoiser batches over frames). A single scoring path
-serves both the plain kernel and the detail-suppressed one, so gamma = 0
-reproduces plain attention bit for bit.
+batched (the video denoiser batches over frames). `attend` is the one kernel
+the denoiser and the public wrappers call: plain, detail-suppressed and
+injected-K/V attention are all its arguments, so gamma = 0 reproduces plain
+attention bit for bit. `scaled_scores`, `softmax_rows` and `extend_kv`
+compute the same values step by step and serve as its reference.
 """
 from __future__ import annotations
 
@@ -12,16 +14,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+# Live score memory of one `attend` block: whole (queries x keys) matrices
+# are scored together up to this many bytes (one matrix when it alone is
+# larger), so memory stays bounded however many injected rows arrive.
+SCORE_BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | None = None) -> None:
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ValueError("q, k, v must be at least 2-D")
     if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"feature dims differ: q has {q.shape[-1]}, k has {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ValueError(f"k has {k.shape[-2]} rows but v has {v.shape[-2]}")
-    if k.shape[-2] < 1:
+    arrays = [("q", q), ("k", k), ("v", v)]
+    rows = 0
+    if injected is not None and injected.rows > 0:
+        _check_injected_dims(injected, k, v)
+        arrays += [("injected keys", injected.keys), ("injected values", injected.values)]
+        rows = injected.rows
+    if k.shape[-2] + rows < 1:
         raise ValueError("attention needs at least one key")
-    for name, arr in (("q", q), ("k", k), ("v", v)):
+    for name, arr in arrays:
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite values")
 
@@ -49,16 +63,98 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | None = None,
+           gamma: float = 0.0, return_weights: bool = False):
+    """softmax(Q [K; K_inj]^T / (max(gamma^2 * qmax * kmax, 1) * sqrt(d))) [V; V_inj].
+
+    Bit for bit the values of softmax_rows(scaled_scores(q, k2, gamma)) @ v2
+    with k2, v2 = extend_kv(k, v, injected), in float64, but without the
+    batch-wide k2, v2 or score tensor. Leading axes are walked in blocks of
+    whole (queries x keys) matrices holding at most SCORE_BLOCK_BYTES of
+    scores. The buffers are reused from block to block: [K; K_inj] and
+    [V; V_inj] get the injected rows, shared by every matrix, written once.
+    The temper takes kmax over own and injected keys apart (max is exact);
+    division, max shift, exp and row normalisation run in place. Every GEMM
+    keeps the reference's per-matrix shape, (nq x d)(d x keys) and
+    (nq x keys)(keys x dv): BLAS rounds a product differently when its query
+    rows or key columns are split.
+
+    With return_weights, returns (output, weights) with the full
+    (..., queries, own + injected keys) weights; the score buffer then spans
+    the batch. Inputs are trusted: the public wrappers validate them.
+    """
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    q = np.asarray(q, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    n_inj = 0
+    if injected is not None and injected.rows > 0:
+        _check_injected_dims(injected, k, v)
+        n_inj = injected.rows
+    batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    (nq, d), nk, dv = q.shape[-2:], k.shape[-2], v.shape[-1]
+    n_keys = nk + n_inj
+    qs = np.broadcast_to(q, batch + (nq, d)).reshape(-1, nq, d)
+    ks = np.broadcast_to(k, batch + (nk, d)).reshape(-1, nk, d)
+    vs = np.broadcast_to(v, batch + (nk, dv)).reshape(-1, nk, dv)
+    n_mat = qs.shape[0]
+    per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
+    block = min(per_block, n_mat)
+
+    weights = np.empty((n_mat if return_weights else block, nq, n_keys))
+    out = np.empty((n_mat, nq, dv))
+    root_d = np.sqrt(d)
+    if n_inj:
+        inj_kmax = np.max(np.abs(injected.keys))
+        k_ext = np.empty((block, n_keys, d))
+        k_ext[:, nk:] = injected.keys
+        if nk == 1:
+            # With one own row per matrix, np.concatenate interleaves the
+            # matrices' rows, and BLAS rounds a one-query product by that row
+            # stride: take the reference's own [V; V_inj] to keep its bits.
+            v_all = extend_kv(ks, vs, injected)[1]
+        else:
+            v_ext = np.empty((block, n_keys, dv))
+            v_ext[:, nk:] = injected.values
+    for start in range(0, n_mat, per_block):
+        stop = min(start + per_block, n_mat)
+        qb, kb, vb = qs[start:stop], ks[start:stop], vs[start:stop]
+        qmax = np.max(np.abs(qb), axis=(-2, -1), keepdims=True, initial=0.0)
+        kmax = np.max(np.abs(kb), axis=(-2, -1), keepdims=True, initial=0.0)
+        if n_inj:
+            kmax = np.maximum(kmax, inj_kmax)
+            k_ext[:stop - start, :nk] = kb
+            kb = k_ext[:stop - start]
+            if nk == 1:
+                vb = v_all[start:stop]
+            else:
+                v_ext[:stop - start, :nk] = vb
+                vb = v_ext[:stop - start]
+        s = weights[start:stop] if return_weights else weights[:stop - start]
+        np.matmul(qb, np.swapaxes(kb, -1, -2), out=s)
+        temper = np.maximum(gamma * gamma * qmax * kmax, 1.0)
+        np.divide(s, temper * root_d, out=s)
+        np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+        np.exp(s, out=s)
+        np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+        np.matmul(s, vb, out=out[start:stop])
+    out = out.reshape(batch + (nq, dv))
+    if return_weights:
+        return out, weights.reshape(batch + (nq, n_keys))
+    return out
+
+
 def self_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """softmax(Q K^T / sqrt(d)) V."""
     _check_qkv(q, k, v)
-    return softmax_rows(scaled_scores(q, k, 0.0)) @ v
+    return attend(q, k, v)
 
 
 def dssag_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
     """Detail-suppressed attention: softmax(Q K^T / (max(g^2 q k, 1) sqrt(d))) V."""
     _check_qkv(q, k, v)
-    return softmax_rows(scaled_scores(q, k, gamma)) @ v
+    return attend(q, k, v, gamma=gamma)
 
 
 def pag_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -120,10 +216,7 @@ class InjectedKV:
         return self.keys.shape[0]
 
 
-def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tuple[np.ndarray, np.ndarray]:
-    """Append injected rows to k and v, broadcasting over batch axes."""
-    if injected is None or injected.rows == 0:
-        return k, v
+def _check_injected_dims(injected: InjectedKV, k: np.ndarray, v: np.ndarray) -> None:
     if injected.keys.shape[1] != k.shape[-1]:
         raise ValueError(
             f"injected key dim {injected.keys.shape[1]} does not match {k.shape[-1]}"
@@ -132,6 +225,13 @@ def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tupl
         raise ValueError(
             f"injected value dim {injected.values.shape[1]} does not match {v.shape[-1]}"
         )
+
+
+def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tuple[np.ndarray, np.ndarray]:
+    """Append injected rows to k and v, broadcasting over batch axes."""
+    if injected is None or injected.rows == 0:
+        return k, v
+    _check_injected_dims(injected, k, v)
     batch = k.shape[:-2]
     inj_k = np.broadcast_to(injected.keys, batch + injected.keys.shape)
     inj_v = np.broadcast_to(injected.values, batch + injected.values.shape)
@@ -142,8 +242,8 @@ def extended_self_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | None
 ) -> np.ndarray:
     """Self-attention over the union of own and injected key/value rows."""
-    k2, v2 = extend_kv(k, v, injected)
-    return self_attention(q, k2, v2)
+    _check_qkv(q, k, v, injected)
+    return attend(q, k, v, injected)
 
 
 def subsample_spatial_kv(

@@ -139,6 +139,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 # 'tile' is accepted as a composite HxWxF key covering tile_h/tile_w/tile_frames
 KNOWN_KEYS = set(_FIELD_TYPES) | {"tile"}
+_TILE_KEYS = ("tile_h", "tile_w", "tile_frames")  # parse_tile's order
 
 
 def parse_config_text(text: str, source: str = "<config>", allowed: set | None = None) -> dict:
@@ -174,24 +175,37 @@ def _coerce(key: str, value):
     return value
 
 
+def _expand_tile(layer: dict, source: str) -> dict:
+    """One layer's values with the composite 'tile' replaced by its extents."""
+    if "tile" not in layer:
+        return layer
+    clash = [key for key in _TILE_KEYS if key in layer]
+    if clash:
+        raise ValueError(f"{source}: 'tile' and {', '.join(clash)} both set the tile size")
+    expanded = dict(layer)
+    tile = expanded.pop("tile")
+    expanded.update(zip(_TILE_KEYS, parse_tile(tile) if isinstance(tile, str) else tile))
+    return expanded
+
+
 def resolve_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """File values (if any) with overrides applied on top, defaults elsewhere."""
+    """File values (if any) with overrides applied on top, defaults elsewhere.
+
+    Each layer expands its own 'tile' before the next is applied, so an
+    override of any tile extent beats the file however either spells it.
+    """
     merged: dict = {}
     if path is not None:
         with open(path, "r", encoding="ascii") as fh:
-            merged.update(parse_config_text(fh.read(), source=path))
+            merged.update(_expand_tile(parse_config_text(fh.read(), source=path), path))
+    layer: dict = {}
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in KNOWN_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = value
-    if "tile" in merged:
-        tile = merged.pop("tile")
-        h, w, f = parse_tile(tile) if isinstance(tile, str) else tile
-        merged.setdefault("tile_h", h)
-        merged.setdefault("tile_w", w)
-        merged.setdefault("tile_frames", f)
+        layer[key] = value
+    merged.update(_expand_tile(layer, "overrides"))
     kwargs = {key: _coerce(key, value) for key, value in merged.items()}
     return RunConfig(**kwargs)
 

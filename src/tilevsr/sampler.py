@@ -15,6 +15,7 @@ blend mask, and advanced with one Euler step.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -191,6 +192,12 @@ class RunStats:
     eps_calls: int = 0
     gather_calls: int = 0
     tile_units: int = 0  # one per tile per step
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+
+    def increment(self, counter: str) -> None:
+        """Add one to a pass counter; tile workers share one RunStats."""
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def ff_per_iter(self) -> float:
@@ -256,10 +263,7 @@ class _TileRunner:
             x, cond, self.sigma, hooks=hooks,
             collect_kv=collect_kv, collect_attention=collect_attention,
         )
-        if purpose == "eps":
-            self.stats.eps_calls += 1
-        else:
-            self.stats.gather_calls += 1
+        self.stats.increment("eps_calls" if purpose == "eps" else "gather_calls")
         eps = (x - result.denoised) / self.sigma
         if not np.all(np.isfinite(eps)):
             raise NumericError(
@@ -276,7 +280,7 @@ class _TileRunner:
         """Guided noise estimate for one tile. Returns (eps, target_result)."""
         g = self.cfg.guidance
         mode = g.mode
-        self.stats.tile_units += 1
+        self.stats.increment("tile_units")
         run = self._run
         if mode == "none":
             eps, res = run(payload, conditional=True, injections=injections, collect_kv=collect_kv)

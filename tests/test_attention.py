@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilevsr.attention import (
+    SCORE_BLOCK_BYTES,
     InjectedKV,
     aggregate_frame_kv,
+    attend,
     dssag_attention,
     extend_kv,
     extended_self_attention,
@@ -332,3 +334,72 @@ def test_batched_weights_are_probabilities(tq, tk, d, seed):
     w = softmax_rows(scaled_scores(q, k, gamma))
     assert w.shape == (2, tq, tk)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-6
+
+
+# --- fused kernel against the step-by-step reference ------------------------
+
+def assert_attend_is_reference(q, k, v, injected, gamma):
+    k2, v2 = extend_kv(k, v, injected)
+    ref_weights = softmax_rows(scaled_scores(q, k2, gamma))
+    ref_out = ref_weights @ v2
+    out, weights = attend(q, k, v, injected, gamma, return_weights=True)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(weights, ref_weights)
+    assert np.array_equal(attend(q, k, v, injected, gamma), ref_out)
+
+
+def random_injection(rng, rows, d, dv):
+    if rows is None:
+        return None
+    return InjectedKV(rng.standard_normal((rows, d)), rng.standard_normal((rows, dv)), "sap-global")
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    batch=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    nq=st.integers(1, 24),
+    nk=st.integers(1, 24),
+    d=st.integers(1, 12),
+    dv=st.integers(1, 12),
+    inj_rows=st.none() | st.integers(0, 40),
+    gamma=st.just(0.0) | st.floats(0.01, 4.0),
+    scale=st.sampled_from([0.1, 1.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one own row per frame: the reference's [V; V_inj] has frame-interleaved rows
+@example(batch=(3,), nq=1, nk=1, d=1, dv=1, inj_rows=3, gamma=0.0, scale=0.1, seed=0)
+def test_attend_is_bitwise_the_reference(batch, nq, nk, d, dv, inj_rows, gamma, scale, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(batch + (nq, d)) * scale
+    k = rng.standard_normal(batch + (nk, d)) * scale
+    v = rng.standard_normal(batch + (nk, dv))
+    assert_attend_is_reference(q, k, v, random_injection(rng, inj_rows, d, dv), gamma)
+
+
+@settings(deadline=None, max_examples=8)
+@given(
+    nq=st.integers(8, 32),
+    nk=st.integers(8, 32),
+    inj_rows=st.integers(0, 64),
+    extra=st.integers(1, 40),
+    gamma=st.just(0.0) | st.floats(0.01, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attend_spans_several_score_blocks(nq, nk, inj_rows, extra, gamma, seed):
+    per_block = SCORE_BLOCK_BYTES // (nq * (nk + inj_rows) * 8)
+    frames = 2 * per_block + extra  # two full blocks and a partial one
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((frames, nq, 4))
+    k = rng.standard_normal((frames, nk, 4))
+    v = rng.standard_normal((frames, nk, 3))
+    assert_attend_is_reference(q, k, v, random_injection(rng, inj_rows, 4, 3), gamma)
+
+
+def test_attend_frame_larger_than_block_budget():
+    # one 64 x 4160 score matrix is 2.1 MB, over the budget: one frame per block
+    rng = np.random.default_rng(21)
+    q, k, v = (rng.standard_normal((3, 64, 16)) for _ in range(3))
+    inj = random_injection(rng, 4096, 16, 16)
+    assert 64 * (64 + 4096) * 8 > SCORE_BLOCK_BYTES
+    for gamma in (0.0, 0.8):
+        assert_attend_is_reference(q, k, v, inj, gamma)

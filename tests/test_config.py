@@ -102,11 +102,24 @@ def test_resolve_config_tile_composite(tmp_path):
     p.write_text("tile = 16x24x4\n")
     cfg = resolve_config(str(p), None)
     assert (cfg.tile_h, cfg.tile_w, cfg.tile_frames) == (16, 24, 4)
-    # explicit keys beat the composite
+    # a file setting the composite and an extent is ambiguous: rejected
     p2 = tmp_path / "run2.cfg"
     p2.write_text("tile = 16x24x4\ntile_h = 8\n")
-    cfg2 = resolve_config(str(p2), None)
-    assert (cfg2.tile_h, cfg2.tile_w, cfg2.tile_frames) == (8, 24, 4)
+    with pytest.raises(ValueError, match="tile_h"):
+        resolve_config(str(p2), None)
+
+
+def test_tile_override_beats_file_in_either_spelling(tmp_path):
+    extents = tmp_path / "extents.cfg"
+    extents.write_text("tile_h = 32\ntile_w = 40\n")
+    cfg = resolve_config(str(extents), {"tile": "16x16x4"})
+    assert (cfg.tile_h, cfg.tile_w, cfg.tile_frames) == (16, 16, 4)
+    composite = tmp_path / "composite.cfg"
+    composite.write_text("tile = 32x40x6\n")
+    cfg = resolve_config(str(composite), {"tile_w": 8})
+    assert (cfg.tile_h, cfg.tile_w, cfg.tile_frames) == (32, 8, 6)
+    with pytest.raises(ValueError, match="overrides"):
+        resolve_config(None, {"tile": "16x16x4", "tile_frames": 2})
 
 
 def test_echo_lines_roundtrip(tmp_path):

@@ -1,5 +1,9 @@
 """Sigma schedule, preconditioning, Euler stepping, and the tiled pipeline."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -216,6 +220,29 @@ def test_feedforward_counts_per_mode():
         res = sample_video(lr, toy, codec, cfg)
         assert res.stats.ff_per_iter == ff, mode
         assert res.stats.tile_units == 4
+
+
+def test_pass_counts_exact_under_thread_contention():
+    # 27 tiles per step (3x3 spatial x 3 temporal), cfg = 2 passes per tile;
+    # step 0 runs SAP (plus one gather per tile), step 1 TAP.
+    lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
+    cfg = pipe_cfg(steps=2, tile_frames=2, guidance=GuidanceConfig(mode="cfg"),
+                   workers=4 * (os.cpu_count() or 1))
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: got.update(res=sample_video(lr, small_toy(), ToyCodec(2), cfg)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "sampling did not finish within 120 s"
+    stats = got["res"].stats
+    assert (stats.eps_calls, stats.gather_calls, stats.tile_units) == (108, 27, 54)
 
 
 def test_non_finite_denoiser_output_raises():
