@@ -2,10 +2,10 @@
 
 All kernels accept matrices of shape (..., tokens, d); leading axes are
 batched (the video denoiser batches over frames). `attend` is the one kernel
-the denoiser and the public wrappers call: plain, detail-suppressed and
-injected-K/V attention are all its arguments, so gamma = 0 reproduces plain
-attention bit for bit. `scaled_scores`, `softmax_rows` and `extend_kv`
-compute the same values step by step and serve as its reference.
+the denoiser calls: plain, detail-suppressed and injected-K/V attention are
+all its arguments, so gamma = 0 reproduces plain attention bit for bit.
+`scaled_scores`, `softmax_rows` and `extend_kv` compute the same values step
+by step and serve as its reference.
 """
 from __future__ import annotations
 
@@ -18,26 +18,6 @@ import numpy as np
 # are scored together up to this many bytes (one matrix when it alone is
 # larger), so memory stays bounded however many injected rows arrive.
 SCORE_BLOCK_BYTES = 2 * 1024 * 1024
-
-
-def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | None = None) -> None:
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ValueError("q, k, v must be at least 2-D")
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError(f"feature dims differ: q has {q.shape[-1]}, k has {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ValueError(f"k has {k.shape[-2]} rows but v has {v.shape[-2]}")
-    arrays = [("q", q), ("k", k), ("v", v)]
-    rows = 0
-    if injected is not None and injected.rows > 0:
-        _check_injected_dims(injected, k, v)
-        arrays += [("injected keys", injected.keys), ("injected values", injected.values)]
-        rows = injected.rows
-    if k.shape[-2] + rows < 1:
-        raise ValueError("attention needs at least one key")
-    for name, arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite values")
 
 
 def scaled_scores(q: np.ndarray, k: np.ndarray, gamma: float = 0.0) -> np.ndarray:
@@ -64,7 +44,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | None = None,
-           gamma: float = 0.0, return_weights: bool = False):
+           gamma: float = 0.0, own_key_means: bool = False):
     """softmax(Q [K; K_inj]^T / (max(gamma^2 * qmax * kmax, 1) * sqrt(d))) [V; V_inj].
 
     Bit for bit the values of softmax_rows(scaled_scores(q, k2, gamma)) @ v2
@@ -79,9 +59,10 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     (nq x keys)(keys x dv): BLAS rounds a product differently when its query
     rows or key columns are split.
 
-    With return_weights, returns (output, weights) with the full
-    (..., queries, own + injected keys) weights; the score buffer then spans
-    the batch. Inputs are trusted: the public wrappers validate them.
+    With own_key_means, returns (output, means) where means (..., own keys)
+    is the weight each own key receives, averaged over the queries: bit for
+    bit softmax_rows(scaled_scores(q, k2, gamma))[..., :nk].mean(-2), taken
+    block by block. Inputs are trusted: the caller validates them.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -102,8 +83,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
     block = min(per_block, n_mat)
 
-    weights = np.empty((n_mat if return_weights else block, nq, n_keys))
+    weights = np.empty((block, nq, n_keys))
     out = np.empty((n_mat, nq, dv))
+    means = np.empty((n_mat, nk)) if own_key_means else None
     root_d = np.sqrt(d)
     if n_inj:
         inj_kmax = np.max(np.abs(injected.keys))
@@ -131,62 +113,20 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
             else:
                 v_ext[:stop - start, :nk] = vb
                 vb = v_ext[:stop - start]
-        s = weights[start:stop] if return_weights else weights[:stop - start]
+        s = weights[:stop - start]
         np.matmul(qb, np.swapaxes(kb, -1, -2), out=s)
         temper = np.maximum(gamma * gamma * qmax * kmax, 1.0)
         np.divide(s, temper * root_d, out=s)
         np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
         np.exp(s, out=s)
         np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+        if own_key_means:
+            means[start:stop] = s[..., :nk].mean(axis=-2)
         np.matmul(s, vb, out=out[start:stop])
     out = out.reshape(batch + (nq, dv))
-    if return_weights:
-        return out, weights.reshape(batch + (nq, n_keys))
+    if own_key_means:
+        return out, means.reshape(batch + (nk,))
     return out
-
-
-def self_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(Q K^T / sqrt(d)) V."""
-    _check_qkv(q, k, v)
-    return attend(q, k, v)
-
-
-def dssag_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
-    """Detail-suppressed attention: softmax(Q K^T / (max(g^2 q k, 1) sqrt(d))) V."""
-    _check_qkv(q, k, v)
-    return attend(q, k, v, gamma=gamma)
-
-
-def pag_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Identity-score perturbation: each query attends only to its own value."""
-    _check_qkv(q, k, v)
-    if q.shape[-2] != k.shape[-2]:
-        raise ValueError(
-            f"identity perturbation needs square attention, got {q.shape[-2]} queries "
-            f"and {k.shape[-2]} keys"
-        )
-    return v.copy()
-
-
-@dataclass
-class AttentionTensors:
-    """One attention instance's projections. k and v must agree on rows."""
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.k = np.asarray(self.k, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        _check_qkv(self.q, self.k, self.v)
-        if self.d < 1:
-            raise ValueError("feature dim must be >= 1")
-
-    @property
-    def d(self) -> int:
-        return self.q.shape[-1]
 
 
 @dataclass
@@ -236,14 +176,6 @@ def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tupl
     inj_k = np.broadcast_to(injected.keys, batch + injected.keys.shape)
     inj_v = np.broadcast_to(injected.values, batch + injected.values.shape)
     return np.concatenate([k, inj_k], axis=-2), np.concatenate([v, inj_v], axis=-2)
-
-
-def extended_self_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | None
-) -> np.ndarray:
-    """Self-attention over the union of own and injected key/value rows."""
-    _check_qkv(q, k, v, injected)
-    return attend(q, k, v, injected)
 
 
 def subsample_spatial_kv(

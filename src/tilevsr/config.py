@@ -43,7 +43,6 @@ class RunConfig:
     tap: bool = True
     sap_rate: int = 2
     tap_l: int = 4
-    tap_range: int = 1
     guidance: str = "cfg_dssag"
     scale: float = 1.0
     rho: float = 0.5
@@ -99,7 +98,6 @@ class RunConfig:
             tap=self.tap,
             sap_rate=self.sap_rate,
             tap_frames=self.tap_l,
-            tap_range=self.tap_range,
             guidance=self.guidance_config(),
             seed=self.seed,
             sigma_min=self.sigma_min,

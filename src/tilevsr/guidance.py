@@ -11,12 +11,34 @@ applied to different (base, target) noise-estimate pairs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .quality import gaussian_blur
 
 GUIDANCE_MODES = ("none", "cfg", "sag", "pag", "dssag", "cfg_dssag")
+
+
+class Branch(NamedTuple):
+    """One denoiser pass of a guidance mode."""
+
+    conditional: bool = False
+    tempered: bool = False  # attention scores tempered by the step's gamma_t
+    identity: bool = False  # identity attention in the hooked layers
+
+
+# The passes of every mode but sag, in run order; the last is the target.
+# The guided estimate is combine(b[-2], b[-1]) (b[0] alone for one branch);
+# pag adds combine(b[0], b[1]) - b[1]. sag builds its second pass's input
+# from its first pass's output, so it is not a row here (see `sag`).
+GUIDANCE_BRANCHES = {
+    "none": (Branch(conditional=True),),
+    "cfg": (Branch(), Branch(conditional=True)),
+    "dssag": (Branch(tempered=True), Branch()),
+    "cfg_dssag": (Branch(tempered=True), Branch(conditional=True)),
+    "pag": (Branch(identity=True), Branch(), Branch(conditional=True)),
+}
 
 
 @dataclass
@@ -55,18 +77,6 @@ def combine(eps_base: np.ndarray, eps_target: np.ndarray, scale: float) -> np.nd
     if scale == 0.0:
         return eps_target.copy()
     return eps_base + (1.0 + scale) * (eps_target - eps_base)
-
-
-def cfg(eps_uncond: np.ndarray, eps_cond: np.ndarray, scale: float) -> np.ndarray:
-    return combine(eps_uncond, eps_cond, scale)
-
-
-def pag_combine(eps_perturbed: np.ndarray, eps_normal: np.ndarray, scale: float) -> np.ndarray:
-    return combine(eps_perturbed, eps_normal, scale)
-
-
-def dssag_combine(eps_suppressed: np.ndarray, eps_target: np.ndarray, scale: float) -> np.ndarray:
-    return combine(eps_suppressed, eps_target, scale)
 
 
 def gamma_schedule(sigma_t: float, sigma_start: float, sigma_end: float, rho: float = 0.5) -> float:

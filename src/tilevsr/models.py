@@ -226,9 +226,9 @@ class ToyAttentionDenoiser:
                 inj = hook.injected if hook is not None else None
                 gamma = hook.gamma if hook is not None else 0.0
                 if collect_attention:
-                    out, weights = attend(q, k, v, inj, gamma, return_weights=True)
                     # mean attention weight received by each of the tile's own tokens
-                    attn_out[idx] = weights[..., :n_tok].mean(axis=-2).reshape(f, gh, gw)
+                    out, received = attend(q, k, v, inj, gamma, own_key_means=True)
+                    attn_out[idx] = received.reshape(f, gh, gw)
                 else:
                     out = attend(q, k, v, inj, gamma)
             tok = tok + np.tanh(out @ wo) * 0.5

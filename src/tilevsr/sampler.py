@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv
-from .guidance import GuidanceConfig, combine, gamma_schedule, sag
+from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag
 from .quality import bicubic_resize
 from .tiles import Tile, deinterleave, gaussian_mask, interleave, merge, plan_tiles, split, validate_video
 
@@ -138,7 +138,6 @@ class PipelineConfig:
     tap: bool = True
     sap_rate: int = 2
     tap_frames: int = 4  # key/value frames handed to the neighbor tile
-    tap_range: int = 1
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     seed: int = 0
     sigma_min: float = 0.002
@@ -164,9 +163,6 @@ class PipelineConfig:
         if int(self.tap_frames) < 1:
             raise ValueError(f"tap_frames must be >= 1, got {self.tap_frames}")
         self.tap_frames = int(self.tap_frames)
-        if int(self.tap_range) != 1:
-            raise ValueError("only immediate-neighbor propagation (tap_range=1) is supported")
-        self.tap_range = 1
         if not isinstance(self.guidance, GuidanceConfig):
             raise ValueError("guidance must be a GuidanceConfig")
         if not (self.sigma_max > self.sigma_min > 0):
@@ -212,23 +208,10 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# per-tile guided noise estimate
+# the pass engine: guided noise estimates over chains of tiles
 
 def _hook_layers(denoiser) -> tuple[int, ...]:
     return tuple(getattr(denoiser, "hook_layers", ()) or ())
-
-
-def _build_hooks(denoiser, injections, gamma, identity):
-    from .models import LayerHook  # hook container lives with the denoisers
-
-    layers = _hook_layers(denoiser)
-    if injections is None and gamma == 0.0 and not identity:
-        return None
-    hooks = {}
-    for layer in layers:
-        inj = injections.get(layer) if injections else None
-        hooks[layer] = LayerHook(injected=inj, gamma=gamma, identity=identity)
-    return hooks
 
 
 def _upsampled_attention(result, denoiser) -> np.ndarray:
@@ -243,109 +226,112 @@ def _upsampled_attention(result, denoiser) -> np.ndarray:
     return np.repeat(np.repeat(mean_map, patch, axis=-2), patch, axis=-1)
 
 
-class _TileRunner:
-    """Runs guidance branches for one tile payload, sharing injected K/V."""
+def _forward(denoiser, sigma: float, stats: RunStats, where: str, x, *, conditional=True,
+             injections=None, gamma=0.0, identity=False, collect_kv=False,
+             collect_attention=False, counter="eps_calls"):
+    """One denoiser pass over x. Returns (noise estimate, DenoiseResult).
 
-    def __init__(self, denoiser, sigma, gamma_t, cfg: PipelineConfig, stats: RunStats, step: int, key):
-        self.denoiser = denoiser
-        self.sigma = sigma
-        self.gamma_t = gamma_t
-        self.cfg = cfg
-        self.stats = stats
-        self.step = step
-        self.key = key  # (n, m) for diagnostics
+    Every hooked layer gets a hook when the pass injects, tempers or
+    perturbs; `where` names the step and tile in a NumericError.
+    """
+    hooks = None
+    if injections is not None or gamma != 0.0 or identity:
+        from .models import LayerHook  # hook container lives with the denoisers
 
-    def _run(self, x, *, conditional, injections=None, gamma=0.0, identity=False,
-             collect_kv=False, collect_attention=False, purpose="eps"):
-        hooks = _build_hooks(self.denoiser, injections, gamma, identity)
-        cond = getattr(self.denoiser, "cond_vector", None) if conditional else None
-        result = self.denoiser.denoise(
-            x, cond, self.sigma, hooks=hooks,
-            collect_kv=collect_kv, collect_attention=collect_attention,
-        )
-        self.stats.increment("eps_calls" if purpose == "eps" else "gather_calls")
-        eps = (x - result.denoised) / self.sigma
-        if not np.all(np.isfinite(eps)):
-            raise NumericError(
-                f"non-finite noise estimate at step {self.step}, tile {self.key}, sigma={self.sigma:g}"
+        hooks = {
+            layer: LayerHook(injected=(injections or {}).get(layer), gamma=gamma, identity=identity)
+            for layer in _hook_layers(denoiser)
+        }
+    cond = getattr(denoiser, "cond_vector", None) if conditional else None
+    result = denoiser.denoise(
+        x, cond, sigma, hooks=hooks, collect_kv=collect_kv, collect_attention=collect_attention,
+    )
+    stats.increment(counter)
+    eps = (x - result.denoised) / sigma
+    if not np.all(np.isfinite(eps)):
+        raise NumericError(f"non-finite noise estimate at {where}, sigma={sigma:g}")
+    return eps, result
+
+
+def _guided_eps(tile: Tile, injections, collect_kv: bool, denoiser, cfg: PipelineConfig,
+                sigma: float, gamma_t: float, stats: RunStats, step: int):
+    """Guided noise estimate of one tile, and its target branch's result."""
+    stats.increment("tile_units")
+    g = cfg.guidance
+    where = f"step {step}, tile {(tile.n, tile.m)}"
+    if g.mode == "sag":
+        target = {}
+
+        def run_eps(x, collect_attention, conditional):
+            eps, result = _forward(
+                denoiser, sigma, stats, where, x, conditional=conditional, injections=injections,
+                collect_kv=conditional and collect_kv, collect_attention=collect_attention,
             )
-        return eps, result
+            if conditional:
+                target["result"] = result
+            if collect_attention:
+                return eps, _upsampled_attention(result, denoiser)
+            return eps
 
-    def gather(self, payload) -> "object":
-        """Phase-1 pass: conditional, no hooks, taps only."""
-        _, result = self._run(payload, conditional=True, collect_kv=True, purpose="gather")
-        return result
+        guided = sag(run_eps, tile.data, sigma, g, conditional=True)
+        return guided, target["result"]
+    branches = GUIDANCE_BRANCHES[g.mode]
+    eps = []
+    for i, branch in enumerate(branches, 1):
+        e, result = _forward(
+            denoiser, sigma, stats, where, tile.data, conditional=branch.conditional,
+            injections=injections, gamma=gamma_t if branch.tempered else 0.0,
+            identity=branch.identity, collect_kv=collect_kv and i == len(branches),
+        )
+        eps.append(e)
+    if len(eps) == 1:
+        return eps[0], result
+    guided = combine(eps[-2], eps[-1], g.scale)
+    if len(eps) == 3:  # pag: also guide away from the identity-perturbed branch
+        guided = guided + (combine(eps[0], eps[1], g.scale) - eps[1])
+    return guided, result
 
-    def guided_eps(self, payload, injections, collect_kv=False):
-        """Guided noise estimate for one tile. Returns (eps, target_result)."""
-        g = self.cfg.guidance
-        mode = g.mode
-        self.stats.increment("tile_units")
-        run = self._run
-        if mode == "none":
-            eps, res = run(payload, conditional=True, injections=injections, collect_kv=collect_kv)
-            return eps, res
-        if mode == "cfg":
-            base, _ = run(payload, conditional=False, injections=injections)
-            target, res = run(payload, conditional=True, injections=injections, collect_kv=collect_kv)
-            return combine(base, target, g.scale), res
-        if mode == "dssag":
-            base, _ = run(payload, conditional=False, injections=injections, gamma=self.gamma_t)
-            target, res = run(payload, conditional=False, injections=injections, collect_kv=collect_kv)
-            return combine(base, target, g.scale), res
-        if mode == "cfg_dssag":
-            base, _ = run(payload, conditional=False, injections=injections, gamma=self.gamma_t)
-            target, res = run(payload, conditional=True, injections=injections, collect_kv=collect_kv)
-            return combine(base, target, g.scale), res
-        if mode == "pag":
-            perturbed, _ = run(payload, conditional=False, injections=injections, identity=True)
-            uncond, _ = run(payload, conditional=False, injections=injections)
-            cond, res = run(payload, conditional=True, injections=injections, collect_kv=collect_kv)
-            guided = combine(uncond, cond, g.scale) + (combine(perturbed, uncond, g.scale) - uncond)
-            return guided, res
-        if mode == "sag":
-            recorded = {}
 
-            def run_eps(x, collect_attention, conditional):
-                eps, res = run(
-                    x, conditional=conditional, injections=injections,
-                    collect_kv=conditional and collect_kv,
-                    collect_attention=collect_attention,
-                )
-                if conditional:
-                    recorded["res"] = res
-                if collect_attention:
-                    return eps, _upsampled_attention(res, self.denoiser)
-                return eps
+def _map_tiles(items: list, fn, workers: int, schedule: str) -> list:
+    """fn over items in the configured order, optionally threaded.
 
-            guided = sag(run_eps, payload, self.sigma, g, conditional=True)
-            return guided, recorded["res"]
-        raise ValueError(f"unhandled guidance mode {mode!r}")
+    Results come back in item order regardless of execution order, so the
+    schedule cannot change the merged output.
+    """
+    ordered = items[::-1] if schedule == "descending" else items
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(fn, ordered))
+    else:
+        done = [fn(item) for item in ordered]
+    return done[::-1] if schedule == "descending" else done
+
+
+def _run_pass(chains: list[list[Tile]], inject, denoiser, cfg: PipelineConfig, sigma: float,
+              gamma_t: float, stats: RunStats, step: int) -> list[Tile]:
+    """Guided noise estimates of every tile of every chain, in (n, m) order.
+
+    Chains run independently through _map_tiles; the tiles of a chain run in
+    order, each with the per-layer K/V inject(tile, result) gives it, where
+    result is its predecessor's target-branch DenoiseResult (None for a
+    chain's first tile). A tile with a successor keeps its K/V for it.
+    """
+    def run_chain(chain: list[Tile]) -> list[Tile]:
+        out, prev = [], None
+        for i, tile in enumerate(chain, 1):
+            eps, prev = _guided_eps(
+                tile, inject(tile, prev), i < len(chain), denoiser, cfg, sigma, gamma_t, stats, step,
+            )
+            out.append(Tile(n=tile.n, m=tile.m, data=eps))
+        return out
+
+    done = _map_tiles(chains, run_chain, cfg.workers, cfg.tile_schedule)
+    return sorted((tile for chain in done for tile in chain), key=lambda t: (t.n, t.m))
 
 
 def _require_hooks(denoiser, scheme: str):
     if not _hook_layers(denoiser):
         raise ValueError(f"{scheme} propagation needs a denoiser with hook layers")
-
-
-def _token_grid(result) -> tuple[int, int, int]:
-    return tuple(int(v) for v in result.token_grid)
-
-
-def _map_tiles(items, fn, workers: int, schedule: str):
-    """Apply fn over items in the configured order, optionally threaded.
-
-    Results are returned keyed by item regardless of execution order, so the
-    schedule cannot change the merged output.
-    """
-    ordered = list(items)
-    if schedule == "descending":
-        ordered = ordered[::-1]
-    if workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, ordered))
-        return dict(zip(ordered, results))
-    return {item: fn(item) for item in ordered}
 
 
 def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: float,
@@ -354,42 +340,39 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
 
     Phase 1 runs each tile once to tap per-layer key/values, subsampled on a
     stride grid and aggregated over all tiles of the group (own tile
-    included). Phase 2 completes only after every gather has: each tile is
-    rerun with the group aggregate injected into its hooked layers.
+    included). Phase 2 starts only after every gather has: each tile is rerun
+    with its group's aggregate injected into its hooked layers.
     """
     _require_hooks(denoiser, "spatial")
-    by_n: dict[int, list[Tile]] = {}
-    for tile in tiles:
-        by_n.setdefault(tile.n, []).append(tile)
-    out: list[Tile] = []
-    for n in sorted(by_n):
-        group = sorted(by_n[n], key=lambda t: t.m)
-        runner = {t.m: _TileRunner(denoiser, sigma, gamma_t, cfg, stats, step, (n, t.m)) for t in group}
-        # phase 1: gather (barrier before any injection pass)
-        gathered = {t.m: runner[t.m].gather(t.data) for t in group}
-        parts: dict[int, list[InjectedKV]] = {}
-        for t in group:  # ascending m
-            res = gathered[t.m]
-            grid_dims = _token_grid(res)
-            for layer in _hook_layers(denoiser):
-                part = subsample_spatial_kv(res.keys[layer], res.values[layer], cfg.sap_rate, grid_dims)
-                parts.setdefault(layer, []).append(part)
-        injections = {layer: aggregate_frame_kv(p) for layer, p in parts.items()}
-        # phase 2: independent per tile
-        eps_by_m = _map_tiles(
-            [t.m for t in group],
-            lambda m, _g={t.m: t for t in group}: runner[m].guided_eps(_g[m].data, injections)[0],
-            cfg.workers,
-            cfg.tile_schedule,
+    layers = _hook_layers(denoiser)
+    tiles = sorted(tiles, key=lambda t: (t.n, t.m))
+
+    def gather(tile: Tile) -> dict[int, InjectedKV]:
+        # only the subsampled rows outlive the task, not the full result
+        _, result = _forward(
+            denoiser, sigma, stats, f"step {step}, tile {(tile.n, tile.m)}", tile.data,
+            collect_kv=True, counter="gather_calls",
         )
-        out.extend(Tile(n=n, m=m, data=eps_by_m[m]) for m in sorted(eps_by_m))
-    return out
+        return {
+            layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate,
+                                        result.token_grid)
+            for layer in layers
+        }
+
+    by_n: dict[int, list[dict[int, InjectedKV]]] = {}
+    for tile, parts in zip(tiles, _map_tiles(tiles, gather, cfg.workers, cfg.tile_schedule)):
+        by_n.setdefault(tile.n, []).append(parts)  # ascending m
+    aggregate = {
+        n: {layer: aggregate_frame_kv([p[layer] for p in parts]) for layer in layers}
+        for n, parts in by_n.items()
+    }
+    return _run_pass([[t] for t in tiles], lambda tile, _prev: aggregate[tile.n],
+                     denoiser, cfg, sigma, gamma_t, stats, step)
 
 
-def _tap_injections(result, direction: str, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
+def _tap_injections(result, tag: str, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
     """Per-layer K/V of the frames with the largest key spread in a neighbor tile."""
-    tag = "tap-forward" if direction == "forward" else "tap-backward"
-    frames, gh, gw = _token_grid(result)
+    frames, gh, gw = (int(v) for v in result.token_grid)
     per_frame = gh * gw
     injections = {}
     for layer in hook_layers:
@@ -408,48 +391,29 @@ def denoise_pass_tap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
 
     Tiles are visited in temporal order (reversed when direction is
     backward); each receives the selected key/value frames tapped from its
-    predecessor's target-branch pass, range 1 (immediate neighbor only).
+    immediate predecessor's target-branch pass.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     _require_hooks(denoiser, "temporal")
-    by_m: dict[int, list[Tile]] = {}
-    for tile in tiles:
-        by_m.setdefault(tile.m, []).append(tile)
-    out: list[Tile] = []
+    columns: dict[int, list[Tile]] = {}
+    for tile in sorted(tiles, key=lambda t: (t.n, t.m)):
+        columns.setdefault(tile.m, []).append(tile)  # ascending n
+    chains = [columns[m] if direction == "forward" else columns[m][::-1] for m in sorted(columns)]
 
-    def run_column(m: int) -> list[Tile]:
-        column = sorted(by_m[m], key=lambda t: t.n)
-        if direction == "backward":
-            column = column[::-1]
-        produced = []
-        prev_result = None
-        for tile in column:
-            runner = _TileRunner(denoiser, sigma, gamma_t, cfg, stats, step, (tile.n, tile.m))
-            injections = None
-            if prev_result is not None:
-                injections = _tap_injections(prev_result, direction, cfg.tap_frames, _hook_layers(denoiser))
-            eps, result = runner.guided_eps(tile.data, injections, collect_kv=True)
-            prev_result = result
-            produced.append(Tile(n=tile.n, m=tile.m, data=eps))
-        return produced
+    def inject(_tile: Tile, prev):
+        if prev is None:
+            return None
+        return _tap_injections(prev, f"tap-{direction}", cfg.tap_frames, _hook_layers(denoiser))
 
-    results = _map_tiles(sorted(by_m), run_column, cfg.workers, cfg.tile_schedule)
-    for m in sorted(results):
-        out.extend(results[m])
-    return out
+    return _run_pass(chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 def denoise_pass_plain(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: float,
                        gamma_t: float, stats: RunStats, step: int = 0) -> list[Tile]:
     """No cross-tile propagation; guidance branches still run per tile."""
-    def run_one(idx: int) -> np.ndarray:
-        tile = tiles[idx]
-        runner = _TileRunner(denoiser, sigma, gamma_t, cfg, stats, step, (tile.n, tile.m))
-        return runner.guided_eps(tile.data, None)[0]
-
-    eps_by_idx = _map_tiles(range(len(tiles)), run_one, cfg.workers, cfg.tile_schedule)
-    return [Tile(n=tiles[i].n, m=tiles[i].m, data=eps_by_idx[i]) for i in sorted(eps_by_idx)]
+    return _run_pass([[t] for t in tiles], lambda _tile, _prev: None,
+                     denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 # ---------------------------------------------------------------------------

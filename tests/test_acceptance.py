@@ -14,12 +14,9 @@ import pytest
 
 from tilevsr.attention import (
     InjectedKV,
-    dssag_attention,
-    extended_self_attention,
-    pag_attention,
+    attend,
     scaled_scores,
     select_tap_frames,
-    self_attention,
     softmax_rows,
 )
 from tilevsr.guidance import GuidanceConfig, combine, gamma_schedule
@@ -109,23 +106,24 @@ def test_02_attention_reductions_to_plain_uniform_and_value_limits():
     q = rng.standard_normal((6, 4))
     k = rng.standard_normal((6, 4))
     v = rng.standard_normal((6, 3))
-    plain = self_attention(q, k, v)
+    plain = attend(q, k, v)
 
     empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)), "sap-global")
-    gap_empty = float(np.max(np.abs(extended_self_attention(q, k, v, empty) - plain)))
+    gap_empty = float(np.max(np.abs(attend(q, k, v, empty) - plain)))
     assert gap_empty <= 1e-6
-    assert np.array_equal(extended_self_attention(q, k, v, None), plain)
+    assert np.array_equal(attend(q, k, v, None), plain)
 
-    assert np.array_equal(dssag_attention(q, k, v, 0.0), plain)
+    assert np.array_equal(attend(q, k, v, gamma=0.0), plain)
     assert np.array_equal(scaled_scores(q, k, 0.0), q @ k.T / math.sqrt(4))
 
     qmax = float(np.max(np.abs(q)))
     kmax = float(np.max(np.abs(k)))
     huge_gamma = math.sqrt(1e6 / (qmax * kmax))
-    gap_uniform = float(np.max(np.abs(dssag_attention(q, k, v, huge_gamma) - v.mean(axis=0))))
+    gap_uniform = float(np.max(np.abs(attend(q, k, v, gamma=huge_gamma) - v.mean(axis=0))))
     assert gap_uniform <= 1e-4
 
-    assert np.array_equal(pag_attention(q, k, v), v)
+    # identity scores: each query attends to its own key alone
+    assert np.array_equal(attend(q[:, None], k[:, None], v[:, None])[:, 0], v)
     print(f"PASS attention reductions: empty-injection {gap_empty:.3e}, "
           f"high-temper vs value mean {gap_uniform:.3e}")
 

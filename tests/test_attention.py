@@ -1,6 +1,7 @@
 """Attention kernel, tempered/injected/identity variants, and K/V selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +13,13 @@ from tilevsr.attention import (
     InjectedKV,
     aggregate_frame_kv,
     attend,
-    dssag_attention,
     extend_kv,
-    extended_self_attention,
-    pag_attention,
     scaled_scores,
     select_tap_frames,
-    self_attention,
     softmax_rows,
     subsample_spatial_kv,
 )
+from tilevsr.models import LayerHook, ToyAttentionDenoiser
 
 Q1 = np.array([[1.0, 0.0]])
 I2 = np.eye(2)
@@ -39,7 +37,7 @@ def random_qkv(rng, tq=5, tk=6, d=4, dv=3):
 
 def test_self_attention_two_key_oracle():
     # softmax([1/sqrt(2), 0]) against identity values
-    out = self_attention(Q1, I2, I2)
+    out = attend(Q1, I2, I2)
     e = math.exp(1.0 / math.sqrt(2.0))
     w = e / (1.0 + e)
     assert out.shape == (1, 2)
@@ -54,7 +52,7 @@ def test_identical_keys_give_value_mean():
     q = rng.standard_normal((3, 4))
     k = np.tile(rng.standard_normal((1, 4)), (5, 1))
     v = rng.standard_normal((5, 2))
-    out = self_attention(q, k, v)
+    out = attend(q, k, v)
     assert np.max(np.abs(out - v.mean(axis=0))) < 1e-12
 
 
@@ -63,7 +61,7 @@ def test_single_key_returns_that_value():
     q = rng.standard_normal((4, 3))
     k = rng.standard_normal((1, 3))
     v = rng.standard_normal((1, 2))
-    out = self_attention(q, k, v)
+    out = attend(q, k, v)
     assert np.max(np.abs(out - v[0])) < 1e-12
 
 
@@ -71,8 +69,8 @@ def test_joint_kv_permutation_invariance():
     rng = np.random.default_rng(2)
     q, k, v = random_qkv(rng)
     perm = rng.permutation(k.shape[0])
-    a = self_attention(q, k, v)
-    b = self_attention(q, k[perm], v[perm])
+    a = attend(q, k, v)
+    b = attend(q, k[perm], v[perm])
     assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -89,7 +87,7 @@ def test_softmax_rows_sum_to_one_and_stability():
 
 def test_tempered_scores_quarter_oracle():
     # gamma=2 with unit-magnitude q and k gives temper max(4, 1) = 4
-    out = dssag_attention(Q1, I2, I2, 2.0)
+    out = attend(Q1, I2, I2, gamma=2.0)
     arg = 1.0 / (4.0 * math.sqrt(2.0))
     e = math.exp(arg)
     w = e / (1.0 + e)
@@ -101,8 +99,8 @@ def test_tempered_scores_quarter_oracle():
 def test_gamma_zero_is_bitwise_plain():
     rng = np.random.default_rng(4)
     q, k, v = random_qkv(rng)
-    plain = self_attention(q, k, v)
-    suppressed = dssag_attention(q, k, v, 0.0)
+    plain = attend(q, k, v)
+    suppressed = attend(q, k, v, gamma=0.0)
     assert np.array_equal(plain, suppressed)
     assert np.array_equal(
         scaled_scores(q, k, 0.0), q @ k.T / math.sqrt(q.shape[-1])
@@ -112,7 +110,7 @@ def test_gamma_zero_is_bitwise_plain():
 def test_huge_gamma_approaches_value_mean():
     rng = np.random.default_rng(5)
     q, k, v = random_qkv(rng)
-    out = dssag_attention(q, k, v, 1e4)
+    out = attend(q, k, v, gamma=1e4)
     assert np.max(np.abs(out - v.mean(axis=0))) < 1e-4
 
 
@@ -120,8 +118,8 @@ def test_temper_below_one_clamps_to_plain():
     rng = np.random.default_rng(6)
     q, k, v = random_qkv(rng)
     # tiny gamma: gamma^2 * qmax * kmax < 1, denominator clamps at 1
-    a = dssag_attention(q, k, v, 1e-6)
-    b = self_attention(q, k, v)
+    a = attend(q, k, v, gamma=1e-6)
+    b = attend(q, k, v)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -144,24 +142,23 @@ def test_row_entropy_grows_with_gamma():
 # --- identity-score perturbation --------------------------------------------
 
 def test_pag_returns_values_exactly():
+    # identity scores: each query attends to its own key alone, so the
+    # softmax weight is exactly 1
     rng = np.random.default_rng(8)
     q = rng.standard_normal((4, 3))
     k = rng.standard_normal((4, 3))
     v = rng.standard_normal((4, 2))
-    out = pag_attention(q, k, v)
+
+    def identity_attention(q, k, v):
+        return attend(q[:, None], k[:, None], v[:, None])[:, 0]
+
+    out = identity_attention(q, k, v)
     assert np.array_equal(out, v)
     out[0, 0] = 123.0
     assert v[0, 0] != 123.0
     # idempotent and zero-preserving
-    z = pag_attention(q, k, np.zeros((4, 2)))
+    z = identity_attention(q, k, np.zeros((4, 2)))
     assert np.array_equal(z, np.zeros((4, 2)))
-
-
-def test_pag_requires_square_token_counts():
-    rng = np.random.default_rng(9)
-    q, k, v = random_qkv(rng, tq=3, tk=5)
-    with pytest.raises(ValueError):
-        pag_attention(q, k, v)
 
 
 # --- injected keys/values ---------------------------------------------------
@@ -169,10 +166,10 @@ def test_pag_requires_square_token_counts():
 def test_empty_injection_matches_plain():
     rng = np.random.default_rng(10)
     q, k, v = random_qkv(rng)
-    base = self_attention(q, k, v)
-    a = extended_self_attention(q, k, v, None)
+    base = attend(q, k, v)
+    a = attend(q, k, v, None)
     empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)), "sap-global")
-    b = extended_self_attention(q, k, v, empty)
+    b = attend(q, k, v, empty)
     assert np.array_equal(a, base)
     assert np.max(np.abs(b - base)) < 1e-6
 
@@ -180,9 +177,9 @@ def test_empty_injection_matches_plain():
 def test_duplicate_injection_preserves_output():
     rng = np.random.default_rng(11)
     q, k, v = random_qkv(rng)
-    base = self_attention(q, k, v)
+    base = attend(q, k, v)
     dup = InjectedKV(k.copy(), v.copy(), "sap-global")
-    out = extended_self_attention(q, k, v, dup)
+    out = attend(q, k, v, dup)
     assert np.max(np.abs(out - base)) < 1e-10
 
 
@@ -190,12 +187,12 @@ def test_far_key_injection_is_negligible():
     rng = np.random.default_rng(12)
     q, k, v = random_qkv(rng)
     q[:, 0] = np.abs(q[:, 0]) + 0.5
-    base = self_attention(q, k, v)
+    base = attend(q, k, v)
     # a key anti-aligned with every query by a score gap >= 30
     far_key = np.zeros((1, 4))
     far_key[0, 0] = -1e3
     far = InjectedKV(far_key, np.full((1, 3), 1e3), "sap-global")
-    out = extended_self_attention(q, k, v, far)
+    out = attend(q, k, v, far)
     gap = np.min(scaled_scores(q, k, 0.0)) - np.max(scaled_scores(q, far.keys, 0.0))
     assert gap >= 30.0
     assert np.max(np.abs(out - base)) < 1e-6
@@ -342,9 +339,9 @@ def assert_attend_is_reference(q, k, v, injected, gamma):
     k2, v2 = extend_kv(k, v, injected)
     ref_weights = softmax_rows(scaled_scores(q, k2, gamma))
     ref_out = ref_weights @ v2
-    out, weights = attend(q, k, v, injected, gamma, return_weights=True)
+    out, means = attend(q, k, v, injected, gamma, own_key_means=True)
     assert np.array_equal(out, ref_out)
-    assert np.array_equal(weights, ref_weights)
+    assert np.array_equal(means, ref_weights[..., :k.shape[-2]].mean(-2))
     assert np.array_equal(attend(q, k, v, injected, gamma), ref_out)
 
 
@@ -403,3 +400,29 @@ def test_attend_frame_larger_than_block_budget():
     assert 64 * (64 + 4096) * 8 > SCORE_BLOCK_BYTES
     for gamma in (0.0, 0.8):
         assert_attend_is_reference(q, k, v, inj, gamma)
+
+
+def peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_own_key_means_keep_scores_to_one_block():
+    # 64 frames of 64 tokens against 64 own + 1600 injected keys: the full
+    # weight tensor would take 54.5 MB
+    rng = np.random.default_rng(22)
+    q, k, v = (rng.standard_normal((64, 64, 8)) for _ in range(3))
+    inj = random_injection(rng, 1600, 8, 8)
+    assert 64 * 64 * (64 + 1600) * 8 > 50e6
+    (out, means), peak = peak_traced_bytes(lambda: attend(q, k, v, inj, 0.5, own_key_means=True))
+    assert peak < SCORE_BLOCK_BYTES + out.nbytes + means.nbytes + 512 * 1024
+    # the denoiser's attention maps (sag guidance) take the same path
+    den = ToyAttentionDenoiser(seed=7, channels=1, patch_size=2, embed_dim=8, cond_dim=4)
+    x = rng.standard_normal((64, 1, 16, 16))
+    hooks = {layer: LayerHook(injected=inj) for layer in den.hook_layers}
+    _, peak = peak_traced_bytes(lambda: den.denoise(x, None, 1.0, hooks=hooks, collect_attention=True))
+    assert peak < 4 * SCORE_BLOCK_BYTES

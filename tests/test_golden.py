@@ -1,6 +1,7 @@
 """End-to-end output lock: SHA-256 of `sample_video` bytes for a small
 matrix of configs (every guidance mode with both propagation schemes on,
-plus each scheme alone and neither).
+plus each scheme alone and neither). Every digest also holds with threaded
+tiles run in descending order.
 
 A change that is meant to keep outputs byte-identical must leave every
 digest as it is. A change that alters output bits says so, bounds the drift,
@@ -44,7 +45,8 @@ GOLDEN = {
 }
 
 
-def run_digest(mode: str, sap: bool, tap: bool) -> str:
+def run_digest(mode: str, sap: bool, tap: bool, workers: int = 1,
+               tile_schedule: str = "ascending") -> str:
     # 2 latent frames interleave to 4; 12x12 latent with 8x8x2 tiles gives
     # 2x2 spatial x 3 temporal tiles, 16 tokens per frame, so SAP injects
     # 32 rows and TAP hands over 2 frames; step 0 runs SAP, step 1 TAP.
@@ -56,6 +58,7 @@ def run_digest(mode: str, sap: bool, tap: bool) -> str:
         steps=2, tile_frames=2, tile_h=8, tile_w=8, sap=sap, tap=tap,
         sap_rate=2, tap_frames=2, guidance=GuidanceConfig(mode=mode, scale=1.5),
         seed=3, sigma_min=0.1, sigma_max=80.0, upscale_factor=1,
+        workers=workers, tile_schedule=tile_schedule,
     )
     video = sample_video(lr, denoiser, ToyCodec(1), cfg).video
     return hashlib.sha256(video.tobytes()).hexdigest()
@@ -64,6 +67,12 @@ def run_digest(mode: str, sap: bool, tap: bool) -> str:
 @pytest.mark.parametrize("mode,sap,tap", sorted(GOLDEN))
 def test_output_digest_is_pinned(mode, sap, tap):
     assert run_digest(mode, sap, tap) == GOLDEN[(mode, sap, tap)]
+
+
+@pytest.mark.parametrize("mode,sap,tap", sorted(GOLDEN))
+def test_output_digest_holds_threaded_and_descending(mode, sap, tap):
+    got = run_digest(mode, sap, tap, workers=3, tile_schedule="descending")
+    assert got == GOLDEN[(mode, sap, tap)]
 
 
 if __name__ == "__main__":

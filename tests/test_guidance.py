@@ -7,11 +7,8 @@ import pytest
 
 from tilevsr.guidance import (
     GuidanceConfig,
-    cfg,
     combine,
-    dssag_combine,
     gamma_schedule,
-    pag_combine,
     sag,
 )
 
@@ -25,18 +22,16 @@ def arrays(seed=0, shape=(2, 3, 4, 4)):
 
 def test_scale_minus_one_returns_base_exactly():
     base, target = arrays(0)
-    for fn in (cfg, pag_combine, dssag_combine):
-        out = fn(base, target, -1.0)
-        assert np.array_equal(out, base)
+    out = combine(base, target, -1.0)
+    assert np.array_equal(out, base)
 
 
 def test_scale_zero_returns_target_exactly():
     base, target = arrays(1)
     # magnitudes chosen so a naive base + (target - base) would round
     base = base * 1e16
-    for fn in (cfg, pag_combine, dssag_combine):
-        out = fn(base, target, 0.0)
-        assert np.array_equal(out, target)
+    out = combine(base, target, 0.0)
+    assert np.array_equal(out, target)
 
 
 def test_equal_inputs_fixed_point_for_any_scale():
@@ -49,8 +44,8 @@ def test_equal_inputs_fixed_point_for_any_scale():
 def test_forced_arithmetic_cases():
     z = np.zeros((2, 2))
     o = np.ones((2, 2))
-    assert np.allclose(cfg(z, o, 1.0), 2.0)
-    out = dssag_combine(np.full((1,), 1.0), np.full((1,), 3.0), 0.5)
+    assert np.allclose(combine(z, o, 1.0), 2.0)
+    out = combine(np.full((1,), 1.0), np.full((1,), 3.0), 0.5)
     assert abs(out[0] - 4.0) < 1e-12
 
 

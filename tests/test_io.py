@@ -2,6 +2,7 @@
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +39,14 @@ def test_container_roundtrip_is_byte_exact(tmp_path):
         # writing the readback reproduces identical bytes
         path2 = str(tmp_path / f"t{trial}b.dcvt")
         write_tensor(path2, back)
-        assert open(path, "rb").read() == open(path2, "rb").read()
+        assert Path(path).read_bytes() == Path(path2).read_bytes()
 
 
 def test_container_header_layout(tmp_path):
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
     path = str(tmp_path / "h.dcvt")
     write_tensor(path, arr)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:4] == b"DCVT"
     version, rank = struct.unpack("<HH", blob[4:8])
     assert (version, rank) == (1, 2)
@@ -58,7 +59,7 @@ def test_container_rejects_corrupt_files(tmp_path):
     arr = np.zeros((2, 2), dtype=np.float32)
     good = str(tmp_path / "good.dcvt")
     write_tensor(good, arr)
-    blob = open(good, "rb").read()
+    blob = Path(good).read_bytes()
 
     cases = {
         "magic": b"XXXX" + blob[4:],
@@ -70,7 +71,7 @@ def test_container_rejects_corrupt_files(tmp_path):
     }
     for name, data in cases.items():
         bad = str(tmp_path / f"{name}.dcvt")
-        open(bad, "wb").write(data)
+        Path(bad).write_bytes(data)
         with pytest.raises(ValueError):
             read_tensor(bad)
 
@@ -113,7 +114,7 @@ def test_pgm_single_channel_roundtrip(tmp_path):
     frame = rng.integers(0, 256, size=(1, 4, 6)).astype(np.float64) / 255.0
     path = str(tmp_path / "f.pgm")
     write_ppm(path, frame)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob.startswith(b"P5")
     assert np.array_equal(read_ppm(path), frame)
 
@@ -130,7 +131,7 @@ def test_ppm_quantization_rounds_half_away(tmp_path):
 def test_ppm_header_comments_are_skipped(tmp_path):
     path = str(tmp_path / "c.ppm")
     body = bytes([10, 20, 30, 40, 50, 60])
-    open(path, "wb").write(b"P6\n# a comment line\n2 1\n# another\n255\n" + body)
+    Path(path).write_bytes(b"P6\n# a comment line\n2 1\n# another\n255\n" + body)
     frame = read_ppm(path)
     assert frame.shape == (3, 1, 2)
     assert np.array_equal(np.round(frame * 255.0), [[[10.0, 40.0]], [[20.0, 50.0]], [[30.0, 60.0]]])
@@ -144,7 +145,7 @@ def test_ppm_rejects_bad_headers(tmp_path):
     }
     for name, blob in cases.items():
         path = str(tmp_path / f"{name}.ppm")
-        open(path, "wb").write(blob)
+        Path(path).write_bytes(blob)
         with pytest.raises(ValueError):
             read_ppm(path)
 
@@ -173,7 +174,7 @@ def test_pfm_single_channel_and_header(tmp_path):
     frame = np.array([[[0.5, -1.25], [3.0, 65504.0]]])
     path = str(tmp_path / "g.pfm")
     write_pfm(path, frame)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob.startswith(b"Pf\n2 2\n-1.0\n")
     assert np.array_equal(read_pfm(path), frame)
 
@@ -184,7 +185,7 @@ def test_pfm_rows_are_stored_bottom_up(tmp_path):
     frame[0, 1, 0] = 2.0  # bottom row
     path = str(tmp_path / "b.pfm")
     write_pfm(path, frame)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     header_len = len(b"Pf\n1 2\n-1.0\n")
     first, second = struct.unpack("<2f", blob[header_len:header_len + 8])
     assert (first, second) == (2.0, 1.0)
@@ -192,10 +193,10 @@ def test_pfm_rows_are_stored_bottom_up(tmp_path):
 
 def test_pfm_rejects_malformed(tmp_path):
     path = str(tmp_path / "m.pfm")
-    open(path, "wb").write(b"PX\n1 1\n-1.0\n" + bytes(4))
+    Path(path).write_bytes(b"PX\n1 1\n-1.0\n" + bytes(4))
     with pytest.raises(ValueError):
         read_pfm(path)
-    open(path, "wb").write(b"Pf\n2 2\n-1.0\n" + bytes(4))
+    Path(path).write_bytes(b"Pf\n2 2\n-1.0\n" + bytes(4))
     with pytest.raises(ValueError):
         read_pfm(path)
 
@@ -261,5 +262,5 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     path = str(tmp_path / "out.bin")
     atomic_write_bytes(path, b"first")
     atomic_write_bytes(path, b"second")
-    assert open(path, "rb").read() == b"second"
+    assert Path(path).read_bytes() == b"second"
     assert os.listdir(tmp_path) == ["out.bin"]

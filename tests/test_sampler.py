@@ -7,7 +7,9 @@ import threading
 import numpy as np
 import pytest
 
+from tilevsr import cli
 from tilevsr.guidance import GuidanceConfig
+from tilevsr.io import write_tensor
 from tilevsr.models import (
     AnalyticGaussianDenoiser,
     DenoiseResult,
@@ -120,11 +122,17 @@ def test_ode_step_ordering_errors():
 
 # --- pipeline configuration -------------------------------------------------
 
-def test_pipeline_config_validation():
+def test_pipeline_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         pipe_cfg(steps=0)
-    with pytest.raises(ValueError):
-        pipe_cfg(tap_range=2)
+    # TAP hands K/V to the immediate neighbour only; there is no range knob
+    lr = tmp_path / "lr.dcvt"
+    write_tensor(str(lr), np.full((2, 1, 8, 8), 0.5))
+    config = tmp_path / "run.cfg"
+    config.write_text("tap_range = 1\n")
+    rc = cli.main(["upscale", str(lr), "--out", str(tmp_path / "o.dcvt"), "--config", str(config)])
+    assert rc == 2
+    assert "unknown key 'tap_range'" in capsys.readouterr().err
     with pytest.raises(ValueError):
         pipe_cfg(tile_schedule="zigzag")
     with pytest.raises(ValueError):
