@@ -62,7 +62,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     With own_key_means, returns (output, means) where means (..., own keys)
     is the weight each own key receives, averaged over the queries: bit for
     bit softmax_rows(scaled_scores(q, k2, gamma))[..., :nk].mean(-2), taken
-    block by block. Inputs are trusted: the caller validates them.
+    block by block. q, k and v must share their batch shape (a ValueError
+    otherwise); their values are trusted: the caller validates them.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -73,12 +74,16 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     if injected is not None and injected.rows > 0:
         _check_injected_dims(injected, k, v)
         n_inj = injected.rows
-    batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    batch = q.shape[:-2]
+    if k.shape[:-2] != batch or v.shape[:-2] != batch:
+        raise ValueError(
+            f"q, k and v need equal batch shapes, got {batch}, {k.shape[:-2]} and {v.shape[:-2]}"
+        )
     (nq, d), nk, dv = q.shape[-2:], k.shape[-2], v.shape[-1]
     n_keys = nk + n_inj
-    qs = np.broadcast_to(q, batch + (nq, d)).reshape(-1, nq, d)
-    ks = np.broadcast_to(k, batch + (nk, d)).reshape(-1, nk, d)
-    vs = np.broadcast_to(v, batch + (nk, dv)).reshape(-1, nk, dv)
+    qs = q.reshape(-1, nq, d)
+    ks = k.reshape(-1, nk, d)
+    vs = v.reshape(-1, nk, dv)
     n_mat = qs.shape[0]
     per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
     block = min(per_block, n_mat)

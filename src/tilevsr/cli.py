@@ -134,7 +134,7 @@ def cmd_upscale(args: argparse.Namespace) -> int:
     _echo_config(cfg)
     video = tio.load_video(args.input)
     denoiser = cfg.build_denoiser(channels=video.shape[1])
-    result = sample_video(video, denoiser, cfg.build_codec(), cfg.pipeline_config())
+    result = sample_video(video, denoiser, cfg.codec, cfg.pipeline)
     _write_video(args.out, result.video, args.pfm)
     trace_path = args.trace
     if trace_path is None:
@@ -150,7 +150,7 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     cfg = resolve_config(args.config, _common_overrides(args))
     _echo_config(cfg)
     video = tio.load_video(args.input)
-    lr = degrade(video, cfg.degradation_config())
+    lr = degrade(video, cfg.degradation)
     _write_video(args.out, lr, args.pfm)
     print(f"frames={lr.shape[0]} height={lr.shape[2]} width={lr.shape[3]}")
     return 0
@@ -190,7 +190,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def parse_variant(spec: str) -> tuple[str, dict]:
     """One ablation variant: '+'-joined toggles, or 'none' for everything off.
 
-    Returns (canonical name, RunConfig field overrides).  At most one guidance
+    Returns (canonical name, config key overrides).  At most one guidance
     toggle may appear; sap/tap toggles switch the propagation schemes.
     """
     name = spec.strip()
@@ -221,14 +221,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     if gt is not None and gt.shape[0] != video.shape[0]:
         raise ValueError(f"gt has {gt.shape[0]} frames, input has {video.shape[0]}")
     denoiser = cfg.build_denoiser(channels=video.shape[1])
-    codec = cfg.build_codec()
     variants = [v for v in (s.strip() for s in args.variants.split(",")) if v]
     if not variants:
         raise ValueError("no ablation variants given")
     for spec in variants:
-        name, overrides = parse_variant(spec)
-        vcfg = dataclasses.replace(cfg, **overrides)
-        result = sample_video(video, denoiser, codec, vcfg.pipeline_config())
+        name, toggles = parse_variant(spec)
+        guidance = dataclasses.replace(cfg.pipeline.guidance, mode=toggles["guidance"])
+        pipeline = dataclasses.replace(cfg.pipeline, sap=toggles["sap"], tap=toggles["tap"],
+                                       guidance=guidance)
+        result = sample_video(video, denoiser, cfg.codec, pipeline)
         if args.trace:
             _write_trace(f"{args.trace}.{name}", result.trace)
         stats = result.stats
@@ -245,7 +246,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIXTURE_KEYS = {"kind", "size", "frames", "channels", "shift", "value"}
+# fixture spec key -> parser of its file value; each key is also a CLI flag
+_FIXTURE_PARSERS = {
+    "kind": str,
+    "size": parse_size,
+    "frames": int,
+    "channels": int,
+    "shift": parse_shift,
+    "value": float,
+}
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
@@ -259,38 +268,24 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         "shift": (1, 2),
         "value": 0.5,
     }
+    raw: dict = {}
     if args.spec:
         with open(args.spec, "r", encoding="ascii") as fh:
-            raw = parse_config_text(fh.read(), source=args.spec, allowed=_FIXTURE_KEYS)
-        if "kind" in raw:
-            spec["kind"] = raw["kind"]
-        if "size" in raw:
-            spec["size"] = parse_size(raw["size"])
-        if "frames" in raw:
-            spec["frames"] = int(raw["frames"])
-        if "channels" in raw:
-            spec["channels"] = int(raw["channels"])
-        if "shift" in raw:
-            spec["shift"] = parse_shift(raw["shift"])
-        if "value" in raw:
-            spec["value"] = float(raw["value"])
-    for key in ("kind", "frames", "channels", "value"):
-        flag = getattr(args, key)
-        if flag is not None:
-            spec[key] = flag
-    if args.size is not None:
-        spec["size"] = args.size
-    if args.shift is not None:
-        spec["shift"] = args.shift
+            raw = parse_config_text(fh.read(), source=args.spec, allowed=set(_FIXTURE_PARSERS))
+    for key, parse in _FIXTURE_PARSERS.items():
+        if key in raw:
+            spec[key] = parse(raw[key])
+        if getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
     if spec["kind"] not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind {spec['kind']!r}, expected one of {FIXTURE_KINDS}")
 
     height, width = spec["size"]
     hr = synthetic_video(
         spec["kind"], spec["frames"], spec["channels"], height, width,
-        shift=spec["shift"], value=spec["value"], seed=cfg.seed,
+        shift=spec["shift"], value=spec["value"], seed=cfg.degradation.seed,
     )
-    lr = degrade(hr, cfg.degradation_config())
+    lr = degrade(hr, cfg.degradation)
     os.makedirs(args.out, exist_ok=True)
     tio.write_tensor(os.path.join(args.out, "hr.dcvt"), hr)
     tio.write_tensor(os.path.join(args.out, "lr.dcvt"), lr)

@@ -1,13 +1,16 @@
 """Plain-text run configuration: `key=value` lines, `#` comments.
 
-Unknown keys are rejected, defaults fill everything else, and the resolved
-config can be echoed back in the same format (parse(echo(cfg)) == cfg).
+Each key is a field of a component config (PipelineConfig, GuidanceConfig,
+DegradationConfig, ToyCodec) or of RunConfig itself. Unknown keys are
+rejected, defaults fill everything else, resolving builds the components (so
+their checks run at once), and the resolved config can be echoed back in the
+same format (parse(echo(cfg)) == cfg).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-from .guidance import GUIDANCE_MODES, GuidanceConfig
+from .guidance import GuidanceConfig
 from .models import ToyAttentionDenoiser, ToyCodec
 from .quality import DegradationConfig
 from .sampler import PipelineConfig
@@ -34,90 +37,32 @@ def parse_tile(value: str) -> tuple[int, int, int]:
 
 @dataclass
 class RunConfig:
-    # sampling
-    steps: int = 25
-    tile_h: int = 64
-    tile_w: int = 64
-    tile_frames: int = 14
-    sap: bool = True
-    tap: bool = True
-    sap_rate: int = 2
-    tap_l: int = 4
-    guidance: str = "cfg_dssag"
-    scale: float = 1.0
-    rho: float = 0.5
-    sag_blur_sigma: float = 2.0
-    sag_mask_quantile: float = 0.5
-    seed: int = 0
-    sigma_min: float = 0.002
-    sigma_max: float = 700.0
-    schedule_exponent: float = 7.0
-    sigma_data: float = 0.5
-    upscale_factor: int = 4
-    codec_factor: int = 8
-    mask_sigma_fraction: float = 0.25
-    workers: int = 1
-    tile_schedule: str = "ascending"
+    """The component configs, plus the denoiser and metric settings that have
+    no component config of their own.
+
+    Every flat config key is a field of one of them (see `_KEYS`); `seed` sets
+    both `pipeline.seed` and `degradation.seed`, so those two must agree.
+    """
+
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+    degradation: DegradationConfig = field(default_factory=DegradationConfig)
+    codec: ToyCodec = field(default_factory=ToyCodec)
     # toy denoiser
     denoiser_seed: int = 1234
     patch_size: int = 4
     embed_dim: int = 32
     spatial_layers: int = 4
     cond_dim: int = 8
-    # degradation
-    blur_sigma: float = 1.5
-    down_factor: int = 4
-    noise_sigma: float = 0.02
-    quant_levels: int = 256
     # metrics
     flow_block: int = 8
     flow_radius: int = 4
 
     def __post_init__(self):
-        if self.guidance not in GUIDANCE_MODES:
+        if self.pipeline.seed != self.degradation.seed:
             raise ValueError(
-                f"unknown guidance mode {self.guidance!r}, expected one of {GUIDANCE_MODES}"
+                f"pipeline seed {self.pipeline.seed} and degradation seed "
+                f"{self.degradation.seed} differ; the config key 'seed' sets both"
             )
-
-    def guidance_config(self) -> GuidanceConfig:
-        return GuidanceConfig(
-            mode=self.guidance,
-            scale=self.scale,
-            rho=self.rho,
-            sag_blur_sigma=self.sag_blur_sigma,
-            sag_mask_quantile=self.sag_mask_quantile,
-        )
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            steps=self.steps,
-            tile_frames=self.tile_frames,
-            tile_h=self.tile_h,
-            tile_w=self.tile_w,
-            sap=self.sap,
-            tap=self.tap,
-            sap_rate=self.sap_rate,
-            tap_frames=self.tap_l,
-            guidance=self.guidance_config(),
-            seed=self.seed,
-            sigma_min=self.sigma_min,
-            sigma_max=self.sigma_max,
-            schedule_exponent=self.schedule_exponent,
-            sigma_data=self.sigma_data,
-            upscale_factor=self.upscale_factor,
-            mask_sigma_fraction=self.mask_sigma_fraction,
-            workers=self.workers,
-            tile_schedule=self.tile_schedule,
-        )
-
-    def degradation_config(self) -> DegradationConfig:
-        return DegradationConfig(
-            blur_sigma=self.blur_sigma,
-            down_factor=self.down_factor,
-            noise_sigma=self.noise_sigma,
-            quant_levels=self.quant_levels,
-            seed=self.seed,
-        )
 
     def build_denoiser(self, channels: int) -> ToyAttentionDenoiser:
         return ToyAttentionDenoiser(
@@ -127,16 +72,37 @@ class RunConfig:
             embed_dim=self.embed_dim,
             spatial_layers=self.spatial_layers,
             cond_dim=self.cond_dim,
-            sigma_data=self.sigma_data,
+            sigma_data=self.pipeline.sigma_data,
         )
 
-    def build_codec(self) -> ToyCodec:
-        return ToyCodec(factor=self.codec_factor)
+
+# Where each component sits in a RunConfig. A field naming a section holds
+# that component; every other field of a section is one flat config key.
+_SECTIONS = {
+    "run": (RunConfig, lambda cfg: cfg),
+    "pipeline": (PipelineConfig, lambda cfg: cfg.pipeline),
+    "guidance": (GuidanceConfig, lambda cfg: cfg.pipeline.guidance),
+    "degradation": (DegradationConfig, lambda cfg: cfg.degradation),
+    "codec": (ToyCodec, lambda cfg: cfg.codec),
+}
+# The flat keys that are not their field's name, kept for compatibility.
+_RENAMED = {("guidance", "mode"): "guidance", ("pipeline", "tap_frames"): "tap_l",
+            ("codec", "factor"): "codec_factor"}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _key_table() -> dict:
+    """Flat key -> [(section, dataclass field)]; 'seed' reaches two fields."""
+    table: dict = {}
+    for section, (cls, _) in _SECTIONS.items():
+        for f in fields(cls):
+            if f.name not in _SECTIONS:
+                table.setdefault(_RENAMED.get((section, f.name), f.name), []).append((section, f))
+    return table
+
+
+_KEYS = _key_table()
 # 'tile' is accepted as a composite HxWxF key covering tile_h/tile_w/tile_frames
-KNOWN_KEYS = set(_FIELD_TYPES) | {"tile"}
+KNOWN_KEYS = set(_KEYS) | {"tile"}
 _TILE_KEYS = ("tile_h", "tile_w", "tile_frames")  # parse_tile's order
 
 
@@ -160,17 +126,15 @@ def parse_config_text(text: str, source: str = "<config>", allowed: set | None =
     return values
 
 
+# keyed by field annotation, a string: every config module defers annotations
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+
+
 def _coerce(key: str, value):
-    if isinstance(value, str):
-        kind = _FIELD_TYPES[key]
-        if kind == "bool" or kind is bool:
-            return _parse_bool(value)
-        if kind == "int" or kind is int:
-            return int(value)
-        if kind == "float" or kind is float:
-            return float(value)
+    """A file's string value as its field's type; typed overrides pass as they are."""
+    if not isinstance(value, str):
         return value
-    return value
+    return _PARSERS[_KEYS[key][0][1].type](value)
 
 
 def _expand_tile(layer: dict, source: str) -> dict:
@@ -204,16 +168,26 @@ def resolve_config(path: str | None = None, overrides: dict | None = None) -> Ru
             raise ValueError(f"unknown config key {key!r}")
         layer[key] = value
     merged.update(_expand_tile(layer, "overrides"))
-    kwargs = {key: _coerce(key, value) for key, value in merged.items()}
-    return RunConfig(**kwargs)
+    args: dict = {section: {} for section in _SECTIONS}
+    for key, value in merged.items():
+        value = _coerce(key, value)
+        for section, f in _KEYS[key]:
+            args[section][f.name] = value
+    return RunConfig(
+        pipeline=PipelineConfig(guidance=GuidanceConfig(**args["guidance"]), **args["pipeline"]),
+        degradation=DegradationConfig(**args["degradation"]),
+        codec=ToyCodec(**args["codec"]),
+        **args["run"],
+    )
 
 
 def echo_lines(cfg: RunConfig) -> list[str]:
     """The fully resolved config as sorted key=value lines."""
     lines = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
+    for key in sorted(_KEYS):
+        section, f = _KEYS[key][0]
+        value = getattr(_SECTIONS[section][1](cfg), f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{f.name}={value}")
+        lines.append(f"{key}={value}")
     return lines

@@ -5,6 +5,7 @@ same construction arguments always give the same forward pass.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,20 @@ def _sinusoid(n_pos: int, dims: int) -> np.ndarray:
     return np.where(np.arange(dims)[None, :] % 2 == 0, np.sin(ang), np.cos(ang))
 
 
+@functools.lru_cache(maxsize=64)
+def _positions(gh: int, gw: int, embed_dim: int) -> np.ndarray:
+    """Read-only (gh * gw, embed_dim) table: row then column sinusoids.
+
+    It depends only on the token grid, so every forward on one grid shares it.
+    """
+    half = embed_dim // 2
+    rows = _sinusoid(gh, half)
+    cols = _sinusoid(gw, embed_dim - half)
+    table = np.concatenate([np.repeat(rows, gw, axis=0), np.tile(cols, (gh, 1))], axis=1)
+    table.flags.writeable = False
+    return table
+
+
 class ToyAttentionDenoiser:
     """Patch-token denoiser with hookable per-frame spatial attention.
 
@@ -168,14 +183,6 @@ class ToyAttentionDenoiser:
             .reshape(f, c, gh * p, gw * p)
         )
 
-    def _positions(self, gh: int, gw: int) -> np.ndarray:
-        half = self.embed_dim // 2
-        rows = _sinusoid(gh, half)
-        cols = _sinusoid(gw, self.embed_dim - half)
-        return np.concatenate(
-            [np.repeat(rows, gw, axis=0), np.tile(cols, (gh, 1))], axis=1
-        )
-
     def denoise(self, x, c=None, sigma: float = 1.0, hooks=None,
                 collect_kv: bool = False, collect_attention: bool = False) -> DenoiseResult:
         x = np.asarray(x, dtype=np.float64)
@@ -198,7 +205,7 @@ class ToyAttentionDenoiser:
         gh, gw = h // p, w // p
         n_tok = gh * gw
         tok = self._patchify(pre.c_in * x) @ self.w_embed
-        tok = tok + 0.1 * self._positions(gh, gw)[None]
+        tok = tok + 0.1 * _positions(gh, gw, self.embed_dim)[None]
         tok = tok + pre.c_noise * self.v_noise
         if c is not None:
             c = np.asarray(c, dtype=np.float64)

@@ -210,6 +210,16 @@ def test_extend_kv_broadcasts_over_batch():
     assert np.array_equal(v2[0, 3:], inj.values)
 
 
+def test_attend_rejects_unequal_batch_shapes():
+    rng = np.random.default_rng(14)
+    q = rng.standard_normal((2, 3, 4))
+    kv = rng.standard_normal((2, 5, 4))
+    for k, v in ((kv[:1], kv), (kv, kv[:1]), (kv[0], kv), (kv[None], kv[None])):
+        with pytest.raises(ValueError, match="batch shapes"):
+            attend(q, k, v)
+    assert attend(q, kv, kv).shape == (2, 3, 4)
+
+
 def test_injected_kv_validation():
     with pytest.raises(ValueError):
         InjectedKV(np.zeros((2, 4)), np.zeros((3, 4)), "sap-global")

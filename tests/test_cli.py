@@ -405,6 +405,26 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("fixture", ["--steps", "0"]),
+    ("metrics", ["--scale", "nan"]),
+    ("degrade", ["--sap-rate", "0"]),
+])
+def test_invalid_config_value_exits_2_before_the_echo(tmp_path, capsys, verb, flags):
+    src = _write_video(tmp_path / "v.dcvt", cli.synthetic_video("texture", 2, 1, 8, 8))
+    out = tmp_path / "out"
+    argv = {
+        "fixture": ["fixture", "--out", str(out)],
+        "metrics": ["metrics", src, src],
+        "degrade": ["degrade", src, "--out", str(out)],
+    }[verb]
+    rc, stdout, err = run_cli(capsys, *argv, *flags)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "# resolved config" not in stdout
+    assert not (out / "run.cfg").exists()
+
+
 def test_unknown_guidance_mode_exits_2(tmp_path, tiny_input, capsys):
     rc, _, err = run_cli(
         capsys, "upscale", tiny_input, "--out", str(tmp_path / "o.dcvt"),
