@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .guidance import GuidanceConfig
-from .models import ToyAttentionDenoiser, ToyCodec
-from .quality import DegradationConfig
+from .models import ToyAttentionDenoiser, ToyCodec, check_toy_settings
+from .quality import DegradationConfig, check_flow_window
 from .sampler import PipelineConfig
 
 
@@ -63,6 +63,8 @@ class RunConfig:
                 f"pipeline seed {self.pipeline.seed} and degradation seed "
                 f"{self.degradation.seed} differ; the config key 'seed' sets both"
             )
+        check_toy_settings(self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim)
+        check_flow_window(self.flow_block, self.flow_radius)
 
     def build_denoiser(self, channels: int) -> ToyAttentionDenoiser:
         return ToyAttentionDenoiser(

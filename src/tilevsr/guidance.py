@@ -1,10 +1,11 @@
-"""Guidance combinators, the suppression-strength schedule, and blur-based
-self-attention guidance.
+"""Guidance combinators, the suppression-strength schedule, and the masked
+blur that builds self-attention guidance's input.
 
 Every combinator is the same affine update, base + (1 + s) * (target - base),
 applied to different (base, target) noise-estimate pairs:
 
   classifier-free:     base = unconditional,        target = conditional
+  self-attention:      base = on blurred input,     target = conditional
   perturbed-attention: base = identity-perturbed,   target = normal
   detail-suppressed:   base = gamma-tempered,       target = normal or cond
 """
@@ -17,8 +18,6 @@ import numpy as np
 
 from .quality import gaussian_blur
 
-GUIDANCE_MODES = ("none", "cfg", "sag", "pag", "dssag", "cfg_dssag")
-
 
 class Branch(NamedTuple):
     """One denoiser pass of a guidance mode."""
@@ -26,19 +25,22 @@ class Branch(NamedTuple):
     conditional: bool = False
     tempered: bool = False  # attention scores tempered by the step's gamma_t
     identity: bool = False  # identity attention in the hooked layers
+    blurred: bool = False  # input blurred where branch 0 attends most (`sag_input`)
 
 
-# The passes of every mode but sag, in run order; the last is the target.
-# The guided estimate is combine(b[-2], b[-1]) (b[0] alone for one branch);
-# pag adds combine(b[0], b[1]) - b[1]. sag builds its second pass's input
-# from its first pass's output, so it is not a row here (see `sag`).
+# The passes of every mode, in run order; the last is the target. The guided
+# estimate is combine(b[-2], b[-1]) (b[0] alone for one branch); a row whose
+# first branch is identity-perturbed (pag) adds combine(b[0], b[1]) - b[1].
+# Branch 0 collects its attention map when a later branch is blurred.
 GUIDANCE_BRANCHES = {
     "none": (Branch(conditional=True),),
     "cfg": (Branch(), Branch(conditional=True)),
+    "sag": (Branch(), Branch(blurred=True), Branch(conditional=True)),
+    "pag": (Branch(identity=True), Branch(), Branch(conditional=True)),
     "dssag": (Branch(tempered=True), Branch()),
     "cfg_dssag": (Branch(tempered=True), Branch(conditional=True)),
-    "pag": (Branch(identity=True), Branch(), Branch(conditional=True)),
 }
+GUIDANCE_MODES = tuple(GUIDANCE_BRANCHES)
 
 
 @dataclass
@@ -99,41 +101,30 @@ def gamma_schedule(sigma_t: float, sigma_start: float, sigma_end: float, rho: fl
     return float(ratio ** rho)
 
 
-def sag(run_eps, x_t: np.ndarray, sigma: float, cfg_: GuidanceConfig, conditional: bool = False) -> np.ndarray:
-    """Self-attention guidance via masked blurring of the denoised estimate.
+def sag_input(x_t: np.ndarray, eps: np.ndarray, attention: np.ndarray, sigma: float,
+              cfg_: GuidanceConfig) -> np.ndarray:
+    """Self-attention guidance's input: x_t with its denoised estimate blurred
+    where the attention map is high.
 
-    run_eps(x, collect_attention, conditional) is the denoiser adapter: it
-    returns the noise estimate for x, and when collect_attention is true also
-    an attention-score map of shape (frames, h, w) aligned with x. Steps:
-    detect salient tokens on the unconditional pass, blur the denoised
-    estimate x0 = x_t - sigma * eps inside the salient mask, re-noise, and
-    guide from the estimate of that degraded input toward the normal one.
-    With conditional=True the target comes from a third, conditional pass.
+    eps is the noise estimate of x_t and attention its (frames, h, w) map
+    aligned with x_t. Tokens above the map's sag_mask_quantile form the mask;
+    inside it the denoised estimate x0 = x_t - sigma * eps is blurred and
+    re-noised. Guidance then steers from the estimate of this degraded input
+    toward the target estimate.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    eps0, scores = run_eps(x_t, collect_attention=True, conditional=False)
-    eps0 = np.asarray(eps0, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (x_t.shape[0],) + x_t.shape[2:]:
+    eps = np.asarray(eps, dtype=np.float64)
+    attention = np.asarray(attention, dtype=np.float64)
+    if attention.shape != (x_t.shape[0],) + x_t.shape[2:]:
         raise ValueError(
-            f"attention map shape {scores.shape} does not match frames/space of {x_t.shape}"
+            f"attention map shape {attention.shape} does not match frames/space of {x_t.shape}"
         )
-    threshold = np.quantile(scores, cfg_.sag_mask_quantile)
-    mask = (scores > threshold)[:, None, :, :]
+    threshold = np.quantile(attention, cfg_.sag_mask_quantile)
+    mask = (attention > threshold)[:, None, :, :]
 
-    x0 = x_t - sigma * eps0
-    # b = x_t + mask * (blur(x0) - x0): identical to blurring x0 under the
-    # mask and re-noising, but degenerate blur/mask leave x_t bit-exact
-    delta = mask * (gaussian_blur(x0, cfg_.sag_blur_sigma) - x0)
-    b = x_t + delta
-
-    eps_base = np.asarray(run_eps(b, collect_attention=False, conditional=False), dtype=np.float64)
-    if conditional:
-        eps_target = np.asarray(
-            run_eps(x_t, collect_attention=False, conditional=True), dtype=np.float64
-        )
-    else:
-        eps_target = eps0
-    return combine(eps_base, eps_target, cfg_.scale)
+    x0 = x_t - sigma * eps
+    # x_t + mask * (blur(x0) - x0): identical to blurring x0 under the mask
+    # and re-noising, but degenerate blur/mask leave x_t bit-exact
+    return x_t + mask * (gaussian_blur(x0, cfg_.sag_blur_sigma) - x0)

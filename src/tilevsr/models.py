@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import InjectedKV, attend
+from .attention import attend
 # The step-by-step reference kernels stay importable from this module: the
 # benchmark's outside-in tracer (perfbench/tracer.py) wraps these names here.
 from .attention import extend_kv, scaled_scores, softmax_rows  # noqa: F401
@@ -18,30 +18,11 @@ from .sampler import precondition
 
 
 @dataclass
-class LayerHook:
-    """Attention-kernel override for one spatial layer.
-
-    identity short-circuits to the value matrix (query-key scores replaced by
-    the identity); otherwise injected rows extend K/V and gamma > 0 tempers
-    the score denominator. identity ignores injections: it needs the tile's
-    own value rows.
-    """
-
-    injected: InjectedKV | None = None
-    gamma: float = 0.0
-    identity: bool = False
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-
-
-@dataclass
 class DenoiseResult:
     denoised: np.ndarray
-    keys: dict = field(default_factory=dict)     # layer -> (frames * tokens, d)
-    values: dict = field(default_factory=dict)   # layer -> (frames * tokens, d)
-    attn_scores: dict = field(default_factory=dict)  # layer -> (frames, gh, gw)
+    keys: dict = field(default_factory=dict)     # hook layer -> (frames * tokens, d)
+    values: dict = field(default_factory=dict)   # hook layer -> (frames * tokens, d)
+    attention: np.ndarray | None = None  # (frames, h, w), mean over hook layers
     token_grid: tuple = (0, 0, 0)  # (frames, gh, gw)
 
 
@@ -64,11 +45,17 @@ class AnalyticGaussianDenoiser:
         if self.sigma_data <= 0:
             raise ValueError(f"sigma_data must be > 0, got {self.sigma_data}")
 
-    def denoise(self, x, c=None, sigma: float = 1.0, hooks=None,
-                collect_kv: bool = False, collect_attention: bool = False) -> DenoiseResult:
+    def denoise(self, x, c=None, sigma: float = 1.0, injected=None, gamma: float = 0.0,
+                identity: bool = False, collect_kv: bool = False,
+                collect_attention: bool = False) -> DenoiseResult:
+        """gamma and identity act on no layer: the model has no hook layers."""
         x = np.asarray(x, dtype=np.float64)
-        if hooks:
+        if injected:
             raise ValueError("analytic denoiser has no hookable layers")
+        if gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {gamma}")
+        if collect_attention:
+            raise ValueError("analytic denoiser has no attention map to collect")
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         if sigma == 0:
@@ -107,6 +94,16 @@ def _positions(gh: int, gw: int, embed_dim: int) -> np.ndarray:
     return table
 
 
+def check_toy_settings(patch_size: int, embed_dim: int, spatial_layers: int, cond_dim: int) -> None:
+    """ToyAttentionDenoiser's architecture checks, for configs that build one later."""
+    if spatial_layers < 4:
+        raise ValueError(f"need >= 4 spatial layers for first-two/last-two hooks, got {spatial_layers}")
+    if patch_size < 1 or cond_dim < 1:
+        raise ValueError(f"patch_size and cond_dim must be >= 1, got {patch_size} and {cond_dim}")
+    if embed_dim < 2 or embed_dim % 2 != 0:
+        raise ValueError(f"embed_dim must be even and >= 2, got {embed_dim}")
+
+
 class ToyAttentionDenoiser:
     """Patch-token denoiser with hookable per-frame spatial attention.
 
@@ -124,12 +121,9 @@ class ToyAttentionDenoiser:
     def __init__(self, seed: int = 1234, channels: int = 3, patch_size: int = 4,
                  embed_dim: int = 32, spatial_layers: int = 4, cond_dim: int = 8,
                  sigma_data: float = 0.5, cond_vector=None):
-        if spatial_layers < 4:
-            raise ValueError(f"need >= 4 spatial layers for first-two/last-two hooks, got {spatial_layers}")
-        if patch_size < 1 or channels < 1 or cond_dim < 1:
-            raise ValueError("channels, patch_size, cond_dim must be >= 1")
-        if embed_dim < 2 or embed_dim % 2 != 0:
-            raise ValueError(f"embed_dim must be even and >= 2, got {embed_dim}")
+        check_toy_settings(patch_size, embed_dim, spatial_layers, cond_dim)
+        if channels < 1:
+            raise ValueError(f"channels must be >= 1, got {channels}")
         if sigma_data <= 0:
             raise ValueError(f"sigma_data must be > 0, got {sigma_data}")
         self.seed = int(seed)
@@ -183,8 +177,19 @@ class ToyAttentionDenoiser:
             .reshape(f, c, gh * p, gw * p)
         )
 
-    def denoise(self, x, c=None, sigma: float = 1.0, hooks=None,
-                collect_kv: bool = False, collect_attention: bool = False) -> DenoiseResult:
+    def denoise(self, x, c=None, sigma: float = 1.0, injected=None, gamma: float = 0.0,
+                identity: bool = False, collect_kv: bool = False,
+                collect_attention: bool = False) -> DenoiseResult:
+        """D(x; sigma), conditioned on c unless c is None.
+
+        The hook settings act on the hook layers only: `injected` maps a hook
+        layer to the K/V rows that extend its keys and values, gamma > 0
+        tempers their score denominators, and identity replaces their
+        attention by the value rows (ignoring injections: it needs the tile's
+        own rows). collect_kv keeps each hook layer's K/V; collect_attention
+        returns the weight each token receives, averaged over the queries and
+        the hook layers and repeated to pixel resolution (frames, h, w).
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
             raise ValueError(f"expected (frames, channels, h, w), got shape {x.shape}")
@@ -196,10 +201,12 @@ class ToyAttentionDenoiser:
             raise ValueError(f"spatial dims {h}x{w} must be positive multiples of patch size {p}")
         if not np.all(np.isfinite(x)):
             raise ValueError("input contains non-finite values")
-        hooks = hooks or {}
-        for layer in hooks:
-            if not 0 <= layer < self.spatial_layers:
-                raise ValueError(f"hook on unknown layer {layer}; model has {self.spatial_layers} spatial layers")
+        injected = injected or {}
+        for layer in injected:
+            if layer not in self.hook_layers:
+                raise ValueError(f"injection into layer {layer}; the hook layers are {self.hook_layers}")
+        if gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {gamma}")
 
         pre = precondition(sigma, self.sigma_data)
         gh, gw = h // p, w // p
@@ -216,28 +223,27 @@ class ToyAttentionDenoiser:
 
         keys_out: dict = {}
         values_out: dict = {}
-        attn_out: dict = {}
+        maps = []
         for idx, (wq, wk, wv, wo) in enumerate(self.layers):
             q = tok @ wq
             k = tok @ wk
             v = tok @ wv
-            if collect_kv:
+            hooked = idx in self.hook_layers
+            if collect_kv and hooked:
                 keys_out[idx] = k.reshape(f * n_tok, self.embed_dim).copy()
                 values_out[idx] = v.reshape(f * n_tok, self.embed_dim).copy()
-            hook = hooks.get(idx)
-            if hook is not None and hook.identity:
+            if not hooked:
+                out = attend(q, k, v)
+            elif identity:
                 out = v.copy()
                 if collect_attention:
-                    attn_out[idx] = np.full((f, gh, gw), 1.0 / n_tok)
+                    maps.append(np.full((f, gh, gw), 1.0 / n_tok))
+            elif collect_attention:
+                # mean attention weight received by each of the tile's own tokens
+                out, received = attend(q, k, v, injected.get(idx), gamma, own_key_means=True)
+                maps.append(received.reshape(f, gh, gw))
             else:
-                inj = hook.injected if hook is not None else None
-                gamma = hook.gamma if hook is not None else 0.0
-                if collect_attention:
-                    # mean attention weight received by each of the tile's own tokens
-                    out, received = attend(q, k, v, inj, gamma, own_key_means=True)
-                    attn_out[idx] = received.reshape(f, gh, gw)
-                else:
-                    out = attend(q, k, v, inj, gamma)
+                out = attend(q, k, v, injected.get(idx), gamma)
             tok = tok + np.tanh(out @ wo) * 0.5
 
         twq, twk, twv, two = self.temporal
@@ -247,11 +253,14 @@ class ToyAttentionDenoiser:
 
         raw = self._unpatchify(tok @ self.w_out, gh, gw)
         denoised = pre.c_skip * x + pre.c_out * raw
+        attention = None
+        if collect_attention:
+            attention = np.repeat(np.repeat(np.mean(maps, axis=0), p, axis=-2), p, axis=-1)
         return DenoiseResult(
             denoised=denoised,
             keys=keys_out,
             values=values_out,
-            attn_scores=attn_out,
+            attention=attention,
             token_grid=(f, gh, gw),
         )
 

@@ -185,6 +185,12 @@ def _as_frame(frame: np.ndarray) -> np.ndarray:
     return frame
 
 
+def check_flow_window(block: int, radius: int) -> None:
+    """block_match_flow's block and search-radius checks."""
+    if block < 1 or radius < 0:
+        raise ValueError(f"bad block {block} or radius {radius}")
+
+
 def block_match_flow(f1: np.ndarray, f2: np.ndarray, block: int = 8, radius: int = 4) -> np.ndarray:
     """Integer per-pixel flow (2, h, w) by exhaustive block matching.
 
@@ -197,8 +203,7 @@ def block_match_flow(f1: np.ndarray, f2: np.ndarray, block: int = 8, radius: int
     f2 = _as_frame(f2)
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
-    if block < 1 or radius < 0:
-        raise ValueError(f"bad block {block} or radius {radius}")
+    check_flow_window(block, radius)
     _, h, w = f1.shape
     if h < block or w < block:
         raise ValueError(f"frame {h}x{w} smaller than block {block}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv
-from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag
+from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
 from .tiles import Tile, deinterleave, gaussian_mask, interleave, merge, plan_tiles, split, validate_video
 
@@ -214,37 +214,17 @@ def _hook_layers(denoiser) -> tuple[int, ...]:
     return tuple(getattr(denoiser, "hook_layers", ()) or ())
 
 
-def _upsampled_attention(result, denoiser) -> np.ndarray:
-    """Mean received-attention per token across hooked layers, expanded to
-    latent resolution by patch replication. Shape (frames, h, w)."""
-    layers = _hook_layers(denoiser)
-    if not layers:
-        raise ValueError("attention-map guidance needs a denoiser with hook layers")
-    maps = [result.attn_scores[layer] for layer in layers]
-    mean_map = np.mean(maps, axis=0)  # (frames, gh, gw)
-    patch = int(getattr(denoiser, "patch_size", 1))
-    return np.repeat(np.repeat(mean_map, patch, axis=-2), patch, axis=-1)
-
-
 def _forward(denoiser, sigma: float, stats: RunStats, where: str, x, *, conditional=True,
              injections=None, gamma=0.0, identity=False, collect_kv=False,
              collect_attention=False, counter="eps_calls"):
     """One denoiser pass over x. Returns (noise estimate, DenoiseResult).
 
-    Every hooked layer gets a hook when the pass injects, tempers or
-    perturbs; `where` names the step and tile in a NumericError.
+    `where` names the step and tile in a NumericError.
     """
-    hooks = None
-    if injections is not None or gamma != 0.0 or identity:
-        from .models import LayerHook  # hook container lives with the denoisers
-
-        hooks = {
-            layer: LayerHook(injected=(injections or {}).get(layer), gamma=gamma, identity=identity)
-            for layer in _hook_layers(denoiser)
-        }
     cond = getattr(denoiser, "cond_vector", None) if conditional else None
     result = denoiser.denoise(
-        x, cond, sigma, hooks=hooks, collect_kv=collect_kv, collect_attention=collect_attention,
+        x, cond, sigma, injected=injections, gamma=gamma, identity=identity,
+        collect_kv=collect_kv, collect_attention=collect_attention,
     )
     stats.increment(counter)
     eps = (x - result.denoised) / sigma
@@ -255,39 +235,32 @@ def _forward(denoiser, sigma: float, stats: RunStats, where: str, x, *, conditio
 
 def _guided_eps(tile: Tile, injections, collect_kv: bool, denoiser, cfg: PipelineConfig,
                 sigma: float, gamma_t: float, stats: RunStats, step: int):
-    """Guided noise estimate of one tile, and its target branch's result."""
+    """Guided noise estimate of one tile, and its target branch's result.
+
+    The branches of the mode's GUIDANCE_BRANCHES row run in order; a blurred
+    branch's input is built from branch 0's estimate and attention map.
+    """
     stats.increment("tile_units")
     g = cfg.guidance
     where = f"step {step}, tile {(tile.n, tile.m)}"
-    if g.mode == "sag":
-        target = {}
-
-        def run_eps(x, collect_attention, conditional):
-            eps, result = _forward(
-                denoiser, sigma, stats, where, x, conditional=conditional, injections=injections,
-                collect_kv=conditional and collect_kv, collect_attention=collect_attention,
-            )
-            if conditional:
-                target["result"] = result
-            if collect_attention:
-                return eps, _upsampled_attention(result, denoiser)
-            return eps
-
-        guided = sag(run_eps, tile.data, sigma, g, conditional=True)
-        return guided, target["result"]
     branches = GUIDANCE_BRANCHES[g.mode]
+    needs_map = any(branch.blurred for branch in branches)
     eps = []
-    for i, branch in enumerate(branches, 1):
+    for i, branch in enumerate(branches):
+        x = sag_input(tile.data, eps[0], attention, sigma, g) if branch.blurred else tile.data
         e, result = _forward(
-            denoiser, sigma, stats, where, tile.data, conditional=branch.conditional,
+            denoiser, sigma, stats, where, x, conditional=branch.conditional,
             injections=injections, gamma=gamma_t if branch.tempered else 0.0,
-            identity=branch.identity, collect_kv=collect_kv and i == len(branches),
+            identity=branch.identity, collect_kv=collect_kv and i == len(branches) - 1,
+            collect_attention=needs_map and i == 0,
         )
+        if i == 0:
+            attention = result.attention
         eps.append(e)
     if len(eps) == 1:
         return eps[0], result
     guided = combine(eps[-2], eps[-1], g.scale)
-    if len(eps) == 3:  # pag: also guide away from the identity-perturbed branch
+    if branches[0].identity:  # pag: also guide away from the identity-perturbed branch
         guided = guided + (combine(eps[0], eps[1], g.scale) - eps[1])
     return guided, result
 

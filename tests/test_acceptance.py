@@ -255,16 +255,15 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
         def __getattr__(self, name):
             return getattr(self.inner, name)
 
-        def denoise(self, x, c=None, sigma=1.0, hooks=None,
+        def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
                     collect_kv=False, collect_attention=False):
-            if hooks:
-                patch = self.inner.patch_size
-                own = x.shape[0] * (x.shape[2] // patch) * (x.shape[3] // patch)
-                for hook in hooks.values():
-                    if hook.injected is not None and hook.injected.tag.startswith("tap"):
-                        self.rows.append((int(hook.injected.keys.shape[0]), own))
+            patch = self.inner.patch_size
+            own = x.shape[0] * (x.shape[2] // patch) * (x.shape[3] // patch)
+            for inj in (injected or {}).values():
+                if inj.tag.startswith("tap"):
+                    self.rows.append((int(inj.keys.shape[0]), own))
             return self.inner.denoise(
-                x, c, sigma, hooks=hooks,
+                x, c, sigma, injected=injected, gamma=gamma, identity=identity,
                 collect_kv=collect_kv, collect_attention=collect_attention,
             )
 

@@ -19,7 +19,7 @@ from tilevsr.attention import (
     softmax_rows,
     subsample_spatial_kv,
 )
-from tilevsr.models import LayerHook, ToyAttentionDenoiser
+from tilevsr.models import ToyAttentionDenoiser
 
 Q1 = np.array([[1.0, 0.0]])
 I2 = np.eye(2)
@@ -433,6 +433,8 @@ def test_own_key_means_keep_scores_to_one_block():
     # the denoiser's attention maps (sag guidance) take the same path
     den = ToyAttentionDenoiser(seed=7, channels=1, patch_size=2, embed_dim=8, cond_dim=4)
     x = rng.standard_normal((64, 1, 16, 16))
-    hooks = {layer: LayerHook(injected=inj) for layer in den.hook_layers}
-    _, peak = peak_traced_bytes(lambda: den.denoise(x, None, 1.0, hooks=hooks, collect_attention=True))
+    injected = {layer: inj for layer in den.hook_layers}
+    _, peak = peak_traced_bytes(
+        lambda: den.denoise(x, None, 1.0, injected=injected, collect_attention=True)
+    )
     assert peak < 4 * SCORE_BLOCK_BYTES

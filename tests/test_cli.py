@@ -425,6 +425,21 @@ def test_invalid_config_value_exits_2_before_the_echo(tmp_path, capsys, verb, fl
     assert not (out / "run.cfg").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "embed_dim = 0", "embed_dim = 7", "patch_size = 0", "spatial_layers = 3", "cond_dim = 0",
+    "flow_block = 0", "flow_radius = -1",
+])
+def test_invalid_denoiser_or_metric_setting_exits_2_before_the_echo(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli(capsys, "fixture", "--out", str(out), "--config", str(bad))
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "# resolved config" not in stdout
+    assert not (out / "run.cfg").exists()
+
+
 def test_unknown_guidance_mode_exits_2(tmp_path, tiny_input, capsys):
     rc, _, err = run_cli(
         capsys, "upscale", tiny_input, "--out", str(tmp_path / "o.dcvt"),

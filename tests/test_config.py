@@ -259,7 +259,7 @@ KEY_WIRING = {
     "sigma_data": ("0.25", ["pipeline.sigma_data"]),
     "sigma_max": ("80.0", ["pipeline.sigma_max"]),
     "sigma_min": ("0.01", ["pipeline.sigma_min"]),
-    "spatial_layers": ("2", ["spatial_layers"]),
+    "spatial_layers": ("6", ["spatial_layers"]),
     "steps": ("9", ["pipeline.steps"]),
     "tap": ("false", ["pipeline.tap"]),
     "tap_l": ("2", ["pipeline.tap_frames"]),

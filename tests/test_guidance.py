@@ -1,4 +1,5 @@
-"""Guidance combinators, the suppression schedule, and blur-based guidance."""
+"""Guidance combinators, the suppression schedule, the branch table, and the
+masked blur of self-attention guidance."""
 
 import math
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 
 from tilevsr.guidance import (
+    GUIDANCE_BRANCHES,
+    GUIDANCE_MODES,
     GuidanceConfig,
     combine,
     gamma_schedule,
-    sag,
+    sag_input,
 )
 
 
@@ -115,66 +118,62 @@ def test_guidance_config_validation():
         GuidanceConfig(sag_mask_quantile=1.5)
 
 
+# --- branch table -----------------------------------------------------------
+
+def test_every_mode_is_a_row_in_the_configured_order():
+    assert GUIDANCE_MODES == ("none", "cfg", "sag", "pag", "dssag", "cfg_dssag")
+    assert tuple(GUIDANCE_BRANCHES) == GUIDANCE_MODES
+    # only sag blurs, and only after its first branch has run
+    for mode, row in GUIDANCE_BRANCHES.items():
+        assert not row[0].blurred
+        assert any(b.blurred for b in row) == (mode == "sag")
+
+
 # --- blur-based guidance ----------------------------------------------------
 
-class EpsRecorder:
-    """Deterministic stand-in denoiser: eps(x) = 0.1 * x, uniform attention."""
+def eps_of(x):
+    """Deterministic stand-in noise estimate, eps(x) = 0.1 * x."""
+    return 0.1 * x
 
-    def __init__(self, shape):
-        self.calls = []
-        self.shape = shape
 
-    def __call__(self, x, collect_attention=False, conditional=False):
-        self.calls.append((x.copy(), collect_attention, conditional))
-        eps = 0.1 * x
-        if collect_attention:
-            f, _, h, w = self.shape
-            return eps, np.full((f, h, w), 1.0 / (h * w))
-        return eps
+def uniform_map(x):
+    f, _, h, w = x.shape
+    return np.full((f, h, w), 1.0 / (h * w))
+
+
+def sag_guided(x, sigma, conf):
+    """sag's row by hand: estimate, blurred input, then combine its estimate
+    (base) with the target's; also returns the blurred input."""
+    blurred = sag_input(x, eps_of(x), uniform_map(x), sigma, conf)
+    return combine(eps_of(blurred), eps_of(x), conf.scale), blurred
 
 
 def test_sag_blur_zero_reduces_to_plain_eps():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((2, 1, 8, 8))
-    run = EpsRecorder(x.shape)
     conf = GuidanceConfig(mode="sag", scale=2.0, sag_blur_sigma=0.0)
-    out = sag(run, x, 1.5, conf)
+    out, blurred = sag_guided(x, 1.5, conf)
     assert np.all(out == 0.1 * x)
-    assert len(run.calls) == 2
-    assert run.calls[0][1] is True
     # perturbed input equals the original when blur is disabled
-    assert np.array_equal(run.calls[1][0], x)
+    assert np.array_equal(blurred, x)
 
 
 def test_sag_quantile_one_gives_empty_mask():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((2, 1, 8, 8))
-    run = EpsRecorder(x.shape)
     conf = GuidanceConfig(mode="sag", scale=1.0, sag_blur_sigma=3.0, sag_mask_quantile=1.0)
-    out = sag(run, x, 1.0, conf)
+    out, blurred = sag_guided(x, 1.0, conf)
     # strict threshold at the max leaves no token masked, so b(x) == x
-    assert np.array_equal(run.calls[1][0], x)
+    assert np.array_equal(blurred, x)
     assert np.all(out == 0.1 * x)
 
 
 def test_sag_constant_signal_blur_is_identity():
     x = np.full((1, 1, 6, 6), 3.0)
-    run = EpsRecorder(x.shape)
     conf = GuidanceConfig(mode="sag", scale=1.0, sag_blur_sigma=2.0, sag_mask_quantile=0.5)
-    out = sag(run, x, 2.0, conf)
+    out, _ = sag_guided(x, 2.0, conf)
     # x0 = x - sigma * 0.1x is constant, so blurring changes nothing
     assert np.max(np.abs(out - 0.1 * x)) < 1e-12
-
-
-def test_sag_conditional_uses_three_passes():
-    rng = np.random.default_rng(22)
-    x = rng.standard_normal((2, 1, 8, 8))
-    run = EpsRecorder(x.shape)
-    conf = GuidanceConfig(mode="sag", scale=1.0, sag_blur_sigma=2.0)
-    sag(run, x, 1.0, conf, conditional=True)
-    assert len(run.calls) == 3
-    flags = [c[2] for c in run.calls]
-    assert flags == [False, False, True]
 
 
 def test_sag_perturbs_masked_regions_only():
@@ -186,20 +185,21 @@ def test_sag_perturbs_masked_regions_only():
     hot = np.zeros((f, h, w))
     hot[0, 2:4, 2:4] = 1.0
 
-    recorded = []
-
-    def run(x_in, collect_attention=False, conditional=False):
-        recorded.append(x_in.copy())
-        eps = np.zeros_like(x_in)
-        if collect_attention:
-            return eps, hot
-        return eps
-
     conf = GuidanceConfig(mode="sag", scale=1.0, sag_blur_sigma=1.0, sag_mask_quantile=0.9)
-    sag(run, x, 1.0, conf)
-    perturbed = recorded[1]
+    perturbed = sag_input(x, np.zeros_like(x), hot, 1.0, conf)
     changed = np.abs(perturbed - x)[0, 0]
     assert changed[2:4, 2:4].max() > 0.0
     untouched = changed.copy()
     untouched[2:4, 2:4] = 0.0
     assert untouched.max() == 0.0
+
+
+def test_sag_input_rejects_a_misaligned_map_and_bad_sigma():
+    x = np.zeros((2, 1, 8, 8))
+    conf = GuidanceConfig(mode="sag")
+    with pytest.raises(ValueError):
+        sag_input(x, x, np.zeros((2, 4, 4)), 1.0, conf)  # token, not pixel, resolution
+    with pytest.raises(ValueError):
+        sag_input(x, x, None, 1.0, conf)
+    with pytest.raises(ValueError):
+        sag_input(x, x, uniform_map(x), 0.0, conf)

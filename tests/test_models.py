@@ -6,7 +6,6 @@ import pytest
 from tilevsr.attention import InjectedKV
 from tilevsr.models import (
     AnalyticGaussianDenoiser,
-    LayerHook,
     ToyAttentionDenoiser,
     ToyCodec,
 )
@@ -48,8 +47,16 @@ def test_analytic_large_sigma_approaches_prior_mean():
 def test_analytic_rejects_hooks():
     den = AnalyticGaussianDenoiser()
     x = np.zeros((1, 1, 2, 2))
+    rows = np.ones((2, 4))
     with pytest.raises(ValueError):
-        den.denoise(x, None, 1.0, hooks={0: LayerHook()})
+        den.denoise(x, None, 1.0, injected={0: InjectedKV(rows, rows, "sap-global")})
+    with pytest.raises(ValueError):
+        den.denoise(x, None, 1.0, gamma=-1.0)
+    with pytest.raises(ValueError):
+        den.denoise(x, None, 1.0, collect_attention=True)  # no attention map to read
+    # gamma and identity act on the hook layers, and it has none
+    plain = den.denoise(x + 1.0, None, 1.0).denoised
+    assert np.array_equal(den.denoise(x + 1.0, None, 1.0, gamma=0.5, identity=True).denoised, plain)
 
 
 def test_analytic_closed_form_contraction():
@@ -127,8 +134,15 @@ def test_toy_validation_errors():
         den.denoise(np.full((1, 1, 8, 8), np.nan), None, 1.0)
     with pytest.raises(ValueError):
         den.denoise(np.zeros((1, 1, 8, 8)), np.zeros(3), 1.0)  # cond dim
+    rows = np.ones((2, 8))
     with pytest.raises(ValueError):
-        den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, hooks={9: LayerHook()})
+        den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, injected={9: InjectedKV(rows, rows, "sap-global")})
+    with pytest.raises(ValueError):  # a real layer, but not a hook layer
+        toy(spatial_layers=6).denoise(
+            np.zeros((1, 1, 8, 8)), None, 1.0, injected={2: InjectedKV(rows, rows, "sap-global")},
+        )
+    with pytest.raises(ValueError):
+        den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, gamma=-0.5)
     with pytest.raises(ValueError):
         ToyAttentionDenoiser(spatial_layers=3)
 
@@ -142,8 +156,8 @@ def test_toy_noop_hook_is_bitwise_transparent():
     den = toy()
     x = np.random.default_rng(8).standard_normal((2, 1, 8, 8))
     plain = den.denoise(x, None, 1.0).denoised
-    noop = {0: LayerHook(injected=None, gamma=0.0, identity=False)}
-    hooked = den.denoise(x, None, 1.0, hooks=noop).denoised
+    empty = InjectedKV(np.zeros((0, 8)), np.zeros((0, 8)), "sap-global")
+    hooked = den.denoise(x, None, 1.0, injected={0: empty}, gamma=0.0, identity=False).denoised
     assert np.array_equal(plain, hooked)
 
 
@@ -151,12 +165,10 @@ def test_toy_identity_hook_changes_output_and_uniform_map():
     den = toy()
     x = np.random.default_rng(9).standard_normal((2, 1, 8, 8))
     plain = den.denoise(x, None, 1.0)
-    hooks = {i: LayerHook(identity=True) for i in den.hook_layers}
-    res = den.denoise(x, None, 1.0, hooks=hooks, collect_attention=True)
+    res = den.denoise(x, None, 1.0, identity=True, collect_attention=True)
     assert not np.allclose(res.denoised, plain.denoised)
-    for layer, amap in res.attn_scores.items():
-        assert amap.shape == (2, 4, 4)
-        assert np.max(np.abs(amap - 1.0 / 16.0)) < 1e-12
+    assert res.attention.shape == (2, 8, 8)  # pixel resolution
+    assert np.max(np.abs(res.attention - 1.0 / 16.0)) < 1e-12
 
 
 def test_toy_injection_changes_output():
@@ -165,7 +177,7 @@ def test_toy_injection_changes_output():
     plain = den.denoise(x, None, 1.0).denoised
     rows = np.random.default_rng(11).standard_normal((4, 8)) * 3.0
     inj = InjectedKV(rows, rows.copy(), "sap-global")
-    hooked = den.denoise(x, None, 1.0, hooks={0: LayerHook(injected=inj)}).denoised
+    hooked = den.denoise(x, None, 1.0, injected={0: inj}).denoised
     assert not np.allclose(plain, hooked)
 
 
@@ -180,13 +192,31 @@ def test_toy_collect_kv_shapes():
     assert res.token_grid == (3, 4, 4)
 
 
+def test_toy_collect_kv_keeps_hook_layers_only():
+    den = toy(spatial_layers=6)
+    x = np.random.default_rng(12).standard_normal((1, 1, 8, 8))
+    res = den.denoise(x, None, 1.0, collect_kv=True)
+    assert tuple(res.keys) == tuple(res.values) == den.hook_layers == (0, 1, 4, 5)
+    assert np.array_equal(res.denoised, den.denoise(x, None, 1.0).denoised)
+
+
+def test_toy_attention_map_is_patch_replicated_token_means():
+    den = toy()
+    x = np.random.default_rng(14).standard_normal((2, 1, 8, 8))
+    res = den.denoise(x, None, 1.0, collect_attention=True)
+    assert res.attention.shape == (2, 8, 8)
+    assert np.array_equal(res.attention[:, ::2, ::2], res.attention[:, 1::2, 1::2])
+    # with no injected keys each query's weights sum to one over the 16 tokens
+    assert np.allclose(res.attention.mean(axis=(1, 2)), 1.0 / 16.0, rtol=0, atol=1e-15)
+    assert np.array_equal(res.denoised, den.denoise(x, None, 1.0).denoised)
+    assert den.denoise(x, None, 1.0).attention is None
+
+
 def test_toy_gamma_hook_tempered_towards_uniform():
     den = toy()
     x = np.random.default_rng(13).standard_normal((1, 1, 8, 8))
-    hooks_all = {i: LayerHook(gamma=1e6) for i in den.hook_layers}
-    res = den.denoise(x, None, 1.0, hooks=hooks_all, collect_attention=True)
-    for amap in res.attn_scores.values():
-        assert np.max(np.abs(amap - 1.0 / 16.0)) < 1e-6
+    res = den.denoise(x, None, 1.0, gamma=1e6, collect_attention=True)
+    assert np.max(np.abs(res.attention - 1.0 / 16.0)) < 1e-6
 
 
 # --- toy codec --------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tilevsr import cli
-from tilevsr.guidance import GuidanceConfig
+from tilevsr.guidance import GUIDANCE_BRANCHES, GUIDANCE_MODES, GuidanceConfig
 from tilevsr.io import write_tensor
 from tilevsr.models import (
     AnalyticGaussianDenoiser,
@@ -230,6 +230,51 @@ def test_feedforward_counts_per_mode():
         assert res.stats.tile_units == 4
 
 
+class ForwardSpy:
+    """Records each forward's conditioning, hook settings and input."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
+                collect_kv=False, collect_attention=False):
+        self.calls.append((np.array(x), c is not None, gamma, identity, collect_attention))
+        return self.inner.denoise(
+            x, c, sigma, injected=injected, gamma=gamma, identity=identity,
+            collect_kv=collect_kv, collect_attention=collect_attention,
+        )
+
+
+@pytest.mark.parametrize("mode", GUIDANCE_MODES)
+def test_forwards_follow_their_branch_row(mode):
+    lr = np.random.default_rng(5).uniform(0.0, 1.0, size=(2, 1, 8, 8))
+    codec = ToyCodec(2)
+    cfg = pipe_cfg(steps=1, sap=False, tap=False, guidance=GuidanceConfig(mode=mode))
+    spy = ForwardSpy(small_toy())
+    sample_video(lr, spy, codec, cfg)
+    # one tile covers the whole interleaved latent; gamma_t = 1 at step 0
+    latent = codec.encode(lr)
+    noise = np.random.default_rng(cfg.seed).standard_normal(latent.shape) * cfg.sigma_max
+    tile_data = interleave(noise, latent)
+    row = GUIDANCE_BRANCHES[mode]
+    got = [(cond, gamma > 0, identity, not np.array_equal(x, tile_data), attention)
+           for x, cond, gamma, identity, attention in spy.calls]
+    wants_map = any(b.blurred for b in row)
+    assert got == [(b.conditional, b.tempered, b.identity, b.blurred, wants_map and i == 0)
+                   for i, b in enumerate(row)]
+
+
+def test_sag_needs_a_denoiser_with_attention_layers():
+    lr = np.full((2, 1, 8, 8), 0.5)
+    cfg = pipe_cfg(steps=2, sap=False, tap=False, guidance=GuidanceConfig(mode="sag"))
+    with pytest.raises(ValueError):
+        sample_video(lr, AnalyticGaussianDenoiser(), ToyCodec(2), cfg)
+
+
 def test_pass_counts_exact_under_thread_contention():
     # 27 tiles per step (3x3 spatial x 3 temporal), cfg = 2 passes per tile;
     # step 0 runs SAP (plus one gather per tile), step 1 TAP.
@@ -257,9 +302,8 @@ def test_non_finite_denoiser_output_raises():
     class BrokenDenoiser:
         hook_layers = ()
         cond_vector = None
-        patch_size = 2
 
-        def denoise(self, x, c=None, sigma=1.0, hooks=None,
+        def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
                     collect_kv=False, collect_attention=False):
             bad = np.full_like(np.asarray(x, dtype=np.float64), np.nan)
             return DenoiseResult(bad, None, None, None, None)
