@@ -136,13 +136,10 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
 
 @dataclass
 class InjectedKV:
-    """Key/value rows gathered from other tiles, plus where they came from."""
+    """Key/value rows gathered from other tiles."""
 
     keys: np.ndarray
     values: np.ndarray
-    tag: str  # sap-global | tap-forward | tap-backward
-
-    _TAGS = ("sap-global", "tap-forward", "tap-backward")
 
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float64)
@@ -153,8 +150,6 @@ class InjectedKV:
             raise ValueError(
                 f"injected keys have {self.keys.shape[0]} rows, values {self.values.shape[0]}"
             )
-        if self.tag not in self._TAGS:
-            raise ValueError(f"unknown origin tag {self.tag!r}")
 
     @property
     def rows(self) -> int:
@@ -183,58 +178,47 @@ def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tupl
     return np.concatenate([k, inj_k], axis=-2), np.concatenate([v, inj_v], axis=-2)
 
 
-def subsample_spatial_kv(
-    keys: np.ndarray, values: np.ndarray, rate: int, grid_dims: tuple[int, int, int]
-) -> InjectedKV:
+def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray, rate: int) -> InjectedKV:
     """Keep tokens on a stride-`rate` grid in both spatial axes of every frame.
 
-    keys/values are token-major (frames * grid_h * grid_w, d) with frame-major
-    row order; the kept rows stay in ascending token order. The (0, 0) corner
-    anchors the stride grid.
+    keys/values are (frames, grid_h, grid_w, d); the kept rows come out
+    frame-major in ascending token order. The (0, 0) corner anchors the
+    stride grid.
     """
     rate = int(rate)
     if rate < 1:
         raise ValueError(f"subsample rate must be >= 1, got {rate}")
-    frames, gh, gw = (int(x) for x in grid_dims)
-    if frames < 1 or gh < 1 or gw < 1:
-        raise ValueError(f"bad token grid dims {grid_dims}")
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if keys.ndim != 2 or values.ndim != 2:
-        raise ValueError("keys/values must be 2-D token-major matrices")
-    if keys.shape[0] != frames * gh * gw or values.shape[0] != frames * gh * gw:
+    if keys.ndim != 4 or values.ndim != 4 or keys.shape[:3] != values.shape[:3]:
         raise ValueError(
-            f"token count mismatch: grid implies {frames * gh * gw} rows, "
-            f"got keys {keys.shape[0]} / values {values.shape[0]}"
+            f"keys/values must be (frames, grid_h, grid_w, d) with equal leading shape, "
+            f"got {keys.shape} and {values.shape}"
         )
-    token_index = np.arange(frames * gh * gw).reshape(frames, gh, gw)
-    kept = token_index[:, ::rate, ::rate].reshape(-1)
-    return InjectedKV(keys=keys[kept], values=values[kept], tag="sap-global")
+    return InjectedKV(keys=keys[:, ::rate, ::rate].reshape(-1, keys.shape[-1]),
+                      values=values[:, ::rate, ::rate].reshape(-1, values.shape[-1]))
 
 
 def aggregate_frame_kv(parts: list[InjectedKV]) -> InjectedKV:
     """Concatenate per-tile contributions, in the order given (ascending m)."""
     if not parts:
         raise ValueError("nothing to aggregate")
-    tag = parts[0].tag
     d_k = parts[0].keys.shape[1]
     d_v = parts[0].values.shape[1]
     for p in parts:
-        if p.tag != tag:
-            raise ValueError(f"mixed origin tags: {tag!r} vs {p.tag!r}")
         if p.keys.shape[1] != d_k or p.values.shape[1] != d_v:
             raise ValueError("aggregated parts disagree on feature dims")
     return InjectedKV(
         keys=np.concatenate([p.keys for p in parts], axis=0),
         values=np.concatenate([p.values for p in parts], axis=0),
-        tag=tag,
     )
 
 
-def select_tap_frames(keys_by_frame: list[np.ndarray], count: int) -> list[int]:
+def select_tap_frames(keys_by_frame, count: int) -> list[int]:
     """Indices of the `count` frames whose keys have the largest standard
-    deviation (population std over all entries). Ties go to the lower frame
-    index; the result is ascending."""
+    deviation (population std over all entries). keys_by_frame is a list of
+    per-frame key arrays or one array indexed by frame. Ties go to the lower
+    frame index; the result is ascending."""
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -101,8 +101,6 @@ def _common_overrides(args: argparse.Namespace) -> dict:
 
 
 def _write_trace(path: str, lines: list[str]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tio.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -36,13 +36,13 @@ def write_tensor(path: str, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if arr.ndim < 1 or arr.ndim > _MAX_RANK:
         raise ValueError(f"rank must be in [1, {_MAX_RANK}], got {arr.ndim}")
-    arr = np.ascontiguousarray(arr)
-    if not np.all(np.isfinite(arr)):
+    with np.errstate(over="ignore"):  # values beyond float32 range become inf, refused below
+        payload = arr.astype("<f4")
+    if not np.all(np.isfinite(payload)):
         raise ValueError("refusing to store non-finite values")
-    payload = arr.astype("<f4").tobytes()
     header = MAGIC + struct.pack("<HH", VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header + payload.tobytes())
 
 
 def read_tensor(path: str) -> np.ndarray:
@@ -182,7 +182,11 @@ def save_frames(directory: str, video: np.ndarray, fmt: str = "ppm", prefix: str
 
 
 def load_video(path: str) -> np.ndarray:
-    """Load a video from a rank-4 container file or a directory of frames."""
+    """Load a video from a rank-4 container file or a directory of frames.
+
+    A directory holding .pfm frames loads only those (the lossless copy of
+    the 8-bit frames written beside them); otherwise its .ppm/.pgm frames.
+    """
     if os.path.isfile(path):
         arr = read_tensor(path)
         if arr.ndim != 4:
@@ -190,10 +194,9 @@ def load_video(path: str) -> np.ndarray:
         return arr.astype(np.float64)
     if not os.path.isdir(path):
         raise ValueError(f"{path}: no such file or directory")
-    names = sorted(
-        n for n in os.listdir(path)
-        if n.lower().endswith((".ppm", ".pgm", ".pfm"))
-    )
+    names = sorted(n for n in os.listdir(path) if n.lower().endswith(".pfm"))
+    if not names:
+        names = sorted(n for n in os.listdir(path) if n.lower().endswith((".ppm", ".pgm")))
     if not names:
         raise ValueError(f"{path}: no frame files (.ppm/.pfm) found")
     frames = []

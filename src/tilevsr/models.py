@@ -20,10 +20,9 @@ from .sampler import precondition
 @dataclass
 class DenoiseResult:
     denoised: np.ndarray
-    keys: dict = field(default_factory=dict)     # hook layer -> (frames * tokens, d)
-    values: dict = field(default_factory=dict)   # hook layer -> (frames * tokens, d)
+    keys: dict = field(default_factory=dict)     # hook layer -> (frames, gh, gw, d)
+    values: dict = field(default_factory=dict)   # hook layer -> (frames, gh, gw, d)
     attention: np.ndarray | None = None  # (frames, h, w), mean over hook layers
-    token_grid: tuple = (0, 0, 0)  # (frames, gh, gw)
 
 
 @dataclass
@@ -186,9 +185,10 @@ class ToyAttentionDenoiser:
         layer to the K/V rows that extend its keys and values, gamma > 0
         tempers their score denominators, and identity replaces their
         attention by the value rows (ignoring injections: it needs the tile's
-        own rows). collect_kv keeps each hook layer's K/V; collect_attention
-        returns the weight each token receives, averaged over the queries and
-        the hook layers and repeated to pixel resolution (frames, h, w).
+        own rows). collect_kv keeps each hook layer's K/V on the token grid,
+        (frames, gh, gw, d); collect_attention returns the weight each token
+        receives, averaged over the queries and the hook layers and repeated
+        to pixel resolution (frames, h, w).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
@@ -210,7 +210,6 @@ class ToyAttentionDenoiser:
 
         pre = precondition(sigma, self.sigma_data)
         gh, gw = h // p, w // p
-        n_tok = gh * gw
         tok = self._patchify(pre.c_in * x) @ self.w_embed
         tok = tok + 0.1 * _positions(gh, gw, self.embed_dim)[None]
         tok = tok + pre.c_noise * self.v_noise
@@ -229,15 +228,15 @@ class ToyAttentionDenoiser:
             k = tok @ wk
             v = tok @ wv
             hooked = idx in self.hook_layers
-            if collect_kv and hooked:
-                keys_out[idx] = k.reshape(f * n_tok, self.embed_dim).copy()
-                values_out[idx] = v.reshape(f * n_tok, self.embed_dim).copy()
+            if collect_kv and hooked:  # attend never writes to k or v
+                keys_out[idx] = k.reshape(f, gh, gw, -1)
+                values_out[idx] = v.reshape(f, gh, gw, -1)
             if not hooked:
                 out = attend(q, k, v)
             elif identity:
                 out = v.copy()
                 if collect_attention:
-                    maps.append(np.full((f, gh, gw), 1.0 / n_tok))
+                    maps.append(np.full((f, gh, gw), 1.0 / (gh * gw)))
             elif collect_attention:
                 # mean attention weight received by each of the tile's own tokens
                 out, received = attend(q, k, v, injected.get(idx), gamma, own_key_means=True)
@@ -256,13 +255,7 @@ class ToyAttentionDenoiser:
         attention = None
         if collect_attention:
             attention = np.repeat(np.repeat(np.mean(maps, axis=0), p, axis=-2), p, axis=-1)
-        return DenoiseResult(
-            denoised=denoised,
-            keys=keys_out,
-            values=values_out,
-            attention=attention,
-            token_grid=(f, gh, gw),
-        )
+        return DenoiseResult(denoised=denoised, keys=keys_out, values=values_out, attention=attention)
 
 
 @dataclass

@@ -263,10 +263,6 @@ def warp_frame(frame: np.ndarray, flow: np.ndarray) -> np.ndarray:
     return out
 
 
-def _default_flow(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    return block_match_flow(f1, f2, block=8, radius=4)
-
-
 def _check_pair(gt: np.ndarray, restored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gt = validate_video(np.asarray(gt, dtype=np.float64), "gt")
     restored = validate_video(np.asarray(restored, dtype=np.float64), "restored")
@@ -281,7 +277,7 @@ def tof(gt: np.ndarray, restored: np.ndarray, flow_fn=None) -> float:
     """Temporal flow consistency: mean per-pixel L1 gap between the motion of
     consecutive restored frames and the motion of the ground truth."""
     gt, restored = _check_pair(gt, restored)
-    flow_fn = flow_fn or _default_flow
+    flow_fn = flow_fn or block_match_flow
     gaps = []
     for i in range(1, gt.shape[0]):
         flow_r = np.asarray(flow_fn(restored[i - 1], restored[i]), dtype=np.float64)
@@ -290,16 +286,15 @@ def tof(gt: np.ndarray, restored: np.ndarray, flow_fn=None) -> float:
     return float(np.mean(gaps))
 
 
-def tlp(gt: np.ndarray, restored: np.ndarray, dist_fn=None) -> float:
-    """Temporal perceptual-gap consistency with a pluggable frame distance
-    (default: mean absolute difference), averaged over frame pairs."""
+def tlp(gt: np.ndarray, restored: np.ndarray) -> float:
+    """Temporal perceptual-gap consistency: the gap between the mean absolute
+    difference of consecutive restored frames and of consecutive ground-truth
+    frames, averaged over frame pairs."""
     gt, restored = _check_pair(gt, restored)
-    if dist_fn is None:
-        dist_fn = lambda a, b: float(np.abs(a - b).mean())
     gaps = []
     for i in range(1, gt.shape[0]):
-        d_r = float(dist_fn(restored[i - 1], restored[i]))
-        d_g = float(dist_fn(gt[i - 1], gt[i]))
+        d_r = float(np.abs(restored[i - 1] - restored[i]).mean())
+        d_g = float(np.abs(gt[i - 1] - gt[i]).mean())
         gaps.append(abs(d_r - d_g))
     return float(np.mean(gaps))
 
@@ -309,7 +304,7 @@ def warping_error(video: np.ndarray, flow_fn=None) -> float:
     video = validate_video(np.asarray(video, dtype=np.float64))
     if video.shape[0] < 2:
         raise ValueError("warping error needs at least 2 frames")
-    flow_fn = flow_fn or _default_flow
+    flow_fn = flow_fn or block_match_flow
     errs = []
     for i in range(video.shape[0] - 1):
         flow = np.asarray(flow_fn(video[i], video[i + 1]), dtype=np.float64)

@@ -210,10 +210,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # the pass engine: guided noise estimates over chains of tiles
 
-def _hook_layers(denoiser) -> tuple[int, ...]:
-    return tuple(getattr(denoiser, "hook_layers", ()) or ())
-
-
 def _forward(denoiser, sigma: float, stats: RunStats, where: str, x, *, conditional=True,
              injections=None, gamma=0.0, identity=False, collect_kv=False,
              collect_attention=False, counter="eps_calls"):
@@ -221,7 +217,7 @@ def _forward(denoiser, sigma: float, stats: RunStats, where: str, x, *, conditio
 
     `where` names the step and tile in a NumericError.
     """
-    cond = getattr(denoiser, "cond_vector", None) if conditional else None
+    cond = denoiser.cond_vector if conditional else None
     result = denoiser.denoise(
         x, cond, sigma, injected=injections, gamma=gamma, identity=identity,
         collect_kv=collect_kv, collect_attention=collect_attention,
@@ -303,7 +299,7 @@ def _run_pass(chains: list[list[Tile]], inject, denoiser, cfg: PipelineConfig, s
 
 
 def _require_hooks(denoiser, scheme: str):
-    if not _hook_layers(denoiser):
+    if not denoiser.hook_layers:
         raise ValueError(f"{scheme} propagation needs a denoiser with hook layers")
 
 
@@ -317,7 +313,7 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
     with its group's aggregate injected into its hooked layers.
     """
     _require_hooks(denoiser, "spatial")
-    layers = _hook_layers(denoiser)
+    layers = denoiser.hook_layers
     tiles = sorted(tiles, key=lambda t: (t.n, t.m))
 
     def gather(tile: Tile) -> dict[int, InjectedKV]:
@@ -327,8 +323,7 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
             collect_kv=True, counter="gather_calls",
         )
         return {
-            layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate,
-                                        result.token_grid)
+            layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
             for layer in layers
         }
 
@@ -343,18 +338,14 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
                      denoiser, cfg, sigma, gamma_t, stats, step)
 
 
-def _tap_injections(result, tag: str, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
+def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
     """Per-layer K/V of the frames with the largest key spread in a neighbor tile."""
-    frames, gh, gw = (int(v) for v in result.token_grid)
-    per_frame = gh * gw
     injections = {}
     for layer in hook_layers:
-        keys = result.keys[layer]
-        values = result.values[layer]
-        keys_by_frame = [keys[f * per_frame:(f + 1) * per_frame] for f in range(frames)]
-        chosen = select_tap_frames(keys_by_frame, min(l_frames, frames))
-        rows = np.concatenate([np.arange(f * per_frame, (f + 1) * per_frame) for f in chosen])
-        injections[layer] = InjectedKV(keys=keys[rows], values=values[rows], tag=tag)
+        keys, values = result.keys[layer], result.values[layer]
+        chosen = select_tap_frames(keys, min(l_frames, len(keys)))
+        injections[layer] = InjectedKV(keys=keys[chosen].reshape(-1, keys.shape[-1]),
+                                       values=values[chosen].reshape(-1, values.shape[-1]))
     return injections
 
 
@@ -377,7 +368,7 @@ def denoise_pass_tap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
     def inject(_tile: Tile, prev):
         if prev is None:
             return None
-        return _tap_injections(prev, f"tap-{direction}", cfg.tap_frames, _hook_layers(denoiser))
+        return _tap_injections(prev, cfg.tap_frames, denoiser.hook_layers)
 
     return _run_pass(chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
 

@@ -108,7 +108,7 @@ def test_02_attention_reductions_to_plain_uniform_and_value_limits():
     v = rng.standard_normal((6, 3))
     plain = attend(q, k, v)
 
-    empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)), "sap-global")
+    empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)))
     gap_empty = float(np.max(np.abs(attend(q, k, v, empty) - plain)))
     assert gap_empty <= 1e-6
     assert np.array_equal(attend(q, k, v, None), plain)
@@ -259,9 +259,8 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
                     collect_kv=False, collect_attention=False):
             patch = self.inner.patch_size
             own = x.shape[0] * (x.shape[2] // patch) * (x.shape[3] // patch)
-            for inj in (injected or {}).values():
-                if inj.tag.startswith("tap"):
-                    self.rows.append((int(inj.keys.shape[0]), own))
+            for inj in (injected or {}).values():  # sap=False: every injection is TAP
+                self.rows.append((int(inj.keys.shape[0]), own))
             return self.inner.denoise(
                 x, c, sigma, injected=injected, gamma=gamma, identity=identity,
                 collect_kv=collect_kv, collect_attention=collect_attention,

@@ -168,7 +168,7 @@ def test_empty_injection_matches_plain():
     q, k, v = random_qkv(rng)
     base = attend(q, k, v)
     a = attend(q, k, v, None)
-    empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)), "sap-global")
+    empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)))
     b = attend(q, k, v, empty)
     assert np.array_equal(a, base)
     assert np.max(np.abs(b - base)) < 1e-6
@@ -178,7 +178,7 @@ def test_duplicate_injection_preserves_output():
     rng = np.random.default_rng(11)
     q, k, v = random_qkv(rng)
     base = attend(q, k, v)
-    dup = InjectedKV(k.copy(), v.copy(), "sap-global")
+    dup = InjectedKV(k.copy(), v.copy())
     out = attend(q, k, v, dup)
     assert np.max(np.abs(out - base)) < 1e-10
 
@@ -191,7 +191,7 @@ def test_far_key_injection_is_negligible():
     # a key anti-aligned with every query by a score gap >= 30
     far_key = np.zeros((1, 4))
     far_key[0, 0] = -1e3
-    far = InjectedKV(far_key, np.full((1, 3), 1e3), "sap-global")
+    far = InjectedKV(far_key, np.full((1, 3), 1e3))
     out = attend(q, k, v, far)
     gap = np.min(scaled_scores(q, k, 0.0)) - np.max(scaled_scores(q, far.keys, 0.0))
     assert gap >= 30.0
@@ -202,7 +202,7 @@ def test_extend_kv_broadcasts_over_batch():
     rng = np.random.default_rng(13)
     k = rng.standard_normal((2, 3, 4))
     v = rng.standard_normal((2, 3, 4))
-    inj = InjectedKV(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), "tap-forward")
+    inj = InjectedKV(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
     k2, v2 = extend_kv(k, v, inj)
     assert k2.shape == (2, 5, 4)
     assert np.array_equal(k2[0, 3:], inj.keys)
@@ -222,9 +222,7 @@ def test_attend_rejects_unequal_batch_shapes():
 
 def test_injected_kv_validation():
     with pytest.raises(ValueError):
-        InjectedKV(np.zeros((2, 4)), np.zeros((3, 4)), "sap-global")
-    with pytest.raises(ValueError):
-        InjectedKV(np.zeros((2, 4)), np.zeros((2, 4)), "bogus-tag")
+        InjectedKV(np.zeros((2, 4)), np.zeros((3, 4)))
 
 
 # --- spatial subsampling ----------------------------------------------------
@@ -234,7 +232,7 @@ def test_subsample_rate_two_on_4x4_grid():
     n = 2 * 4 * 4
     keys = np.arange(n * d, dtype=np.float64).reshape(n, d)
     values = keys + 1000.0
-    inj = subsample_spatial_kv(keys, values, 2, (2, 4, 4))
+    inj = subsample_spatial_kv(keys.reshape(2, 4, 4, d), values.reshape(2, 4, 4, d), 2)
     kept = [0, 2, 8, 10, 16, 18, 24, 26]
     assert inj.rows == 8
     assert np.array_equal(inj.keys, keys[kept])
@@ -245,7 +243,7 @@ def test_subsample_rate_one_keeps_everything():
     rng = np.random.default_rng(14)
     keys = rng.standard_normal((12, 2))
     values = rng.standard_normal((12, 2))
-    inj = subsample_spatial_kv(keys, values, 1, (3, 2, 2))
+    inj = subsample_spatial_kv(keys.reshape(3, 2, 2, 2), values.reshape(3, 2, 2, 2), 1)
     assert np.array_equal(inj.keys, keys)
     assert np.array_equal(inj.values, values)
 
@@ -254,21 +252,27 @@ def test_subsample_rate_beyond_extent_keeps_anchor():
     rng = np.random.default_rng(15)
     keys = rng.standard_normal((8, 2))
     values = rng.standard_normal((8, 2))
-    inj = subsample_spatial_kv(keys, values, 5, (2, 2, 2))
+    inj = subsample_spatial_kv(keys.reshape(2, 2, 2, 2), values.reshape(2, 2, 2, 2), 5)
     assert inj.rows == 2
     assert np.array_equal(inj.keys, keys[[0, 4]])
 
 
 def test_subsample_grid_mismatch():
-    with pytest.raises(ValueError):
-        subsample_spatial_kv(np.zeros((7, 2)), np.zeros((7, 2)), 2, (2, 2, 2))
+    grid = np.zeros((2, 2, 2, 2))
+    for keys, values in ((np.zeros((8, 2)), np.zeros((8, 2))),  # token-major rows
+                         (grid, grid[:, :1]), (grid[:1], grid), (grid, grid[..., None])):
+        with pytest.raises(ValueError, match="equal leading shape"):
+            subsample_spatial_kv(keys, values, 2)
+    with pytest.raises(ValueError, match="rate"):
+        subsample_spatial_kv(grid, grid, 0)
+    assert subsample_spatial_kv(grid, np.zeros((2, 2, 2, 5)), 2).values.shape == (2, 5)
 
 
 # --- aggregation ------------------------------------------------------------
 
 def test_aggregate_orders_rows_by_tile():
-    a = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)), "sap-global")
-    b = InjectedKV(np.ones((3, 3)), np.ones((3, 2)), "sap-global")
+    a = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)))
+    b = InjectedKV(np.ones((3, 3)), np.ones((3, 2)))
     agg = aggregate_frame_kv([a, b])
     assert agg.rows == 5
     assert np.array_equal(agg.keys[:2], a.keys)
@@ -278,13 +282,10 @@ def test_aggregate_orders_rows_by_tile():
 
 
 def test_aggregate_rejects_mismatches():
-    a = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)), "sap-global")
-    bad_dim = InjectedKV(np.zeros((2, 4)), np.zeros((2, 2)), "sap-global")
-    bad_tag = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)), "tap-forward")
+    a = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)))
+    bad_dim = InjectedKV(np.zeros((2, 4)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         aggregate_frame_kv([a, bad_dim])
-    with pytest.raises(ValueError):
-        aggregate_frame_kv([a, bad_tag])
     with pytest.raises(ValueError):
         aggregate_frame_kv([])
 
@@ -358,7 +359,7 @@ def assert_attend_is_reference(q, k, v, injected, gamma):
 def random_injection(rng, rows, d, dv):
     if rows is None:
         return None
-    return InjectedKV(rng.standard_normal((rows, d)), rng.standard_normal((rows, dv)), "sap-global")
+    return InjectedKV(rng.standard_normal((rows, d)), rng.standard_normal((rows, dv)))
 
 
 @settings(deadline=None, max_examples=150)

@@ -281,6 +281,16 @@ def test_metrics_shape_mismatch_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_metrics_compares_a_pfm_frame_directory_with_its_container(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    rc, _, _ = run_cli(capsys, "fixture", "--out", str(fx), "--size", "16x16", "--frames", "3", "--pfm")
+    assert rc == 0
+    assert tio.load_video(str(fx / "hr")).shape == tio.load_video(str(fx / "hr.dcvt")).shape
+    rc, stdout, _ = run_cli(capsys, "metrics", str(fx / "hr.dcvt"), str(fx / "hr"))
+    assert rc == 0
+    assert "psnr=99" in stdout
+
+
 def test_metrics_single_frame_reports_na_for_temporal_rows(tmp_path, capsys):
     video = cli.synthetic_video("texture", 1, 1, 16, 16, seed=4)
     gt = _write_video(tmp_path / "gt.dcvt", video)

@@ -86,6 +86,14 @@ def test_container_refuses_non_finite_and_bad_rank(tmp_path):
         write_tensor(path, np.zeros((1,) * 9, dtype=np.float32))
 
 
+def test_container_refuses_values_beyond_float32(tmp_path):
+    path = tmp_path / "big.dcvt"
+    # finite in float64, inf once cast to the float32 payload
+    with pytest.raises(ValueError, match="non-finite"):
+        write_tensor(str(path), np.full((1, 1, 2, 2), 1e39))
+    assert not path.exists()
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 4), st.integers(0, 10_000))
 def test_container_roundtrip_property(tmp_path_factory, rank, seed):
@@ -222,6 +230,17 @@ def test_save_frames_pfm_is_exact_for_float_data(tmp_path):
     save_frames(d, video, fmt="pfm")
     back = load_video(d)
     assert np.array_equal(back.astype(np.float32), video.astype(np.float32))
+
+
+def test_load_video_reads_only_pfm_when_both_formats_are_present(tmp_path):
+    rng = np.random.default_rng(7)
+    video = rng.uniform(0.0, 1.0, size=(3, 3, 4, 4)).astype(np.float32).astype(np.float64)
+    d = str(tmp_path / "both")
+    save_frames(d, video)
+    save_frames(d, video, fmt="pfm")
+    back = load_video(d)
+    assert back.shape == video.shape
+    assert np.array_equal(back, video)  # the lossless copy, not the 8-bit frames
 
 
 def test_load_video_from_container(tmp_path):

@@ -49,7 +49,7 @@ def test_analytic_rejects_hooks():
     x = np.zeros((1, 1, 2, 2))
     rows = np.ones((2, 4))
     with pytest.raises(ValueError):
-        den.denoise(x, None, 1.0, injected={0: InjectedKV(rows, rows, "sap-global")})
+        den.denoise(x, None, 1.0, injected={0: InjectedKV(rows, rows)})
     with pytest.raises(ValueError):
         den.denoise(x, None, 1.0, gamma=-1.0)
     with pytest.raises(ValueError):
@@ -136,10 +136,10 @@ def test_toy_validation_errors():
         den.denoise(np.zeros((1, 1, 8, 8)), np.zeros(3), 1.0)  # cond dim
     rows = np.ones((2, 8))
     with pytest.raises(ValueError):
-        den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, injected={9: InjectedKV(rows, rows, "sap-global")})
+        den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, injected={9: InjectedKV(rows, rows)})
     with pytest.raises(ValueError):  # a real layer, but not a hook layer
         toy(spatial_layers=6).denoise(
-            np.zeros((1, 1, 8, 8)), None, 1.0, injected={2: InjectedKV(rows, rows, "sap-global")},
+            np.zeros((1, 1, 8, 8)), None, 1.0, injected={2: InjectedKV(rows, rows)},
         )
     with pytest.raises(ValueError):
         den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, gamma=-0.5)
@@ -156,7 +156,7 @@ def test_toy_noop_hook_is_bitwise_transparent():
     den = toy()
     x = np.random.default_rng(8).standard_normal((2, 1, 8, 8))
     plain = den.denoise(x, None, 1.0).denoised
-    empty = InjectedKV(np.zeros((0, 8)), np.zeros((0, 8)), "sap-global")
+    empty = InjectedKV(np.zeros((0, 8)), np.zeros((0, 8)))
     hooked = den.denoise(x, None, 1.0, injected={0: empty}, gamma=0.0, identity=False).denoised
     assert np.array_equal(plain, hooked)
 
@@ -176,7 +176,7 @@ def test_toy_injection_changes_output():
     x = np.random.default_rng(10).standard_normal((2, 1, 8, 8))
     plain = den.denoise(x, None, 1.0).denoised
     rows = np.random.default_rng(11).standard_normal((4, 8)) * 3.0
-    inj = InjectedKV(rows, rows.copy(), "sap-global")
+    inj = InjectedKV(rows, rows.copy())
     hooked = den.denoise(x, None, 1.0, injected={0: inj}).denoised
     assert not np.allclose(plain, hooked)
 
@@ -187,9 +187,8 @@ def test_toy_collect_kv_shapes():
     res = den.denoise(x, None, 1.0, collect_kv=True)
     assert sorted(res.keys) == [0, 1, 2, 3]
     for layer in res.keys:
-        assert res.keys[layer].shape == (3 * 16, 8)
-        assert res.values[layer].shape == (3 * 16, 8)
-    assert res.token_grid == (3, 4, 4)
+        assert res.keys[layer].shape == (3, 4, 4, 8)
+        assert res.values[layer].shape == (3, 4, 4, 8)
 
 
 def test_toy_collect_kv_keeps_hook_layers_only():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tilevsr import cli
+from tilevsr.attention import select_tap_frames, subsample_spatial_kv
 from tilevsr.guidance import GUIDANCE_BRANCHES, GUIDANCE_MODES, GuidanceConfig
 from tilevsr.io import write_tensor
 from tilevsr.models import (
@@ -20,6 +21,7 @@ from tilevsr.sampler import (
     NumericError,
     PipelineConfig,
     RunStats,
+    _tap_injections,
     build_sigma_schedule,
     denoise_pass_plain,
     denoise_pass_sap,
@@ -306,7 +308,7 @@ def test_non_finite_denoiser_output_raises():
         def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
                     collect_kv=False, collect_attention=False):
             bad = np.full_like(np.asarray(x, dtype=np.float64), np.nan)
-            return DenoiseResult(bad, None, None, None, None)
+            return DenoiseResult(bad, None, None, None)
 
     lr = np.full((2, 1, 8, 8), 0.5)
     with pytest.raises(NumericError):
@@ -314,6 +316,40 @@ def test_non_finite_denoiser_output_raises():
 
 
 # --- propagation passes -----------------------------------------------------
+
+def test_injected_rows_match_token_major_selection():
+    # hook-layer K/V are (frames, gh, gw, d); the rows SAP and TAP inject must
+    # be those of the flat token-major layout, token (f, y, x) at row
+    # f*gh*gw + y*gw + x, in ascending row order
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        frames, gh, gw = (int(n) for n in rng.integers(1, 7, size=3))
+        d, dv = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        keys = rng.standard_normal((frames, gh, gw, d))
+        values = rng.standard_normal((frames, gh, gw, dv))
+        if trial % 3 == 0 and frames >= 2:
+            keys[-1] = keys[0]  # an exact spread tie
+        flat_k = keys.reshape(frames * gh * gw, d)
+        flat_v = values.reshape(frames * gh * gw, dv)
+
+        rate = int(rng.integers(1, 8))
+        kept = [f * gh * gw + y * gw + x
+                for f in range(frames) for y in range(0, gh, rate) for x in range(0, gw, rate)]
+        sap = subsample_spatial_kv(keys, values, rate)
+        assert np.array_equal(sap.keys, flat_k[kept])
+        assert np.array_equal(sap.values, flat_v[kept])
+
+        l_frames = int(rng.integers(1, 9))
+        per_frame = gh * gw
+        chosen = select_tap_frames(
+            [flat_k[f * per_frame:(f + 1) * per_frame] for f in range(frames)], min(l_frames, frames),
+        )
+        rows = [f * per_frame + t for f in chosen for t in range(per_frame)]
+        result = DenoiseResult(None, keys={3: keys}, values={3: values})
+        tap = _tap_injections(result, l_frames, (3,))[3]
+        assert np.array_equal(tap.keys, flat_k[rows])
+        assert np.array_equal(tap.values, flat_v[rows])
+
 
 def test_spatial_rate_one_single_frame_tile_matches_plain():
     # one tile, one frame: the aggregated K/V are an exact duplicate of the
