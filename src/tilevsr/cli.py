@@ -17,7 +17,9 @@ import numpy as np
 
 from . import io as tio
 from .config import RunConfig, echo_lines, parse_config_text, resolve_config
-from .quality import block_match_flow, degrade, psnr, ssim, tlp, tof, warping_error
+from .quality import (
+    block_match_flow, degrade, frame_flows, psnr, ssim, tlp, tof, warping_error,
+)
 from .sampler import NumericError, sample_video
 
 GUIDANCE_TOGGLES = ("dssag", "sag", "pag")
@@ -154,18 +156,30 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_rows(cfg: RunConfig, restored: np.ndarray, gt: np.ndarray | None) -> dict:
+def _flow_fn(cfg: RunConfig):
+    """block_match_flow with the config's block and radius. The name is
+    looked up in this module at call time, so a wrapper installed on
+    `tilevsr.cli.block_match_flow` sees every call."""
     def flow(a, b):
         return block_match_flow(a, b, block=cfg.flow_block, radius=cfg.flow_radius)
 
+    return flow
+
+
+def _metric_rows(cfg: RunConfig, restored: np.ndarray, gt: np.ndarray | None,
+                 gt_flows: list[np.ndarray] | None = None) -> dict:
+    """Metric rows. tof and we share the restored video's flows; gt_flows
+    (from frame_flows) spares recomputing the ground truth's."""
+    flow = _flow_fn(cfg)
     multi = restored.shape[0] >= 2
+    flows = frame_flows(restored, flow) if multi else None
     rows: dict = {}
     if gt is not None:
         rows["psnr"] = psnr(gt, restored)
         rows["ssim"] = ssim(gt, restored)
-        rows["tof"] = tof(gt, restored, flow_fn=flow) if multi else "n/a"
+        rows["tof"] = tof(gt, restored, flow, gt_flows=gt_flows, restored_flows=flows) if multi else "n/a"
         rows["tlp"] = tlp(gt, restored) if multi else "n/a"
-    rows["we"] = warping_error(restored, flow_fn=flow) if multi else "n/a"
+    rows["we"] = warping_error(restored, flows=flows) if multi else "n/a"
     return rows
 
 
@@ -222,6 +236,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants = [v for v in (s.strip() for s in args.variants.split(",")) if v]
     if not variants:
         raise ValueError("no ablation variants given")
+    # the ground truth's flows serve every variant
+    gt_flows = frame_flows(gt, _flow_fn(cfg)) if gt is not None and gt.shape[0] >= 2 else None
     for spec in variants:
         name, toggles = parse_variant(spec)
         guidance = dataclasses.replace(cfg.pipeline.guidance, mode=toggles["guidance"])
@@ -239,7 +255,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         ]
         if gt is not None and gt.shape != result.video.shape:
             raise ValueError(f"gt shape {gt.shape} does not match output {result.video.shape}")
-        cells += [f"{k}={_format_value(v)}" for k, v in _metric_rows(cfg, result.video, gt).items()]
+        rows = _metric_rows(cfg, result.video, gt, gt_flows)
+        cells += [f"{k}={_format_value(v)}" for k, v in rows.items()]
         print(" ".join(cells))
     return 0
 

@@ -184,9 +184,13 @@ def save_frames(directory: str, video: np.ndarray, fmt: str = "ppm", prefix: str
 def load_video(path: str) -> np.ndarray:
     """Load a video from a rank-4 container file or a directory of frames.
 
-    A directory holding .pfm frames loads only those (the lossless copy of
-    the 8-bit frames written beside them); otherwise its .ppm/.pgm frames.
+    A directory holding a `video.dcvt` container (as `--out DIR` writes)
+    loads that lossless copy. Otherwise a directory holding .pfm frames
+    loads only those (the lossless copy of the 8-bit frames written beside
+    them); otherwise its .ppm/.pgm frames.
     """
+    if os.path.isdir(path) and os.path.isfile(os.path.join(path, "video.dcvt")):
+        path = os.path.join(path, "video.dcvt")
     if os.path.isfile(path):
         arr = read_tensor(path)
         if arr.ndim != 4:

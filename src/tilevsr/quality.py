@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tiles import validate_video
 
@@ -145,16 +146,18 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float) -> float:
-    from numpy.lib.stride_tricks import sliding_window_view
-
     win = min(window, a.shape[0], a.shape[1])
-    wa = sliding_window_view(a, (win, win))
-    wb = sliding_window_view(b, (win, win))
-    mu_a = wa.mean(axis=(-2, -1))
-    mu_b = wb.mean(axis=(-2, -1))
-    var_a = (wa * wa).mean(axis=(-2, -1)) - mu_a * mu_a
-    var_b = (wb * wb).mean(axis=(-2, -1)) - mu_b * mu_b
-    cov = (wa * wb).mean(axis=(-2, -1)) - mu_a * mu_b
+
+    def window_mean(plane: np.ndarray) -> np.ndarray:
+        return sliding_window_view(plane, (win, win)).mean(axis=(-2, -1))
+
+    # window means of whole-plane products: the same per-window values as
+    # multiplying window copies, without materialising win*win copies of the plane
+    mu_a = window_mean(a)
+    mu_b = window_mean(b)
+    var_a = window_mean(a * a) - mu_a * mu_a
+    var_b = window_mean(b * b) - mu_b * mu_b
+    cov = window_mean(a * b) - mu_a * mu_b
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
@@ -191,51 +194,69 @@ def check_flow_window(block: int, radius: int) -> None:
         raise ValueError(f"bad block {block} or radius {radius}")
 
 
+def _block_starts(extent: int, block: int) -> np.ndarray:
+    """Block offsets along one axis: stride `block`, last block clamped to the edge."""
+    starts = list(range(0, extent - block + 1, block))
+    if starts[-1] != extent - block:
+        starts.append(extent - block)
+    return np.asarray(starts)
+
+
 def block_match_flow(f1: np.ndarray, f2: np.ndarray, block: int = 8, radius: int = 4) -> np.ndarray:
     """Integer per-pixel flow (2, h, w) by exhaustive block matching.
 
     Every (block x block) block of f1 gets the displacement into f2 with the
     smallest sum of absolute differences; candidates keep the window in
     bounds. Ties resolve to the smallest displacement magnitude, then
-    lexicographically by (dy, dx). All pixels of a block share its flow.
+    lexicographically by (dy, dx). All pixels of a block share its flow;
+    where the clamped last block overlaps its neighbour, the last block's
+    flow wins.
+
+    All blocks are scored against one candidate at a time. Each block's SAD
+    is the pairwise sum of its contiguous (C, block, block) differences, the
+    same sum `.sum()` takes over one block, so ties break on identical bits.
     """
     f1 = _as_frame(f1)
     f2 = _as_frame(f2)
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
     check_flow_window(block, radius)
-    _, h, w = f1.shape
+    c, h, w = f1.shape
     if h < block or w < block:
         raise ValueError(f"frame {h}x{w} smaller than block {block}")
+    if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+        raise ValueError("block matching needs finite frames, got non-finite values")
 
     candidates = sorted(
         ((dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)),
         key=lambda d: (d[0] * d[0] + d[1] * d[1], d[0], d[1]),
     )
-    starts_y = list(range(0, h - block + 1, block))
-    if starts_y[-1] != h - block:
-        starts_y.append(h - block)
-    starts_x = list(range(0, w - block + 1, block))
-    if starts_x[-1] != w - block:
-        starts_x.append(w - block)
+    starts_y = _block_starts(h, block)
+    starts_x = _block_starts(w, block)
+    # (positions_y, positions_x, C, block, block) views of every window
+    win1 = sliding_window_view(f1, (block, block), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    win2 = sliding_window_view(f2, (block, block), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    ref = win1[starts_y[:, None], starts_x[None, :]]  # contiguous (ny, nx, C, block, block)
 
-    flow = np.zeros((2, h, w), dtype=np.int64)
-    for by in starts_y:
-        for bx in starts_x:
-            ref = f1[:, by:by + block, bx:bx + block]
-            best = None
-            best_sad = np.inf
-            for dy, dx in candidates:
-                y0, x0 = by + dy, bx + dx
-                if y0 < 0 or x0 < 0 or y0 + block > h or x0 + block > w:
-                    continue
-                sad = float(np.abs(ref - f2[:, y0:y0 + block, x0:x0 + block]).sum())
-                if sad < best_sad:
-                    best_sad = sad
-                    best = (dy, dx)
-            flow[0, by:by + block, bx:bx + block] = best[0]
-            flow[1, by:by + block, bx:bx + block] = best[1]
-    return flow
+    shape = (len(starts_y), len(starts_x))
+    best_sad = np.full(shape, np.inf)
+    best = np.zeros((2,) + shape, dtype=np.int64)
+    for dy, dx in candidates:
+        # blocks whose displaced window stays inside the frame: one row range, one column range
+        ys = slice(np.searchsorted(starts_y, -dy), np.searchsorted(starts_y, h - block - dy, "right"))
+        xs = slice(np.searchsorted(starts_x, -dx), np.searchsorted(starts_x, w - block - dx, "right"))
+        target = win2[starts_y[ys, None] + dy, starts_x[None, xs] + dx]
+        diff = np.subtract(ref[ys, xs], target, out=target)
+        sad = np.abs(diff, out=diff).reshape(diff.shape[:2] + (c * block * block,)).sum(-1)
+        better = sad < best_sad[ys, xs]
+        best_sad[ys, xs][better] = sad[better]
+        best[0, ys, xs][better] = dy
+        best[1, ys, xs][better] = dx
+
+    # each pixel takes the last block starting at or before it, which covers it
+    iy = np.searchsorted(starts_y, np.arange(h), "right") - 1
+    ix = np.searchsorted(starts_x, np.arange(w), "right") - 1
+    return best[:, iy[:, None], ix[None, :]]
 
 
 def warp_frame(frame: np.ndarray, flow: np.ndarray) -> np.ndarray:
@@ -273,16 +294,35 @@ def _check_pair(gt: np.ndarray, restored: np.ndarray) -> tuple[np.ndarray, np.nd
     return gt, restored
 
 
-def tof(gt: np.ndarray, restored: np.ndarray, flow_fn=None) -> float:
-    """Temporal flow consistency: mean per-pixel L1 gap between the motion of
-    consecutive restored frames and the motion of the ground truth."""
-    gt, restored = _check_pair(gt, restored)
+def frame_flows(video: np.ndarray, flow_fn=None) -> list[np.ndarray]:
+    """float64 flow from each frame of a video to its successor, one flow_fn
+    call per pair; entry i belongs to the pair (i, i + 1)."""
     flow_fn = flow_fn or block_match_flow
-    gaps = []
-    for i in range(1, gt.shape[0]):
-        flow_r = np.asarray(flow_fn(restored[i - 1], restored[i]), dtype=np.float64)
-        flow_g = np.asarray(flow_fn(gt[i - 1], gt[i]), dtype=np.float64)
-        gaps.append(float(np.abs(flow_r - flow_g).sum(axis=0).mean()))
+    return [
+        np.asarray(flow_fn(video[i], video[i + 1]), dtype=np.float64)
+        for i in range(video.shape[0] - 1)
+    ]
+
+
+def tof(gt: np.ndarray, restored: np.ndarray, flow_fn=None,
+        gt_flows: list | None = None, restored_flows: list | None = None) -> float:
+    """Temporal flow consistency: mean per-pixel L1 gap between the motion of
+    consecutive restored frames and the motion of the ground truth.
+
+    gt_flows / restored_flows take flows already computed by frame_flows;
+    the ones not given are computed here with flow_fn."""
+    gt, restored = _check_pair(gt, restored)
+    if gt_flows is None:
+        gt_flows = frame_flows(gt, flow_fn)
+    if restored_flows is None:
+        restored_flows = frame_flows(restored, flow_fn)
+    if not len(gt_flows) == len(restored_flows) == gt.shape[0] - 1:
+        raise ValueError(f"need {gt.shape[0] - 1} flows per video, got "
+                         f"{len(gt_flows)} gt and {len(restored_flows)} restored")
+    gaps = [
+        float(np.abs(flow_r - flow_g).sum(axis=0).mean())
+        for flow_r, flow_g in zip(restored_flows, gt_flows)
+    ]
     return float(np.mean(gaps))
 
 
@@ -299,15 +339,20 @@ def tlp(gt: np.ndarray, restored: np.ndarray) -> float:
     return float(np.mean(gaps))
 
 
-def warping_error(video: np.ndarray, flow_fn=None) -> float:
-    """Mean absolute residual after warping each frame onto its successor."""
+def warping_error(video: np.ndarray, flow_fn=None, flows: list | None = None) -> float:
+    """Mean absolute residual after warping each frame onto its successor.
+
+    flows takes the video's flows already computed by frame_flows; without
+    it they are computed here with flow_fn."""
     video = validate_video(np.asarray(video, dtype=np.float64))
     if video.shape[0] < 2:
         raise ValueError("warping error needs at least 2 frames")
-    flow_fn = flow_fn or block_match_flow
+    if flows is None:
+        flows = frame_flows(video, flow_fn)
+    if len(flows) != video.shape[0] - 1:
+        raise ValueError(f"need {video.shape[0] - 1} flows, got {len(flows)}")
     errs = []
-    for i in range(video.shape[0] - 1):
-        flow = np.asarray(flow_fn(video[i], video[i + 1]), dtype=np.float64)
+    for i, flow in enumerate(flows):
         warped = warp_frame(video[i], flow)
         errs.append(float(np.abs(warped - video[i + 1]).mean()))
     return float(np.mean(errs))

@@ -291,6 +291,60 @@ def test_metrics_compares_a_pfm_frame_directory_with_its_container(tmp_path, cap
     assert "psnr=99" in stdout
 
 
+def test_metrics_on_an_upscale_directory_reads_its_lossless_container(
+    tmp_path, tiny_cfg, tiny_input, capsys
+):
+    out = tmp_path / "up"
+    rc, _, _ = run_cli(capsys, "upscale", tiny_input, "--out", str(out), "--config", tiny_cfg)
+    assert rc == 0
+    restored = tio.read_tensor(str(out / "video.dcvt"))
+    assert restored.min() < 0.0 or restored.max() > 1.0  # the 8-bit frames are clipped
+    gt = _write_video(tmp_path / "gt.dcvt", np.full(restored.shape, 0.5))
+    rc, from_dir, _ = run_cli(capsys, "metrics", gt, str(out))
+    assert rc == 0
+    rc, from_container, _ = run_cli(capsys, "metrics", gt, str(out / "video.dcvt"))
+    assert rc == 0
+    assert from_dir == from_container
+
+
+def _count_flow_calls(monkeypatch):
+    calls = []
+    real = cli.block_match_flow
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "block_match_flow", spy)
+    return calls
+
+
+def test_metrics_computes_each_frame_pair_flow_once(tmp_path, capsys, monkeypatch):
+    frames = 4
+    video = cli.synthetic_video("translate", frames, 1, 16, 16, seed=2)
+    gt = _write_video(tmp_path / "gt.dcvt", video)
+    restored = _write_video(tmp_path / "r.dcvt", np.roll(video, 1, axis=0))
+    calls = _count_flow_calls(monkeypatch)
+    rc, _, _ = run_cli(capsys, "metrics", gt, restored)
+    assert rc == 0
+    assert len(calls) == 2 * (frames - 1)  # restored pairs once for tof and we, gt pairs once
+
+
+def test_ablate_computes_ground_truth_flows_once_per_sweep(tmp_path, tiny_cfg, capsys, monkeypatch):
+    frames, variants = 3, ("none", "sap", "tap")
+    hr = cli.synthetic_video("translate", frames, 1, 32, 32, seed=3)
+    gt = _write_video(tmp_path / "hr.dcvt", hr)
+    src = _write_video(tmp_path / "lr.dcvt", hr[:, :, ::4, ::4])
+    calls = _count_flow_calls(monkeypatch)
+    rc, stdout, _ = run_cli(
+        capsys, "ablate", src, "--gt", gt, "--config", tiny_cfg,
+        "--variants", ",".join(variants), "--steps", "1",
+    )
+    assert rc == 0
+    assert sum(ln.startswith("variant=") for ln in stdout.splitlines()) == len(variants)
+    assert len(calls) == (frames - 1) + len(variants) * (frames - 1)
+
+
 def test_metrics_single_frame_reports_na_for_temporal_rows(tmp_path, capsys):
     video = cli.synthetic_video("texture", 1, 1, 16, 16, seed=4)
     gt = _write_video(tmp_path / "gt.dcvt", video)

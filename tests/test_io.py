@@ -243,6 +243,15 @@ def test_load_video_reads_only_pfm_when_both_formats_are_present(tmp_path):
     assert np.array_equal(back, video)  # the lossless copy, not the 8-bit frames
 
 
+def test_load_video_prefers_a_directory_container_over_its_frames(tmp_path):
+    rng = np.random.default_rng(8)
+    video = rng.uniform(-0.5, 1.5, size=(2, 3, 4, 4)).astype(np.float32).astype(np.float64)
+    d = str(tmp_path / "out")
+    save_frames(d, np.clip(video, 0.0, 1.0))  # 8-bit frames lose the out-of-range values
+    write_tensor(os.path.join(d, "video.dcvt"), video)
+    assert np.array_equal(load_video(d), video)
+
+
 def test_load_video_from_container(tmp_path):
     rng = np.random.default_rng(6)
     video = rng.uniform(0, 1, size=(2, 3, 4, 4)).astype(np.float32)
