@@ -83,12 +83,6 @@ def parse_shift(value: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _echo_config(cfg: RunConfig) -> None:
-    print("# resolved config")
-    for line in echo_lines(cfg):
-        print(line)
-
-
 def _common_overrides(args: argparse.Namespace) -> dict:
     return {
         "seed": args.seed,
@@ -102,7 +96,7 @@ def _common_overrides(args: argparse.Namespace) -> dict:
     }
 
 
-def _write_trace(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
     tio.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -129,26 +123,22 @@ def _print_stats(stats) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_upscale(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args.config, _common_overrides(args))
-    _echo_config(cfg)
+def cmd_upscale(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
     denoiser = cfg.build_denoiser(channels=video.shape[1])
     result = sample_video(video, denoiser, cfg.codec, cfg.pipeline)
     _write_video(args.out, result.video, args.pfm)
     trace_path = args.trace
     if trace_path is None:
-        base = args.out[: -len(".dcvt")] if args.out.endswith(".dcvt") else args.out
-        trace_path = base + ".trace" if args.out.endswith(".dcvt") else os.path.join(base, "trace.log")
-    _write_trace(trace_path, result.trace)
+        trace_path = (args.out[: -len(".dcvt")] + ".trace" if args.out.endswith(".dcvt")
+                      else os.path.join(args.out, "trace.log"))
+    _write_lines(trace_path, result.trace)
     _print_stats(result.stats)
     print(f"trace={trace_path}")
     return 0
 
 
-def cmd_degrade(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args.config, _common_overrides(args))
-    _echo_config(cfg)
+def cmd_degrade(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
     lr = degrade(video, cfg.degradation)
     _write_video(args.out, lr, args.pfm)
@@ -187,9 +177,7 @@ def _format_value(value) -> str:
     return value if isinstance(value, str) else f"{value:.6g}"
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args.config, _common_overrides(args))
-    _echo_config(cfg)
+def cmd_metrics(args: argparse.Namespace, cfg: RunConfig) -> int:
     gt = tio.load_video(args.gt)
     restored = tio.load_video(args.restored)
     if gt.shape != restored.shape:
@@ -225,9 +213,7 @@ def parse_variant(spec: str) -> tuple[str, dict]:
     return (name or "none"), overrides
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args.config, _common_overrides(args))
-    _echo_config(cfg)
+def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
     gt = tio.load_video(args.gt) if args.gt else None
     if gt is not None and gt.shape[0] != video.shape[0]:
@@ -245,7 +231,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                                        guidance=guidance)
         result = sample_video(video, denoiser, cfg.codec, pipeline)
         if args.trace:
-            _write_trace(f"{args.trace}.{name}", result.trace)
+            _write_lines(f"{args.trace}.{name}", result.trace)
         stats = result.stats
         cells = [
             f"variant={name}",
@@ -272,9 +258,7 @@ _FIXTURE_PARSERS = {
 }
 
 
-def cmd_fixture(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args.config, _common_overrides(args))
-    _echo_config(cfg)
+def cmd_fixture(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = {
         "kind": "translate",
         "size": (32, 32),
@@ -292,8 +276,6 @@ def cmd_fixture(args: argparse.Namespace) -> int:
             spec[key] = parse(raw[key])
         if getattr(args, key) is not None:
             spec[key] = getattr(args, key)
-    if spec["kind"] not in FIXTURE_KINDS:
-        raise ValueError(f"unknown fixture kind {spec['kind']!r}, expected one of {FIXTURE_KINDS}")
 
     height, width = spec["size"]
     hr = synthetic_video(
@@ -318,12 +300,8 @@ def cmd_fixture(args: argparse.Namespace) -> int:
         f"shift={spec['shift'][0]},{spec['shift'][1]}",
         f"value={spec['value']}",
     ]
-    tio.atomic_write_bytes(
-        os.path.join(args.out, "fixture.cfg"), ("\n".join(spec_lines) + "\n").encode("ascii")
-    )
-    tio.atomic_write_bytes(
-        os.path.join(args.out, "run.cfg"), ("\n".join(echo_lines(cfg)) + "\n").encode("ascii")
-    )
+    _write_lines(os.path.join(args.out, "fixture.cfg"), spec_lines)
+    _write_lines(os.path.join(args.out, "run.cfg"), echo_lines(cfg))
     print(f"hr={os.path.join(args.out, 'hr.dcvt')}")
     print(f"lr={os.path.join(args.out, 'lr.dcvt')}")
     return 0
@@ -342,7 +320,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho", type=float, metavar="R", help="suppression schedule exponent")
     sub.add_argument("--sap-rate", dest="sap_rate", type=int, metavar="N")
     sub.add_argument("--tap-l", dest="tap_l", type=int, metavar="N")
-    sub.add_argument("--trace", metavar="PATH", help="step-trace output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     upscale.add_argument("input", help="frame directory or .dcvt container")
     upscale.add_argument("--out", required=True, help="output directory or .dcvt path")
     upscale.add_argument("--pfm", action="store_true", help="also write float PFM frames")
+    upscale.add_argument("--trace", metavar="PATH", help="step-trace path (default: beside --out)")
     _add_common(upscale)
     upscale.set_defaults(func=cmd_upscale)
 
@@ -380,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CSV",
         help="comma-separated '+'-joined toggles among sap,tap,dssag,sag,pag; 'none' = all off",
     )
+    ablate.add_argument("--trace", metavar="PREFIX", help="write step traces to PREFIX.<variant>")
     _add_common(ablate)
     ablate.set_defaults(func=cmd_ablate)
 
@@ -406,7 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # every verb echoes the resolved config before doing any work
+        cfg = resolve_config(args.config, _common_overrides(args))
+        print("\n".join(["# resolved config", *echo_lines(cfg)]))
+        return args.func(args, cfg)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

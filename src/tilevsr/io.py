@@ -168,14 +168,14 @@ def read_pfm(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # whole-video helpers
 
-def save_frames(directory: str, video: np.ndarray, fmt: str = "ppm", prefix: str = "frame") -> list[str]:
+def save_frames(directory: str, video: np.ndarray, fmt: str = "ppm") -> list[str]:
     if fmt not in ("ppm", "pfm"):
         raise ValueError(f"fmt must be ppm or pfm, got {fmt!r}")
     os.makedirs(directory, exist_ok=True)
     writer = write_ppm if fmt == "ppm" else write_pfm
     paths = []
     for i, frame in enumerate(np.asarray(video)):
-        path = os.path.join(directory, f"{prefix}_{i:04d}.{fmt}")
+        path = os.path.join(directory, f"frame_{i:04d}.{fmt}")
         writer(path, frame)
         paths.append(path)
     return paths

@@ -37,7 +37,7 @@ class AnalyticGaussianDenoiser:
     mu: float = 0.0
     sigma_data: float = 0.5
 
-    hook_layers: tuple = ()
+    hook_layers = ()
     cond_vector = None
 
     def __post_init__(self):
@@ -119,7 +119,7 @@ class ToyAttentionDenoiser:
 
     def __init__(self, seed: int = 1234, channels: int = 3, patch_size: int = 4,
                  embed_dim: int = 32, spatial_layers: int = 4, cond_dim: int = 8,
-                 sigma_data: float = 0.5, cond_vector=None):
+                 sigma_data: float = 0.5):
         check_toy_settings(patch_size, embed_dim, spatial_layers, cond_dim)
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
@@ -146,12 +146,7 @@ class ToyAttentionDenoiser:
         ]
         self.temporal = tuple(rng.normal(0.0, scale, (d, d)) for _ in range(4))
         self.w_out = rng.normal(0.0, 0.5 / np.sqrt(d), (d, patch_dim))
-        if cond_vector is None:
-            self.cond_vector = rng.normal(0.0, 1.0, (self.cond_dim,))
-        else:
-            self.cond_vector = np.asarray(cond_vector, dtype=np.float64)
-            if self.cond_vector.shape != (self.cond_dim,):
-                raise ValueError(f"cond_vector must have shape ({self.cond_dim},)")
+        self.cond_vector = rng.normal(0.0, 1.0, (self.cond_dim,))
 
         first_last = [0, 1, self.spatial_layers - 2, self.spatial_layers - 1]
         self.hook_layers = tuple(sorted(set(first_last)))

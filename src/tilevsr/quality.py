@@ -139,6 +139,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("psnr needs finite inputs, got non-finite values")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return 99.0
@@ -163,16 +165,14 @@ def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float)
     return float(np.mean(num / den))
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 8, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over sliding uniform windows (unit range)."""
     a = validate_video(np.asarray(a, dtype=np.float64))
     b = validate_video(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    c1 = (k1 * 1.0) ** 2
-    c2 = (k2 * 1.0) ** 2
     vals = [
-        _ssim_frame(a[f, c], b[f, c], window, c1, c2)
+        _ssim_frame(a[f, c], b[f, c], 8, 0.01 ** 2, 0.03 ** 2)
         for f in range(a.shape[0])
         for c in range(a.shape[1])
     ]
@@ -339,16 +339,16 @@ def tlp(gt: np.ndarray, restored: np.ndarray) -> float:
     return float(np.mean(gaps))
 
 
-def warping_error(video: np.ndarray, flow_fn=None, flows: list | None = None) -> float:
+def warping_error(video: np.ndarray, flows: list | None = None) -> float:
     """Mean absolute residual after warping each frame onto its successor.
 
     flows takes the video's flows already computed by frame_flows; without
-    it they are computed here with flow_fn."""
+    it they are computed here with block_match_flow."""
     video = validate_video(np.asarray(video, dtype=np.float64))
     if video.shape[0] < 2:
         raise ValueError("warping error needs at least 2 frames")
     if flows is None:
-        flows = frame_flows(video, flow_fn)
+        flows = frame_flows(video)
     if len(flows) != video.shape[0] - 1:
         raise ValueError(f"need {video.shape[0] - 1} flows, got {len(flows)}")
     errs = []

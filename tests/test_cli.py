@@ -431,17 +431,21 @@ def test_parse_variant_canonical_forms():
 # argument plumbing
 
 
-def test_every_verb_echoes_resolved_config(tmp_path, capsys):
+def test_every_verb_echoes_resolved_config(tmp_path, tiny_cfg, tiny_input, capsys):
     video = cli.synthetic_video("texture", 2, 1, 16, 16, seed=1)
     src = _write_video(tmp_path / "v.dcvt", video)
-    rc, stdout, _ = run_cli(capsys, "degrade", src, "--out", str(tmp_path / "d.dcvt"))
-    assert rc == 0 and stdout.startswith("# resolved config")
-    rc, stdout, _ = run_cli(capsys, "metrics", src, src)
-    assert rc == 0 and stdout.startswith("# resolved config")
-    rc, stdout, _ = run_cli(capsys, "fixture", "--out", str(tmp_path / "fx"),
-                            "--kind", "constant", "--size", "4x4", "--frames", "1",
-                            "--channels", "1")
-    assert rc == 0 and stdout.startswith("# resolved config")
+    for argv in (
+        ["degrade", src, "--out", str(tmp_path / "d.dcvt")],
+        ["metrics", src, src],
+        ["fixture", "--out", str(tmp_path / "fx"), "--kind", "constant", "--size", "4x4",
+         "--frames", "1", "--channels", "1"],
+        ["upscale", tiny_input, "--out", str(tmp_path / "u.dcvt"), "--config", tiny_cfg,
+         "--steps", "1"],
+        ["ablate", tiny_input, "--config", tiny_cfg, "--steps", "1", "--variants", "none"],
+    ):
+        rc, stdout, _ = run_cli(capsys, *argv)
+        assert rc == 0 and stdout.startswith("# resolved config")
+        assert stdout.count("# resolved config") == 1
 
 
 def test_cli_flag_overrides_config_file(tmp_path, tiny_cfg, tiny_input, capsys):
@@ -473,6 +477,8 @@ def test_usage_errors_exit_2(capsys):
     ("fixture", ["--steps", "0"]),
     ("metrics", ["--scale", "nan"]),
     ("degrade", ["--sap-rate", "0"]),
+    ("upscale", ["--tap-l", "0"]),
+    ("ablate", ["--rho", "0"]),
 ])
 def test_invalid_config_value_exits_2_before_the_echo(tmp_path, capsys, verb, flags):
     src = _write_video(tmp_path / "v.dcvt", cli.synthetic_video("texture", 2, 1, 8, 8))
@@ -481,12 +487,30 @@ def test_invalid_config_value_exits_2_before_the_echo(tmp_path, capsys, verb, fl
         "fixture": ["fixture", "--out", str(out)],
         "metrics": ["metrics", src, src],
         "degrade": ["degrade", src, "--out", str(out)],
+        "upscale": ["upscale", src, "--out", str(out), "--trace", str(tmp_path / "t")],
+        "ablate": ["ablate", src, "--trace", str(tmp_path / "t")],
     }[verb]
     rc, stdout, err = run_cli(capsys, *argv, *flags)
     assert rc == 2
     assert err.startswith("error:")
     assert "# resolved config" not in stdout
-    assert not (out / "run.cfg").exists()
+    assert sorted(os.listdir(tmp_path)) == ["v.dcvt"]  # nothing written
+
+
+@pytest.mark.parametrize("verb", ["degrade", "metrics", "fixture"])
+def test_trace_is_a_usage_error_on_verbs_that_write_no_trace(tmp_path, capsys, verb):
+    src = _write_video(tmp_path / "v.dcvt", cli.synthetic_video("texture", 2, 1, 8, 8))
+    out = str(tmp_path / "out")
+    argv = {
+        "degrade": ["degrade", src, "--out", out],
+        "metrics": ["metrics", src, src],
+        "fixture": ["fixture", "--out", out],
+    }[verb]
+    rc, stdout, err = run_cli(capsys, *argv, "--trace", str(tmp_path / "t"))
+    assert rc == 2
+    assert "unrecognized arguments: --trace" in err
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["v.dcvt"]
 
 
 @pytest.mark.parametrize("line", [

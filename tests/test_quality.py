@@ -154,6 +154,18 @@ def test_psnr_shape_mismatch():
         psnr(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_psnr_rejects_non_finite_inputs(bad):
+    # min(99.0, nan) would keep the identical-input cap
+    a = np.zeros((2, 1, 4, 4))
+    b = a.copy()
+    b[1, 0, 2, 3] = bad
+    for x, y in ((a, b), (b, a), (b, b)):
+        with pytest.raises(ValueError, match="non-finite"):
+            psnr(x, y)
+    assert abs(psnr(np.zeros(3), np.full(3, 0.1)) - 20.0) < 1e-9  # any shape still works
+
+
 def test_ssim_identical_is_one():
     x = np.random.default_rng(7).uniform(0.0, 1.0, size=(2, 1, 12, 12))
     assert ssim(x, x.copy()) == 1.0

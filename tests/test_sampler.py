@@ -277,6 +277,20 @@ def test_sag_needs_a_denoiser_with_attention_layers():
         sample_video(lr, AnalyticGaussianDenoiser(), ToyCodec(2), cfg)
 
 
+def test_hook_layers_and_cond_vector_are_not_constructor_options():
+    # both follow from the model: the architecture fixes the hook layers and
+    # the seed draws the conditioning vector
+    with pytest.raises(TypeError):
+        AnalyticGaussianDenoiser(hook_layers=(0,))
+    with pytest.raises(TypeError):
+        ToyAttentionDenoiser(cond_vector=np.zeros(8))
+    lr = np.full((2, 1, 8, 8), 0.5)
+    for sap, tap in ((True, False), (False, True)):
+        cfg = pipe_cfg(steps=2, tile_frames=1, sap=sap, tap=tap)
+        with pytest.raises(ValueError, match="propagation needs a denoiser with hook layers"):
+            sample_video(lr, AnalyticGaussianDenoiser(), ToyCodec(2), cfg)
+
+
 def test_pass_counts_exact_under_thread_contention():
     # 27 tiles per step (3x3 spatial x 3 temporal), cfg = 2 passes per tile;
     # step 0 runs SAP (plus one gather per tile), step 1 TAP.
