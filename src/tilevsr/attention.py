@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tiles import in_range
+
 
 # Live score memory of one `attend` block: whole (queries x keys) matrices
 # are scored together up to this many bytes (one matrix when it alone is
@@ -26,8 +28,7 @@ def scaled_scores(q: np.ndarray, k: np.ndarray, gamma: float = 0.0) -> np.ndarra
     qmax/kmax are the largest absolute entries of Q and K (per batched
     matrix). gamma = 0 leaves the temper factor at exactly 1.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    in_range("gamma", gamma, ge=0)
     d = q.shape[-1]
     raw = q @ np.swapaxes(k, -1, -2)
     qmax = np.max(np.abs(q), axis=(-2, -1), keepdims=True)
@@ -65,8 +66,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     block by block. q, k and v must share their batch shape (a ValueError
     otherwise); their values are trusted: the caller validates them.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    in_range("gamma", gamma, ge=0)
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -4,7 +4,8 @@ Verbs: upscale | degrade | metrics | ablate | fixture.  Every command echoes
 the fully resolved configuration (defaults included) to stdout before doing
 any work, so a run log always pins down what actually ran.
 
-Exit codes: 0 success, 2 usage or config or I/O error, 3 numeric failure.
+Exit codes: 0 success, 2 usage or config or I/O error or out of memory,
+3 numeric failure.
 """
 from __future__ import annotations
 
@@ -216,8 +217,11 @@ def parse_variant(spec: str) -> tuple[str, dict]:
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
     gt = tio.load_video(args.gt) if args.gt else None
-    if gt is not None and gt.shape[0] != video.shape[0]:
-        raise ValueError(f"gt has {gt.shape[0]} frames, input has {video.shape[0]}")
+    # the shape sample_video returns, checked before any variant samples
+    f, c, h, w = video.shape
+    out_shape = (f, c, h * cfg.pipeline.upscale_factor, w * cfg.pipeline.upscale_factor)
+    if gt is not None and gt.shape != out_shape:
+        raise ValueError(f"gt shape {gt.shape} does not match output {out_shape}")
     denoiser = cfg.build_denoiser(channels=video.shape[1])
     variants = [v for v in (s.strip() for s in args.variants.split(",")) if v]
     if not variants:
@@ -239,8 +243,6 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
             f"gather_calls={stats.gather_calls}",
             f"ff_per_iter={stats.ff_per_iter:.6g}",
         ]
-        if gt is not None and gt.shape != result.video.shape:
-            raise ValueError(f"gt shape {gt.shape} does not match output {result.video.shape}")
         rows = _metric_rows(cfg, result.video, gt, gt_flows)
         cells += [f"{k}={_format_value(v)}" for k, v in rows.items()]
         print(" ".join(cells))
@@ -392,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quality import gaussian_blur
+from .tiles import in_range
 
 
 class Branch(NamedTuple):
@@ -54,16 +55,10 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in GUIDANCE_MODES:
             raise ValueError(f"unknown guidance mode {self.mode!r}, expected one of {GUIDANCE_MODES}")
-        if not np.isfinite(self.scale):
-            raise ValueError("guidance scale must be finite")
-        if self.rho <= 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
-        if self.sag_blur_sigma < 0:
-            raise ValueError(f"sag_blur_sigma must be >= 0, got {self.sag_blur_sigma}")
-        if not 0.0 < self.sag_mask_quantile <= 1.0:
-            raise ValueError(
-                f"sag_mask_quantile must be in (0, 1], got {self.sag_mask_quantile}"
-            )
+        in_range("scale", self.scale)
+        in_range("rho", self.rho, gt=0)
+        in_range("sag_blur_sigma", self.sag_blur_sigma, ge=0)
+        in_range("sag_mask_quantile", self.sag_mask_quantile, gt=0, le=1)
 
 
 def combine(eps_base: np.ndarray, eps_target: np.ndarray, scale: float) -> np.ndarray:
@@ -87,16 +82,10 @@ def gamma_schedule(sigma_t: float, sigma_start: float, sigma_end: float, rho: fl
     1 at sigma_start, 0 at sigma_end, monotone in between; rho < 1 front-loads
     the suppression toward the high-noise end.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    if not (sigma_start > sigma_end > 0):
-        raise ValueError(
-            f"need sigma_start > sigma_end > 0, got start={sigma_start} end={sigma_end}"
-        )
-    if not (sigma_end <= sigma_t <= sigma_start):
-        raise ValueError(
-            f"sigma_t={sigma_t} outside [{sigma_end}, {sigma_start}]"
-        )
+    in_range("rho", rho, gt=0)
+    in_range("sigma_end", sigma_end, gt=0)
+    in_range("sigma_start", sigma_start, gt=sigma_end)
+    in_range("sigma_t", sigma_t, ge=sigma_end, le=sigma_start)
     ratio = (np.log(sigma_t) - np.log(sigma_end)) / (np.log(sigma_start) - np.log(sigma_end))
     return float(ratio ** rho)
 
@@ -113,8 +102,7 @@ def sag_input(x_t: np.ndarray, eps: np.ndarray, attention: np.ndarray, sigma: fl
     toward the target estimate.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    in_range("sigma", sigma, gt=0)
     eps = np.asarray(eps, dtype=np.float64)
     attention = np.asarray(attention, dtype=np.float64)
     if attention.shape != (x_t.shape[0],) + x_t.shape[2:]:

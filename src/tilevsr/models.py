@@ -15,6 +15,7 @@ from .attention import attend
 # benchmark's outside-in tracer (perfbench/tracer.py) wraps these names here.
 from .attention import extend_kv, scaled_scores, softmax_rows  # noqa: F401
 from .sampler import precondition
+from .tiles import in_range
 
 
 @dataclass
@@ -41,8 +42,7 @@ class AnalyticGaussianDenoiser:
     cond_vector = None
 
     def __post_init__(self):
-        if self.sigma_data <= 0:
-            raise ValueError(f"sigma_data must be > 0, got {self.sigma_data}")
+        in_range("sigma_data", self.sigma_data, gt=0)
 
     def denoise(self, x, c=None, sigma: float = 1.0, injected=None, gamma: float = 0.0,
                 identity: bool = False, collect_kv: bool = False,
@@ -51,12 +51,10 @@ class AnalyticGaussianDenoiser:
         x = np.asarray(x, dtype=np.float64)
         if injected:
             raise ValueError("analytic denoiser has no hookable layers")
-        if gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {gamma}")
+        in_range("gamma", gamma, ge=0)
         if collect_attention:
             raise ValueError("analytic denoiser has no attention map to collect")
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        in_range("sigma", sigma, ge=0)
         if sigma == 0:
             return DenoiseResult(denoised=x.copy())
         d2 = self.sigma_data * self.sigma_data
@@ -123,8 +121,7 @@ class ToyAttentionDenoiser:
         check_toy_settings(patch_size, embed_dim, spatial_layers, cond_dim)
         if channels < 1:
             raise ValueError(f"channels must be >= 1, got {channels}")
-        if sigma_data <= 0:
-            raise ValueError(f"sigma_data must be > 0, got {sigma_data}")
+        in_range("sigma_data", sigma_data, gt=0)
         self.seed = int(seed)
         self.channels = int(channels)
         self.patch_size = int(patch_size)
@@ -200,8 +197,7 @@ class ToyAttentionDenoiser:
         for layer in injected:
             if layer not in self.hook_layers:
                 raise ValueError(f"injection into layer {layer}; the hook layers are {self.hook_layers}")
-        if gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {gamma}")
+        in_range("gamma", gamma, ge=0)
 
         pre = precondition(sigma, self.sigma_data)
         gh, gw = h // p, w // p

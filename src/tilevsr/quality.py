@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tiles import validate_video
+from .tiles import in_range, validate_video
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +31,7 @@ def _conv1d_clamped(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarra
 
 def gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur of the last two axes. sigma = 0 is the identity."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    in_range("sigma", sigma, ge=0)
     arr = np.asarray(arr, dtype=np.float64)
     if sigma == 0:
         return arr.copy()
@@ -73,8 +72,7 @@ def bicubic_resize(arr: np.ndarray, scale: float) -> np.ndarray:
     Sample positions are center-aligned, out-of-range taps clamp to the edge.
     Output extents are round(extent * scale), at least 1.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    in_range("scale", scale, gt=0)
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim < 2:
         raise ValueError("need at least 2 axes to resize")
@@ -96,23 +94,15 @@ class DegradationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.blur_sigma < 0:
-            raise ValueError(f"blur_sigma must be >= 0, got {self.blur_sigma}")
-        if int(self.down_factor) < 1:
-            raise ValueError(f"down_factor must be >= 1, got {self.down_factor}")
-        self.down_factor = int(self.down_factor)
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if int(self.quant_levels) < 2:
-            raise ValueError(f"quant_levels must be >= 2, got {self.quant_levels}")
-        self.quant_levels = int(self.quant_levels)
+        in_range("blur_sigma", self.blur_sigma, ge=0)
+        in_range("noise_sigma", self.noise_sigma, ge=0)
+        self.down_factor = int(in_range("down_factor", self.down_factor, ge=1))
+        self.quant_levels = int(in_range("quant_levels", self.quant_levels, ge=2))
 
 
 def quantize(arr: np.ndarray, levels: int) -> np.ndarray:
     """Uniform quantization of [0, 1] values; halves round away from zero."""
-    if levels < 2:
-        raise ValueError(f"quant_levels must be >= 2, got {levels}")
-    steps = levels - 1
+    steps = in_range("quant_levels", levels, ge=2) - 1
     return np.floor(np.asarray(arr, dtype=np.float64) * steps + 0.5) / steps
 
 

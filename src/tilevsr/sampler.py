@@ -24,7 +24,9 @@ import numpy as np
 from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv
 from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
-from .tiles import Tile, deinterleave, gaussian_mask, interleave, merge, plan_tiles, split, validate_video
+from .tiles import (
+    Tile, deinterleave, gaussian_mask, in_range, interleave, merge, plan_tiles, split, validate_video,
+)
 
 
 class NumericError(RuntimeError):
@@ -70,13 +72,10 @@ def build_sigma_schedule(
     exponent: float = 7.0,
 ) -> SigmaSchedule:
     """sigma_i = (max^(1/e) + (i/T) * (min^(1/e) - max^(1/e)))^e, endpoints exact."""
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not (sigma_max > sigma_min > 0):
-        raise ValueError(f"need sigma_max > sigma_min > 0, got {sigma_max}, {sigma_min}")
-    if exponent <= 0:
-        raise ValueError(f"schedule exponent must be > 0, got {exponent}")
+    steps = int(in_range("steps", steps, ge=1))
+    in_range("sigma_min", sigma_min, gt=0)
+    in_range("sigma_max", sigma_max, gt=sigma_min)
+    in_range("exponent", exponent, gt=0)
     ramp = np.linspace(0.0, 1.0, steps + 1)
     inv_max = sigma_max ** (1.0 / exponent)
     inv_min = sigma_min ** (1.0 / exponent)
@@ -96,10 +95,8 @@ class Precondition:
 
 def precondition(sigma: float, sigma_data: float = 0.5) -> Precondition:
     """Scaling coefficients tying the raw network to the denoiser output."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if sigma_data <= 0:
-        raise ValueError(f"sigma_data must be > 0, got {sigma_data}")
+    in_range("sigma", sigma, gt=0)
+    in_range("sigma_data", sigma_data, gt=0)
     s2 = sigma * sigma
     d2 = sigma_data * sigma_data
     return Precondition(
@@ -116,10 +113,8 @@ def ode_step(x: np.ndarray, denoised: np.ndarray, sigma_cur: float, sigma_next: 
     denoised = np.asarray(denoised, dtype=np.float64)
     if x.shape != denoised.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs denoised {denoised.shape}")
-    if sigma_cur <= 0:
-        raise ValueError(f"sigma_cur must be > 0, got {sigma_cur}")
-    if not 0 <= sigma_next <= sigma_cur:
-        raise ValueError(f"need 0 <= sigma_next <= sigma_cur, got {sigma_next} vs {sigma_cur}")
+    in_range("sigma_cur", sigma_cur, gt=0)
+    in_range("sigma_next", sigma_next, ge=0, le=sigma_cur)
     if sigma_next == sigma_cur:
         return x.copy()
     return x + (sigma_next - sigma_cur) * (x - denoised) / sigma_cur
@@ -150,35 +145,14 @@ class PipelineConfig:
     tile_schedule: str = "ascending"
 
     def __post_init__(self):
-        if int(self.steps) < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        self.steps = int(self.steps)
-        for name in ("tile_frames", "tile_h", "tile_w"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
-            setattr(self, name, int(getattr(self, name)))
-        if int(self.sap_rate) < 1:
-            raise ValueError(f"sap_rate must be >= 1, got {self.sap_rate}")
-        self.sap_rate = int(self.sap_rate)
-        if int(self.tap_frames) < 1:
-            raise ValueError(f"tap_frames must be >= 1, got {self.tap_frames}")
-        self.tap_frames = int(self.tap_frames)
+        for name in ("steps", "tile_frames", "tile_h", "tile_w", "sap_rate", "tap_frames",
+                     "upscale_factor", "workers"):
+            setattr(self, name, int(in_range(name, getattr(self, name), ge=1)))
+        for name in ("sigma_min", "schedule_exponent", "sigma_data", "mask_sigma_fraction"):
+            in_range(name, getattr(self, name), gt=0)
+        in_range("sigma_max", self.sigma_max, gt=self.sigma_min)
         if not isinstance(self.guidance, GuidanceConfig):
             raise ValueError("guidance must be a GuidanceConfig")
-        if not (self.sigma_max > self.sigma_min > 0):
-            raise ValueError("need sigma_max > sigma_min > 0")
-        if self.schedule_exponent <= 0:
-            raise ValueError("schedule_exponent must be > 0")
-        if self.sigma_data <= 0:
-            raise ValueError("sigma_data must be > 0")
-        if int(self.upscale_factor) < 1:
-            raise ValueError("upscale_factor must be >= 1")
-        self.upscale_factor = int(self.upscale_factor)
-        if self.mask_sigma_fraction <= 0:
-            raise ValueError("mask_sigma_fraction must be > 0")
-        if int(self.workers) < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = int(self.workers)
         if self.tile_schedule not in ("ascending", "descending"):
             raise ValueError(f"tile_schedule must be ascending or descending, got {self.tile_schedule!r}")
 

@@ -7,6 +7,7 @@ smoothly and a full round trip (split then merge) reproduces the input.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,24 @@ def validate_video(arr: np.ndarray, name: str = "video") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def in_range(name: str, value, *, gt=None, ge=None, le=None):
+    """value, if it is finite and value > gt, value >= ge and value <= le
+    for every bound given; otherwise a ValueError naming the range.
+
+    Every bound is a positive comparison, so NaN and inf fail every range,
+    and so does an int too large for a float.
+    """
+    try:
+        ok = (math.isfinite(value) and (gt is None or value > gt)
+              and (ge is None or value >= ge) and (le is None or value <= le))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if ok:
+        return value
+    bounds = [f"{op} {b}" for op, b in ((">", gt), (">=", ge), ("<=", le)) if b is not None]
+    raise ValueError(f"{name} must be {', '.join(['finite', *bounds])}, got {value}")
 
 
 def axis_offsets(extent: int, tile_extent: int) -> tuple[int, ...]:
@@ -120,8 +139,7 @@ def gaussian_mask(tile_dims: tuple[int, ...], sigma_fraction: float) -> np.ndarr
     exp(-(i - c)^2 / (2 * (sigma_fraction * e)^2)) with c = (e - 1) / 2,
     so the mask is symmetric and peaks at the tile center.
     """
-    if sigma_fraction <= 0:
-        raise ValueError(f"sigma_fraction must be > 0, got {sigma_fraction}")
+    in_range("sigma_fraction", sigma_fraction, gt=0)
     if any(int(e) < 1 for e in tile_dims):
         raise ValueError(f"tile dims must be positive, got {tile_dims}")
     mask = np.ones((), dtype=np.float64)

@@ -198,18 +198,20 @@ def test_upscale_missing_input_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("error, code", [(NumericError, 3), (MemoryError, 2)])
 def test_upscale_numeric_failure_exits_3(
-    tmp_path, tiny_cfg, tiny_input, capsys, monkeypatch
+    tmp_path, tiny_cfg, tiny_input, capsys, monkeypatch, error, code
 ):
+    # out of memory is an input the machine cannot take: exit 2, not a traceback
     def boom(*args, **kwargs):
-        raise NumericError("non-finite latents at step 1")
+        raise error("cannot finish step 1")
 
     monkeypatch.setattr(cli, "sample_video", boom)
     rc, _, err = run_cli(
         capsys, "upscale", tiny_input, "--out", str(tmp_path / "o.dcvt"),
         "--config", tiny_cfg,
     )
-    assert rc == 3
+    assert rc == code
     assert err.startswith("error:")
 
 
@@ -394,6 +396,28 @@ def test_ablate_with_ground_truth_reports_fidelity(tmp_path, tiny_cfg, capsys):
         assert f"{key}=" in line
 
 
+@pytest.mark.parametrize("gt_shape", [(2, 1, 16, 16), (3, 1, 32, 32), (2, 3, 32, 32)])
+def test_ablate_rejects_ground_truth_of_the_wrong_shape_before_sampling(
+    tmp_path, tiny_cfg, tiny_input, capsys, monkeypatch, gt_shape
+):
+    calls = []
+    real = cli.sample_video
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_video", spy)
+    gt = _write_video(tmp_path / "gt.dcvt", np.zeros(gt_shape))  # output is (2, 1, 32, 32)
+    rc, _, err = run_cli(
+        capsys, "ablate", tiny_input, "--gt", gt, "--config", tiny_cfg,
+        "--variants", "none,sap", "--steps", "1",
+    )
+    assert rc == 2
+    assert "does not match output (2, 1, 32, 32)" in err
+    assert calls == []
+
+
 def test_ablate_default_variant_list():
     parser = cli.build_parser()
     args = parser.parse_args(["ablate", "whatever.dcvt"])
@@ -516,6 +540,8 @@ def test_trace_is_a_usage_error_on_verbs_that_write_no_trace(tmp_path, capsys, v
 @pytest.mark.parametrize("line", [
     "embed_dim = 0", "embed_dim = 7", "patch_size = 0", "spatial_layers = 3", "cond_dim = 0",
     "flow_block = 0", "flow_radius = -1",
+    "blur_sigma = nan", "noise_sigma = nan", "rho = inf", "sag_blur_sigma = nan",
+    "schedule_exponent = nan", "sigma_data = nan", "sigma_max = inf", "mask_sigma_fraction = inf",
 ])
 def test_invalid_denoiser_or_metric_setting_exits_2_before_the_echo(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"

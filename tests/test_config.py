@@ -340,10 +340,26 @@ def test_run_config_rejects_two_seeds():
     assert cfg == resolve_config(None, {"seed": 3})
 
 
+# every float-typed config key (the table test below keeps the list whole)
+FLOAT_KEYS = ("scale", "rho", "sag_blur_sigma", "sag_mask_quantile", "sigma_min", "sigma_max",
+              "schedule_exponent", "sigma_data", "mask_sigma_fraction", "blur_sigma", "noise_sigma")
+# component int fields that a typed override may set to a float
+COMPONENT_INT_KEYS = ("steps", "tile_frames", "tile_h", "tile_w", "sap_rate", "tap_l",
+                      "upscale_factor", "workers", "down_factor", "quant_levels")
+
+
+def test_float_keys_are_every_float_field():
+    classes = (RunConfig, PipelineConfig, GuidanceConfig, DegradationConfig, ToyCodec)
+    floats = {f.name for cls in classes for f in dataclasses.fields(cls) if f.type == "float"}
+    assert floats == set(FLOAT_KEYS)
+
+
 @pytest.mark.parametrize("overrides", [
     {"steps": 0}, {"sap_rate": 0}, {"tap_l": 0}, {"scale": float("nan")},
     {"guidance": "loud"}, {"codec_factor": 3}, {"quant_levels": 1},
     {"tile_schedule": "random"}, {"sigma_min": 800.0},
+    *({key: value} for key in FLOAT_KEYS for value in (float("nan"), float("inf"))),
+    *({key: value} for key in COMPONENT_INT_KEYS for value in (float("nan"), float("inf"))),
 ])
 def test_component_checks_run_at_resolve(overrides):
     with pytest.raises(ValueError):

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilevsr.attention import attend, scaled_scores
+from tilevsr.guidance import GuidanceConfig, gamma_schedule, sag_input
+from tilevsr.models import AnalyticGaussianDenoiser, ToyAttentionDenoiser
+from tilevsr.quality import bicubic_resize, gaussian_blur, quantize
+from tilevsr.sampler import build_sigma_schedule, ode_step, precondition
 from tilevsr.tiles import (
     Tile,
     axis_offsets,
     deinterleave,
     gaussian_mask,
+    in_range,
     interleave,
     merge,
     plan_tiles,
@@ -239,3 +245,82 @@ def test_validate_video_rejects_bad_arrays():
         validate_video(np.full((1, 1, 2, 2), np.nan))
     with pytest.raises(ValueError):
         validate_video(np.zeros((0, 1, 2, 2)))
+
+
+# --- in_range: the one range rule for numeric settings ----------------------
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def test_in_range_returns_the_value_inside_every_bound():
+    assert in_range("x", 0.5, gt=0, le=1) == 0.5
+    assert in_range("x", 1, gt=0, le=1) == 1
+    assert in_range("x", 0.0, ge=0) == 0.0
+    assert in_range("x", -3.0) == -3.0
+    assert in_range("x", 2, ge=2) == 2 and isinstance(in_range("x", 2, ge=2), int)
+    assert in_range("x", np.float64(0.25), gt=0) == 0.25
+
+
+@pytest.mark.parametrize("value, bounds", [
+    (0.0, {"gt": 0}), (-1e-300, {"ge": 0}), (1.0 + 1e-12, {"le": 1}), (1, {"ge": 2}),
+    (0.5, {"gt": 0.5}), (2.0, {"gt": 0, "le": 1}),
+])
+def test_in_range_rejects_values_outside_a_bound(value, bounds):
+    with pytest.raises(ValueError, match="must be finite"):
+        in_range("x", value, **bounds)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF, np.float64(NAN), 10 ** 400, -(10 ** 400)])
+@pytest.mark.parametrize("bounds", [{}, {"gt": 0}, {"ge": 0}, {"le": 1}, {"gt": -INF, "le": INF}])
+def test_in_range_rejects_non_finite_values_whatever_the_bounds(value, bounds):
+    # ints too large for a float raise ValueError too, not OverflowError
+    with pytest.raises(ValueError):
+        in_range("x", value, **bounds)
+
+
+def test_in_range_message_names_the_setting_and_its_range():
+    with pytest.raises(ValueError, match=r"^rho must be finite, > 0, got nan$"):
+        in_range("rho", NAN, gt=0)
+    with pytest.raises(ValueError, match=r"^q must be finite, > 0, <= 1, got inf$"):
+        in_range("q", INF, gt=0, le=1)
+    with pytest.raises(ValueError, match=r"^scale must be finite, got -inf$"):
+        in_range("scale", -INF)
+
+
+_X = np.zeros((2, 1, 4, 4))
+_Q = np.ones((2, 3, 4))
+_TOY = ToyAttentionDenoiser(channels=1, embed_dim=8, cond_dim=4)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: build_sigma_schedule(NAN), id="build_sigma_schedule-steps"),
+    pytest.param(lambda: build_sigma_schedule(3, sigma_min=NAN), id="build_sigma_schedule-sigma_min"),
+    pytest.param(lambda: build_sigma_schedule(3, sigma_max=NAN), id="build_sigma_schedule-sigma_max"),
+    pytest.param(lambda: build_sigma_schedule(3, exponent=NAN), id="build_sigma_schedule-exponent"),
+    pytest.param(lambda: precondition(NAN), id="precondition-sigma"),
+    pytest.param(lambda: precondition(1.0, NAN), id="precondition-sigma_data"),
+    pytest.param(lambda: ode_step(_X, _X, NAN, 0.5), id="ode_step-sigma_cur"),
+    pytest.param(lambda: ode_step(_X, _X, 1.0, NAN), id="ode_step-sigma_next"),
+    pytest.param(lambda: gamma_schedule(NAN, 10.0, 1.0), id="gamma_schedule-sigma_t"),
+    pytest.param(lambda: gamma_schedule(5.0, NAN, 1.0), id="gamma_schedule-sigma_start"),
+    pytest.param(lambda: gamma_schedule(5.0, 10.0, NAN), id="gamma_schedule-sigma_end"),
+    pytest.param(lambda: gamma_schedule(5.0, 10.0, 1.0, NAN), id="gamma_schedule-rho"),
+    pytest.param(lambda: sag_input(_X, _X, np.zeros((2, 4, 4)), NAN, GuidanceConfig()),
+                 id="sag_input-sigma"),
+    pytest.param(lambda: gaussian_blur(_X, NAN), id="gaussian_blur-sigma"),
+    pytest.param(lambda: bicubic_resize(_X, NAN), id="bicubic_resize-scale"),
+    pytest.param(lambda: quantize(_X, NAN), id="quantize-levels"),
+    pytest.param(lambda: gaussian_mask((2, 4, 4), NAN), id="gaussian_mask-sigma_fraction"),
+    pytest.param(lambda: scaled_scores(_Q, _Q, NAN), id="scaled_scores-gamma"),
+    pytest.param(lambda: attend(_Q, _Q, _Q, gamma=NAN), id="attend-gamma"),
+    pytest.param(lambda: AnalyticGaussianDenoiser(sigma_data=NAN), id="analytic-sigma_data"),
+    pytest.param(lambda: AnalyticGaussianDenoiser().denoise(_X, sigma=NAN), id="analytic-sigma"),
+    pytest.param(lambda: AnalyticGaussianDenoiser().denoise(_X, gamma=NAN), id="analytic-gamma"),
+    pytest.param(lambda: ToyAttentionDenoiser(channels=1, sigma_data=NAN), id="toy-sigma_data"),
+    pytest.param(lambda: _TOY.denoise(_X, sigma=NAN), id="toy-sigma"),
+    pytest.param(lambda: _TOY.denoise(_X, gamma=NAN), id="toy-gamma"),
+])
+def test_public_functions_reject_nan_settings(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
