@@ -17,13 +17,15 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .config import RunConfig, echo_lines, parse_config_text, resolve_config
+from .config import RunConfig, echo_lines, parse_config_text, parse_extents, resolve_config
+from .guidance import GUIDANCE_MODES
 from .quality import (
     block_match_flow, degrade, frame_flows, psnr, ssim, tlp, tof, warping_error,
 )
 from .sampler import NumericError, sample_video
+from .tiles import in_range
 
-GUIDANCE_TOGGLES = ("dssag", "sag", "pag")
+GUIDANCE_TOGGLES = tuple(mode for mode in GUIDANCE_MODES if mode != "none")
 ABLATE_TOGGLES = ("sap", "tap") + GUIDANCE_TOGGLES
 FIXTURE_KINDS = ("constant", "translate", "texture")
 
@@ -64,16 +66,6 @@ def synthetic_video(
     raise ValueError(f"unknown fixture kind {kind!r}, expected one of {FIXTURE_KINDS}")
 
 
-def parse_size(value: str) -> tuple[int, int]:
-    parts = value.lower().replace("×", "x").split("x")
-    if len(parts) != 2:
-        raise ValueError(f"size must look like HxW, got {value!r}")
-    h, w = int(parts[0]), int(parts[1])
-    if h < 1 or w < 1:
-        raise ValueError(f"size extents must be >= 1, got {value!r}")
-    return h, w
-
-
 def parse_shift(value: str) -> tuple[int, int]:
     parts = value.split(",")
     if len(parts) != 2:
@@ -101,16 +93,21 @@ def _write_lines(path: str, lines: list[str]) -> None:
     tio.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _write_frames(directory: str, video: np.ndarray, pfm: bool) -> None:
+    """A frame directory: 8-bit PPM frames (clamped to [0, 1]), float PFM
+    frames on request."""
+    tio.save_frames(directory, video, fmt="ppm")
+    if pfm:
+        tio.save_frames(directory, video, fmt="pfm")
+
+
 def _write_video(out: str, video: np.ndarray, pfm: bool) -> None:
     """Container if `out` names a .dcvt file, otherwise a frame directory
-    (8-bit PPM plus a lossless .dcvt alongside, PFM on request)."""
+    with a lossless .dcvt alongside."""
     if out.endswith(".dcvt"):
         tio.write_tensor(out, video)
         return
-    os.makedirs(out, exist_ok=True)
-    tio.save_frames(out, np.clip(video, 0.0, 1.0), fmt="ppm")
-    if pfm:
-        tio.save_frames(out, video, fmt="pfm")
+    _write_frames(out, video, pfm)
     tio.write_tensor(os.path.join(out, "video.dcvt"), video)
 
 
@@ -159,8 +156,8 @@ def _flow_fn(cfg: RunConfig):
 
 def _metric_rows(cfg: RunConfig, restored: np.ndarray, gt: np.ndarray | None,
                  gt_flows: list[np.ndarray] | None = None) -> dict:
-    """Metric rows. tof and we share the restored video's flows; gt_flows
-    (from frame_flows) spares recomputing the ground truth's."""
+    """Metric rows. tof and we share the restored video's flows; the ground
+    truth's are computed here unless given (from frame_flows)."""
     flow = _flow_fn(cfg)
     multi = restored.shape[0] >= 2
     flows = frame_flows(restored, flow) if multi else None
@@ -168,9 +165,11 @@ def _metric_rows(cfg: RunConfig, restored: np.ndarray, gt: np.ndarray | None,
     if gt is not None:
         rows["psnr"] = psnr(gt, restored)
         rows["ssim"] = ssim(gt, restored)
-        rows["tof"] = tof(gt, restored, flow, gt_flows=gt_flows, restored_flows=flows) if multi else "n/a"
+        if multi and gt_flows is None:
+            gt_flows = frame_flows(gt, flow)
+        rows["tof"] = tof(gt_flows, flows) if multi else "n/a"
         rows["tlp"] = tlp(gt, restored) if multi else "n/a"
-    rows["we"] = warping_error(restored, flows=flows) if multi else "n/a"
+    rows["we"] = warping_error(restored, flows) if multi else "n/a"
     return rows
 
 
@@ -249,10 +248,10 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-# fixture spec key -> parser of its file value; each key is also a CLI flag
+# fixture spec key -> parser of its file or flag value; each key is also a CLI flag
 _FIXTURE_PARSERS = {
     "kind": str,
-    "size": parse_size,
+    "size": lambda value: parse_extents("size", value, 2),
     "frames": int,
     "channels": int,
     "shift": parse_shift,
@@ -260,40 +259,38 @@ _FIXTURE_PARSERS = {
 }
 
 
-def cmd_fixture(args: argparse.Namespace, cfg: RunConfig) -> int:
-    spec = {
-        "kind": "translate",
-        "size": (32, 32),
-        "frames": 8,
-        "channels": 3,
-        "shift": (1, 2),
-        "value": 0.5,
-    }
+def _fixture_spec(args: argparse.Namespace) -> dict:
+    """Defaults, then the --spec file, then flags; checked before anything runs."""
+    spec = {"kind": "translate", "size": (32, 32), "frames": 8, "channels": 3,
+            "shift": (1, 2), "value": 0.5}
     raw: dict = {}
     if args.spec:
         with open(args.spec, "r", encoding="ascii") as fh:
             raw = parse_config_text(fh.read(), source=args.spec, allowed=set(_FIXTURE_PARSERS))
     for key, parse in _FIXTURE_PARSERS.items():
-        if key in raw:
-            spec[key] = parse(raw[key])
-        if getattr(args, key) is not None:
-            spec[key] = getattr(args, key)
+        for value in (raw.get(key), getattr(args, key)):
+            if value is not None:
+                spec[key] = parse(value)
+    if spec["kind"] not in FIXTURE_KINDS:
+        raise ValueError(f"unknown fixture kind {spec['kind']!r}, expected one of {FIXTURE_KINDS}")
+    in_range("frames", spec["frames"], ge=1)
+    in_range("channels", spec["channels"], ge=1)
+    in_range("value", spec["value"])
+    return spec
 
+
+def cmd_fixture(args: argparse.Namespace, cfg: RunConfig) -> int:
+    spec = args.fixture_spec
     height, width = spec["size"]
     hr = synthetic_video(
         spec["kind"], spec["frames"], spec["channels"], height, width,
         shift=spec["shift"], value=spec["value"], seed=cfg.degradation.seed,
     )
     lr = degrade(hr, cfg.degradation)
-    os.makedirs(args.out, exist_ok=True)
     tio.write_tensor(os.path.join(args.out, "hr.dcvt"), hr)
     tio.write_tensor(os.path.join(args.out, "lr.dcvt"), lr)
     for sub, vid in (("hr", hr), ("lr", lr)):
-        frame_dir = os.path.join(args.out, sub)
-        os.makedirs(frame_dir, exist_ok=True)
-        tio.save_frames(frame_dir, np.clip(vid, 0.0, 1.0), fmt="ppm")
-        if args.pfm:
-            tio.save_frames(frame_dir, vid, fmt="pfm")
+        _write_frames(os.path.join(args.out, sub), vid, args.pfm)
     spec_lines = [
         f"kind={spec['kind']}",
         f"size={height}x{width}",
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants",
         default="sap+tap+dssag,sap+tap,none",
         metavar="CSV",
-        help="comma-separated '+'-joined toggles among sap,tap,dssag,sag,pag; 'none' = all off",
+        help=f"comma-separated '+'-joined toggles among {','.join(ABLATE_TOGGLES)}; 'none' = all off",
     )
     ablate.add_argument("--trace", metavar="PREFIX", help="write step traces to PREFIX.<variant>")
     _add_common(ablate)
@@ -368,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     fixture.add_argument("--out", required=True, help="output directory")
     fixture.add_argument("--spec", metavar="PATH", help="fixture spec file (key=value)")
     fixture.add_argument("--kind", choices=FIXTURE_KINDS)
-    fixture.add_argument("--size", type=parse_size, metavar="HxW")
+    fixture.add_argument("--size", metavar="HxW")
     fixture.add_argument("--frames", type=int, metavar="N")
     fixture.add_argument("--channels", type=int, metavar="N")
-    fixture.add_argument("--shift", type=parse_shift, metavar="DY,DX")
+    fixture.add_argument("--shift", metavar="DY,DX")
     fixture.add_argument("--value", type=float, metavar="V")
     fixture.add_argument("--pfm", action="store_true", help="also write float PFM frames")
     _add_common(fixture)
@@ -389,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # every verb echoes the resolved config before doing any work
         cfg = resolve_config(args.config, _common_overrides(args))
+        if args.command == "fixture":  # the fixture spec, too, is checked before the echo
+            args.fixture_spec = _fixture_spec(args)
         print("\n".join(["# resolved config", *echo_lines(cfg)]))
         return args.func(args, cfg)
     except NumericError as exc:

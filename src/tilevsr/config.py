@@ -25,14 +25,15 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def parse_tile(value: str) -> tuple[int, int, int]:
+def parse_extents(name: str, value: str, count: int) -> tuple[int, ...]:
+    """`count` extents >= 1 joined by 'x' or '×': HxW for 2, HxWxF for 3."""
     parts = value.lower().replace("×", "x").split("x")
-    if len(parts) != 3:
-        raise ValueError(f"tile must look like HxWxF, got {value!r}")
-    h, w, f = (int(p) for p in parts)
-    if h < 1 or w < 1 or f < 1:
-        raise ValueError(f"tile extents must be >= 1, got {value!r}")
-    return h, w, f
+    if len(parts) != count:
+        raise ValueError(f"{name} must look like {'x'.join('HWF'[:count])}, got {value!r}")
+    extents = tuple(int(p) for p in parts)
+    if min(extents) < 1:
+        raise ValueError(f"{name} extents must be >= 1, got {value!r}")
+    return extents
 
 
 @dataclass
@@ -105,7 +106,7 @@ def _key_table() -> dict:
 _KEYS = _key_table()
 # 'tile' is accepted as a composite HxWxF key covering tile_h/tile_w/tile_frames
 KNOWN_KEYS = set(_KEYS) | {"tile"}
-_TILE_KEYS = ("tile_h", "tile_w", "tile_frames")  # parse_tile's order
+_TILE_KEYS = ("tile_h", "tile_w", "tile_frames")  # the order of HxWxF
 
 
 def parse_config_text(text: str, source: str = "<config>", allowed: set | None = None) -> dict:
@@ -148,7 +149,7 @@ def _expand_tile(layer: dict, source: str) -> dict:
         raise ValueError(f"{source}: 'tile' and {', '.join(clash)} both set the tile size")
     expanded = dict(layer)
     tile = expanded.pop("tile")
-    expanded.update(zip(_TILE_KEYS, parse_tile(tile) if isinstance(tile, str) else tile))
+    expanded.update(zip(_TILE_KEYS, parse_extents("tile", tile, 3) if isinstance(tile, str) else tile))
     return expanded
 
 

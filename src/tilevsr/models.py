@@ -93,12 +93,11 @@ def _positions(gh: int, gw: int, embed_dim: int) -> np.ndarray:
 
 def check_toy_settings(patch_size: int, embed_dim: int, spatial_layers: int, cond_dim: int) -> None:
     """ToyAttentionDenoiser's architecture checks, for configs that build one later."""
-    if spatial_layers < 4:
-        raise ValueError(f"need >= 4 spatial layers for first-two/last-two hooks, got {spatial_layers}")
-    if patch_size < 1 or cond_dim < 1:
-        raise ValueError(f"patch_size and cond_dim must be >= 1, got {patch_size} and {cond_dim}")
-    if embed_dim < 2 or embed_dim % 2 != 0:
-        raise ValueError(f"embed_dim must be even and >= 2, got {embed_dim}")
+    in_range("spatial_layers", spatial_layers, ge=4)  # first-two/last-two hooks
+    in_range("patch_size", patch_size, ge=1)
+    in_range("cond_dim", cond_dim, ge=1)
+    if in_range("embed_dim", embed_dim, ge=2) % 2 != 0:
+        raise ValueError(f"embed_dim must be even, got {embed_dim}")
 
 
 class ToyAttentionDenoiser:

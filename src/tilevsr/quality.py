@@ -180,8 +180,8 @@ def _as_frame(frame: np.ndarray) -> np.ndarray:
 
 def check_flow_window(block: int, radius: int) -> None:
     """block_match_flow's block and search-radius checks."""
-    if block < 1 or radius < 0:
-        raise ValueError(f"bad block {block} or radius {radius}")
+    in_range("flow_block", block, ge=1)
+    in_range("flow_radius", radius, ge=0)
 
 
 def _block_starts(extent: int, block: int) -> np.ndarray:
@@ -274,45 +274,28 @@ def warp_frame(frame: np.ndarray, flow: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_pair(gt: np.ndarray, restored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gt = validate_video(np.asarray(gt, dtype=np.float64), "gt")
-    restored = validate_video(np.asarray(restored, dtype=np.float64), "restored")
-    if gt.shape != restored.shape:
-        raise ValueError(f"shape mismatch: gt {gt.shape} vs restored {restored.shape}")
-    if gt.shape[0] < 2:
-        raise ValueError("temporal metrics need at least 2 frames")
-    return gt, restored
-
-
-def frame_flows(video: np.ndarray, flow_fn=None) -> list[np.ndarray]:
+def frame_flows(video: np.ndarray, flow_fn) -> list[np.ndarray]:
     """float64 flow from each frame of a video to its successor, one flow_fn
     call per pair; entry i belongs to the pair (i, i + 1)."""
-    flow_fn = flow_fn or block_match_flow
     return [
         np.asarray(flow_fn(video[i], video[i + 1]), dtype=np.float64)
         for i in range(video.shape[0] - 1)
     ]
 
 
-def tof(gt: np.ndarray, restored: np.ndarray, flow_fn=None,
-        gt_flows: list | None = None, restored_flows: list | None = None) -> float:
+def tof(gt_flows: list[np.ndarray], restored_flows: list[np.ndarray]) -> float:
     """Temporal flow consistency: mean per-pixel L1 gap between the motion of
-    consecutive restored frames and the motion of the ground truth.
-
-    gt_flows / restored_flows take flows already computed by frame_flows;
-    the ones not given are computed here with flow_fn."""
-    gt, restored = _check_pair(gt, restored)
-    if gt_flows is None:
-        gt_flows = frame_flows(gt, flow_fn)
-    if restored_flows is None:
-        restored_flows = frame_flows(restored, flow_fn)
-    if not len(gt_flows) == len(restored_flows) == gt.shape[0] - 1:
-        raise ValueError(f"need {gt.shape[0] - 1} flows per video, got "
+    consecutive restored frames and the motion of the ground truth, each
+    given as the video's frame_flows."""
+    if not len(gt_flows) == len(restored_flows) >= 1:
+        raise ValueError(f"need the same number (>= 1) of flows per video, got "
                          f"{len(gt_flows)} gt and {len(restored_flows)} restored")
-    gaps = [
-        float(np.abs(flow_r - flow_g).sum(axis=0).mean())
-        for flow_r, flow_g in zip(restored_flows, gt_flows)
-    ]
+    gaps = []
+    for i, (flow_r, flow_g) in enumerate(zip(restored_flows, gt_flows)):
+        if np.shape(flow_r) != np.shape(flow_g):
+            raise ValueError(f"flow {i} shape mismatch: gt {np.shape(flow_g)} "
+                             f"vs restored {np.shape(flow_r)}")
+        gaps.append(float(np.abs(flow_r - flow_g).sum(axis=0).mean()))
     return float(np.mean(gaps))
 
 
@@ -320,7 +303,12 @@ def tlp(gt: np.ndarray, restored: np.ndarray) -> float:
     """Temporal perceptual-gap consistency: the gap between the mean absolute
     difference of consecutive restored frames and of consecutive ground-truth
     frames, averaged over frame pairs."""
-    gt, restored = _check_pair(gt, restored)
+    gt = validate_video(np.asarray(gt, dtype=np.float64), "gt")
+    restored = validate_video(np.asarray(restored, dtype=np.float64), "restored")
+    if gt.shape != restored.shape:
+        raise ValueError(f"shape mismatch: gt {gt.shape} vs restored {restored.shape}")
+    if gt.shape[0] < 2:
+        raise ValueError("temporal metrics need at least 2 frames")
     gaps = []
     for i in range(1, gt.shape[0]):
         d_r = float(np.abs(restored[i - 1] - restored[i]).mean())
@@ -329,16 +317,12 @@ def tlp(gt: np.ndarray, restored: np.ndarray) -> float:
     return float(np.mean(gaps))
 
 
-def warping_error(video: np.ndarray, flows: list | None = None) -> float:
-    """Mean absolute residual after warping each frame onto its successor.
-
-    flows takes the video's flows already computed by frame_flows; without
-    it they are computed here with block_match_flow."""
+def warping_error(video: np.ndarray, flows: list[np.ndarray]) -> float:
+    """Mean absolute residual after warping each frame onto its successor
+    along the video's frame_flows."""
     video = validate_video(np.asarray(video, dtype=np.float64))
     if video.shape[0] < 2:
         raise ValueError("warping error needs at least 2 frames")
-    if flows is None:
-        flows = frame_flows(video)
     if len(flows) != video.shape[0] - 1:
         raise ValueError(f"need {video.shape[0] - 1} flows, got {len(flows)}")
     errs = []

@@ -36,42 +36,14 @@ class NumericError(RuntimeError):
 # ---------------------------------------------------------------------------
 # schedule / preconditioning / ODE step
 
-@dataclass(frozen=True)
-class SigmaSchedule:
-    """T+1 strictly descending positive noise levels."""
-
-    sigmas: np.ndarray
-    exponent: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=np.float64))
-        if self.sigmas.ndim != 1 or len(self.sigmas) < 2:
-            raise ValueError("schedule needs at least 2 sigmas")
-        if not np.all(self.sigmas > 0):
-            raise ValueError("all sigmas must be positive")
-        if not np.all(np.diff(self.sigmas) < 0):
-            raise ValueError("sigmas must be strictly descending")
-
-    @property
-    def steps(self) -> int:
-        return len(self.sigmas) - 1
-
-    @property
-    def sigma_max(self) -> float:
-        return float(self.sigmas[0])
-
-    @property
-    def sigma_min(self) -> float:
-        return float(self.sigmas[-1])
-
-
 def build_sigma_schedule(
     steps: int,
     sigma_min: float = 0.002,
     sigma_max: float = 700.0,
     exponent: float = 7.0,
-) -> SigmaSchedule:
-    """sigma_i = (max^(1/e) + (i/T) * (min^(1/e) - max^(1/e)))^e, endpoints exact."""
+) -> np.ndarray:
+    """The T+1 float64 sigmas, strictly descending:
+    sigma_i = (max^(1/e) + (i/T) * (min^(1/e) - max^(1/e)))^e, endpoints exact."""
     steps = int(in_range("steps", steps, ge=1))
     in_range("sigma_min", sigma_min, gt=0)
     in_range("sigma_max", sigma_max, gt=sigma_min)
@@ -82,7 +54,9 @@ def build_sigma_schedule(
     sigmas = (inv_max + ramp * (inv_min - inv_max)) ** exponent
     sigmas[0] = sigma_max
     sigmas[-1] = sigma_min
-    return SigmaSchedule(sigmas=sigmas, exponent=float(exponent))
+    if not np.all(np.diff(sigmas) < 0):
+        raise ValueError("sigmas must be strictly descending")
+    return sigmas
 
 
 @dataclass(frozen=True)
@@ -380,18 +354,18 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
     )
     grid = plan_tiles((2 * n_frames, lat_h, lat_w), eff_tile)
     mask = gaussian_mask(eff_tile, cfg.mask_sigma_fraction)
-    schedule = build_sigma_schedule(cfg.steps, cfg.sigma_min, cfg.sigma_max, cfg.schedule_exponent)
+    sigmas = build_sigma_schedule(cfg.steps, cfg.sigma_min, cfg.sigma_max, cfg.schedule_exponent)
 
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((n_frames, channels, lat_h, lat_w)) * schedule.sigma_max
+    x = rng.standard_normal((n_frames, channels, lat_h, lat_w)) * float(sigmas[0])
 
     stats = RunStats()
     trace: list[str] = []
     tap_forward = True
     for step in range(cfg.steps):
-        sigma = float(schedule.sigmas[step])
-        sigma_next = float(schedule.sigmas[step + 1])
-        gamma_t = gamma_schedule(sigma, schedule.sigma_max, schedule.sigma_min, cfg.guidance.rho)
+        sigma = float(sigmas[step])
+        sigma_next = float(sigmas[step + 1])
+        gamma_t = gamma_schedule(sigma, float(sigmas[0]), float(sigmas[-1]), cfg.guidance.rho)
         slot = "sap" if step % 2 == 0 else "tap"
         direction = "-"
         y = interleave(x, l)

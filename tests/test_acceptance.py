@@ -23,6 +23,7 @@ from tilevsr.guidance import GuidanceConfig, combine, gamma_schedule
 from tilevsr.models import AnalyticGaussianDenoiser, ToyAttentionDenoiser, ToyCodec
 from tilevsr.quality import (
     block_match_flow,
+    frame_flows,
     psnr,
     ssim,
     tlp,
@@ -285,9 +286,10 @@ def test_08_consistency_metrics_hit_ideal_exact_and_hand_computed_values():
     static = np.stack([rng.uniform(0.0, 1.0, size=(1, 16, 16))] * 3)
     assert psnr(static, static.copy()) == 99.0
     assert ssim(static, static.copy()) == 1.0
-    assert tof(static, static.copy()) == 0.0
+    static_flows = frame_flows(static, block_match_flow)
+    assert tof(static_flows, frame_flows(static.copy(), block_match_flow)) == 0.0
     assert tlp(static, static.copy()) == 0.0
-    assert warping_error(static) == 0.0
+    assert warping_error(static, static_flows) == 0.0
 
     f1 = rng.uniform(0.0, 1.0, size=(24, 24))
     dy, dx = 1, 2
@@ -300,27 +302,14 @@ def test_08_consistency_metrics_hit_ideal_exact_and_hand_computed_values():
     assert np.max(residual) == 0.0
 
     def constant_flow(dy_, dx_):
-        def fn(a, b, **kw):
-            h, w = a.shape[-2:]
-            out = np.zeros((2, h, w), dtype=np.int64)
-            out[0] = dy_
-            out[1] = dx_
-            return out
-        return fn
+        out = np.zeros((2, 4, 4), dtype=np.int64)
+        out[0] = dy_
+        out[1] = dx_
+        return out
 
-    gt = np.zeros((3, 1, 4, 4))
-    restored = np.ones((3, 1, 4, 4)) * 0.5
-    calls = {"n": 0}
-    gt_flows = [(1, 0), (1, 0)]
-    restored_flows = [(0, -1), (2, 1)]
-
-    def flow_fn(a, b, **kw):
-        idx = calls["n"]
-        calls["n"] += 1
-        src = restored_flows if np.allclose(a, 0.5) else gt_flows
-        return constant_flow(*src[idx % 2])(a, b)
-
-    flow_gap = abs(tof(gt, restored, flow_fn=flow_fn) - 2.0)
+    gt_flows = [constant_flow(1, 0), constant_flow(1, 0)]
+    restored_flows = [constant_flow(0, -1), constant_flow(2, 1)]
+    flow_gap = abs(tof(gt_flows, restored_flows) - 2.0)
     assert flow_gap <= 1e-6
 
     levels = [0.0, 0.1, 0.4]

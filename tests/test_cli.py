@@ -7,6 +7,7 @@ import pytest
 
 from tilevsr import cli
 from tilevsr import io as tio
+from tilevsr.guidance import GUIDANCE_MODES
 from tilevsr.sampler import NumericError
 
 # small-but-real sampling setup shared by the upscale/ablate tests: a couple
@@ -128,6 +129,29 @@ def test_fixture_rejects_unknown_kind(tmp_path, capsys):
     )
     assert rc == 2
     assert "" == err or "error" in err  # argparse choices reject before main body
+
+
+@pytest.mark.parametrize("flags, spec_text", [
+    pytest.param(["--value", "nan"], None, id="value-nan"),
+    pytest.param(["--value", "inf"], None, id="value-inf"),
+    pytest.param(["--frames", "0"], None, id="frames-0"),
+    pytest.param(["--channels", "0"], None, id="channels-0"),
+    pytest.param(["--size", "0x8"], None, id="size-0x8"),
+    pytest.param([], "kind = constant\nvalue = nan\n", id="spec-value-nan"),
+    pytest.param([], "kind = foo\n", id="spec-kind-foo"),
+])
+def test_invalid_fixture_spec_exits_2_before_the_echo(tmp_path, capsys, flags, spec_text):
+    argv = ["fixture", "--out", str(tmp_path / "fv"), "--kind", "constant", "--size", "8x8",
+            "--frames", "1", *flags]
+    if spec_text is not None:
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(spec_text)
+        argv = ["fixture", "--out", str(tmp_path / "fv"), "--spec", str(spec)]
+    rc, stdout, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ([] if spec_text is None else ["spec.cfg"])
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +473,21 @@ def test_parse_variant_canonical_forms():
         "pag", {"sap": False, "tap": False, "guidance": "pag"})
     with pytest.raises(ValueError):
         cli.parse_variant("warp")
+
+
+@pytest.mark.parametrize("mode", [m for m in GUIDANCE_MODES if m != "none"])
+def test_parse_variant_accepts_every_guidance_mode(mode):
+    assert cli.parse_variant(f"sap+{mode}") == (
+        f"sap+{mode}", {"sap": True, "tap": False, "guidance": mode})
+
+
+def test_ablate_runs_the_default_guidance_mode(tmp_path, tiny_cfg, tiny_input, capsys):
+    rc, stdout, _ = run_cli(
+        capsys, "ablate", tiny_input, "--config", tiny_cfg, "--steps", "1",
+        "--variants", "sap+tap+cfg_dssag",
+    )
+    assert rc == 0
+    assert "variant=sap+tap+cfg_dssag " in stdout
 
 
 # ---------------------------------------------------------------------------

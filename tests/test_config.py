@@ -11,7 +11,7 @@ from tilevsr.config import (
     RunConfig,
     echo_lines,
     parse_config_text,
-    parse_tile,
+    parse_extents,
     resolve_config,
 )
 from tilevsr.guidance import GuidanceConfig
@@ -36,11 +36,16 @@ def test_defaults_match_documented_values():
 
 
 def test_parse_tile_formats():
-    assert parse_tile("32x48x6") == (32, 48, 6)
-    assert parse_tile("64×64×14") == (64, 64, 14)
+    assert parse_extents("tile", "32x48x6", 3) == (32, 48, 6)
+    assert parse_extents("tile", "64×64×14", 3) == (64, 64, 14)
+    assert parse_extents("size", "32X48", 2) == (32, 48)
+    assert parse_extents("size", "8×6", 2) == (8, 6)
     for bad in ("32x48", "axbxc", "0x4x4", "4x4x4x4", ""):
         with pytest.raises(ValueError):
-            parse_tile(bad)
+            parse_extents("tile", bad, 3)
+    for bad in ("32x48x6", "axb", "0x4", "4x-1", "4", ""):
+        with pytest.raises(ValueError):
+            parse_extents("size", bad, 2)
 
 
 def test_parse_config_text_basics():
@@ -364,3 +369,11 @@ def test_float_keys_are_every_float_field():
 def test_component_checks_run_at_resolve(overrides):
     with pytest.raises(ValueError):
         resolve_config(None, overrides)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["patch_size", "embed_dim", "spatial_layers", "cond_dim",
+                                 "flow_block", "flow_radius"])
+def test_denoiser_and_flow_settings_reject_nan_and_inf(key, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        RunConfig(**{key: value})

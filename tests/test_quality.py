@@ -8,6 +8,7 @@ from tilevsr.quality import (
     bicubic_resize,
     block_match_flow,
     degrade,
+    frame_flows,
     gaussian_blur,
     psnr,
     quantize,
@@ -262,32 +263,20 @@ def test_warp_fractional_flow_shifts_a_ramp():
 
 # --- temporal consistency ---------------------------------------------------
 
-def constant_flow_fn(dy, dx):
-    def fn(f1, f2, **kw):
-        h, w = np.asarray(f1).shape[-2:]
-        flow = np.zeros((2, h, w))
-        flow[0], flow[1] = dy, dx
-        return flow
-    return fn
+def constant_flow(dy, dx, h=4, w=4):
+    flow = np.zeros((2, h, w))
+    flow[0], flow[1] = dy, dx
+    return flow
+
+
+def flows_of(video):
+    return frame_flows(video, block_match_flow)
 
 
 def test_tof_hand_arithmetic_with_stub_flows():
-    gt = np.zeros((3, 1, 4, 4))
-    restored = np.ones((3, 1, 4, 4)) * 0.5
-
-    calls = {"n": 0}
-    gt_flows = [(1, 0), (1, 0)]
-    restored_flows = [(0, -1), (2, 1)]
-
-    def flow_fn(f1, f2, **kw):
-        idx = calls["n"]
-        calls["n"] += 1
-        # tof walks restored pairs first or gt first; encode both by value
-        src = restored_flows if np.allclose(f1, 0.5) else gt_flows
-        dy, dx = src[idx % 2]
-        return constant_flow_fn(dy, dx)(f1, f2)
-
-    got = tof(gt, restored, flow_fn=flow_fn)
+    gt_flows = [constant_flow(1, 0), constant_flow(1, 0)]
+    restored_flows = [constant_flow(0, -1), constant_flow(2, 1)]
+    got = tof(gt_flows, restored_flows)
     # per pair |dy_r - dy_g| + |dx_r - dx_g| = (1 + 1) and (1 + 1)
     assert abs(got - 2.0) < 1e-6
 
@@ -295,7 +284,18 @@ def test_tof_hand_arithmetic_with_stub_flows():
 def test_tof_identical_videos_is_zero():
     rng = np.random.default_rng(15)
     video = rng.uniform(0.0, 1.0, size=(3, 1, 16, 16))
-    assert tof(video, video.copy()) == 0.0
+    assert tof(flows_of(video), flows_of(video.copy())) == 0.0
+
+
+def test_tof_rejects_flow_lists_of_unequal_length_or_pair_shape():
+    flows = [constant_flow(0, 1), constant_flow(1, 0)]
+    with pytest.raises(ValueError, match="flows"):
+        tof(flows, flows[:1])
+    with pytest.raises(ValueError, match="flows"):
+        tof([], [])
+    # (2, 1, 4) would broadcast against (2, 4, 4) into a gap of 2.0
+    with pytest.raises(ValueError, match="shape"):
+        tof([np.zeros((2, 4, 4))], [np.ones((2, 1, 4))])
 
 
 def test_tlp_hand_arithmetic():
@@ -323,7 +323,7 @@ def test_tlp_identical_videos_is_zero():
 def test_warping_error_static_video_is_zero():
     frame = np.random.default_rng(17).uniform(0.0, 1.0, size=(1, 16, 16))
     video = np.stack([frame] * 4)
-    assert warping_error(video) == 0.0
+    assert warping_error(video, flows_of(video)) == 0.0
 
 
 def test_warping_error_translation_interior_residual_is_zero():
@@ -342,18 +342,18 @@ def test_warping_error_translation_interior_residual_is_zero():
 def test_warping_error_positive_for_uncorrelated_frames():
     rng = np.random.default_rng(19)
     video = rng.uniform(0.0, 1.0, size=(3, 1, 16, 16))
-    assert warping_error(video) > 0.0
+    assert warping_error(video, flows_of(video)) > 0.0
 
 
 def test_metric_pairs_need_two_frames_and_matching_shapes():
     one = np.zeros((1, 1, 8, 8))
     with pytest.raises(ValueError):
-        tof(one, one)
+        tof(flows_of(one), flows_of(one))
     with pytest.raises(ValueError):
         tlp(one, one)
     with pytest.raises(ValueError):
-        warping_error(one)
+        warping_error(one, flows_of(one))
     a = np.zeros((3, 1, 8, 8))
     b = np.zeros((3, 1, 8, 9))
     with pytest.raises(ValueError):
-        tof(a, b)
+        tof(flows_of(a), flows_of(b))

@@ -164,11 +164,14 @@ def test_precomputed_flows_give_the_same_tof_and_warping_error():
     rng = np.random.default_rng(6)
     gt = rng.uniform(0.0, 1.0, (4, 2, 16, 16))
     restored = np.roll(gt, (0, 1), axis=(2, 3)) + rng.normal(0.0, 0.02, gt.shape)
-    gt_flows, flows = frame_flows(gt), frame_flows(restored)
+    gt_flows = frame_flows(gt, block_match_flow)
+    flows = frame_flows(restored, block_match_flow)
     assert len(flows) == 3 and all(f.dtype == np.float64 for f in flows)
-    assert tof(gt, restored, gt_flows=gt_flows, restored_flows=flows) == tof(gt, restored)
-    assert warping_error(restored, flows=flows) == warping_error(restored)
+    # the same values from the per-block reference flows
+    ref_flows = frame_flows(restored, loop_block_match_flow)
+    assert tof(gt_flows, flows) == tof(frame_flows(gt, loop_block_match_flow), ref_flows)
+    assert warping_error(restored, flows) == warping_error(restored, ref_flows)
     with pytest.raises(ValueError, match="flows"):
-        warping_error(restored, flows=flows[:2])
+        warping_error(restored, flows[:2])
     with pytest.raises(ValueError, match="flows"):
-        tof(gt, restored, gt_flows=gt_flows[:2], restored_flows=flows)
+        tof(gt_flows[:2], flows)

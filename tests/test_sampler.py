@@ -54,16 +54,17 @@ def pipe_cfg(**kw):
 # --- sigma schedule ---------------------------------------------------------
 
 def test_schedule_endpoints_are_exact():
-    sched = build_sigma_schedule(25)
-    assert len(sched.sigmas) == 26
-    assert sched.sigmas[0] == 700.0
-    assert sched.sigmas[-1] == 0.002
-    assert np.all(np.diff(sched.sigmas) < 0)
+    sigmas = build_sigma_schedule(25)
+    assert sigmas.dtype == np.float64
+    assert len(sigmas) == 26
+    assert sigmas[0] == 700.0
+    assert sigmas[-1] == 0.002
+    assert np.all(np.diff(sigmas) < 0)
 
 
 def test_schedule_linear_case():
-    sched = build_sigma_schedule(2, sigma_min=1.0, sigma_max=3.0, exponent=1.0)
-    assert np.allclose(sched.sigmas, [3.0, 2.0, 1.0], atol=1e-12)
+    sigmas = build_sigma_schedule(2, sigma_min=1.0, sigma_max=3.0, exponent=1.0)
+    assert np.allclose(sigmas, [3.0, 2.0, 1.0], atol=1e-12)
 
 
 def test_schedule_validation():
@@ -73,6 +74,12 @@ def test_schedule_validation():
         build_sigma_schedule(5, sigma_min=2.0, sigma_max=1.0)
     with pytest.raises(ValueError):
         build_sigma_schedule(5, sigma_min=0.0, sigma_max=1.0)
+
+
+def test_schedule_rejects_steps_too_fine_to_descend():
+    # 1000 steps across a gap of 1e-12 round to repeated sigmas
+    with pytest.raises(ValueError, match="strictly descending"):
+        build_sigma_schedule(1000, 1.0, 1.0 + 1e-12)
 
 
 # --- preconditioning --------------------------------------------------------
@@ -155,10 +162,10 @@ def test_single_tile_matches_untiled_reference():
 
     # hand-rolled reference without any tiling machinery
     l = codec.encode(lr.astype(np.float64))
-    sched = build_sigma_schedule(5, 0.1, 80.0, 7.0)
+    sigmas = build_sigma_schedule(5, 0.1, 80.0, 7.0)
     x = np.random.default_rng(0).standard_normal(l.shape) * 80.0
     for i in range(5):
-        sigma, sigma_next = float(sched.sigmas[i]), float(sched.sigmas[i + 1])
+        sigma, sigma_next = float(sigmas[i]), float(sigmas[i + 1])
         y = interleave(x, l)
         res = toy.denoise(y, toy.cond_vector, sigma)
         eps = (y - res.denoised) / sigma

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tilevsr.attention import attend, scaled_scores
 from tilevsr.guidance import GuidanceConfig, gamma_schedule, sag_input
 from tilevsr.models import AnalyticGaussianDenoiser, ToyAttentionDenoiser
-from tilevsr.quality import bicubic_resize, gaussian_blur, quantize
+from tilevsr.quality import bicubic_resize, block_match_flow, gaussian_blur, quantize
 from tilevsr.sampler import build_sigma_schedule, ode_step, precondition
 from tilevsr.tiles import (
     Tile,
@@ -324,3 +324,20 @@ _TOY = ToyAttentionDenoiser(channels=1, embed_dim=8, cond_dim=4)
 def test_public_functions_reject_nan_settings(call):
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+_F = np.zeros((1, 8, 8))
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: ToyAttentionDenoiser(channels=1, patch_size=v), id="toy-patch_size"),
+    pytest.param(lambda v: ToyAttentionDenoiser(channels=1, embed_dim=v), id="toy-embed_dim"),
+    pytest.param(lambda v: ToyAttentionDenoiser(channels=1, spatial_layers=v), id="toy-spatial_layers"),
+    pytest.param(lambda v: ToyAttentionDenoiser(channels=1, cond_dim=v), id="toy-cond_dim"),
+    pytest.param(lambda v: block_match_flow(_F, _F, block=v), id="block_match_flow-block"),
+    pytest.param(lambda v: block_match_flow(_F, _F, radius=v), id="block_match_flow-radius"),
+])
+def test_architecture_and_flow_window_reject_nan_and_inf(call, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(value)
