@@ -9,6 +9,8 @@ by step and serve as its reference.
 """
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,32 @@ from .tiles import in_range
 # are scored together up to this many bytes (one matrix when it alone is
 # larger), so memory stays bounded however many injected rows arrive.
 SCORE_BLOCK_BYTES = 2 * 1024 * 1024
+
+# attend's score and [K; K_inj] / [V; V_inj] buffers, kept per thread (tiles
+# may run on worker threads). Allocated per call, a buffer of a megabyte or
+# so is mapped and faulted in afresh whenever the C allocator serves it by
+# mmap, which it does unless earlier large frees happened to raise its
+# threshold. A buffer larger than SCORE_BLOCK_BYTES (one matrix too large to
+# share a block) is allocated per call and not kept, so a thread keeps at
+# most three buffers of SCORE_BLOCK_BYTES each between calls.
+_workspace = threading.local()
+
+
+def _scratch(name: str, shape: tuple) -> np.ndarray:
+    """This thread's float64 buffer `name`, viewed as a C-contiguous `shape`.
+
+    A kept buffer only grows, up to SCORE_BLOCK_BYTES; a larger request gets
+    a fresh array. Contents are whatever the last call left: write before
+    reading.
+    """
+    size = math.prod(shape)
+    if size * 8 > SCORE_BLOCK_BYTES:
+        return np.empty(shape)
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
 
 
 def scaled_scores(q: np.ndarray, k: np.ndarray, gamma: float = 0.0) -> np.ndarray:
@@ -52,8 +80,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     with k2, v2 = extend_kv(k, v, injected), in float64, but without the
     batch-wide k2, v2 or score tensor. Leading axes are walked in blocks of
     whole (queries x keys) matrices holding at most SCORE_BLOCK_BYTES of
-    scores. The buffers are reused from block to block: [K; K_inj] and
-    [V; V_inj] get the injected rows, shared by every matrix, written once.
+    scores. The buffers are reused from block to block, and from call to
+    call within a thread: [K; K_inj] and [V; V_inj] get the injected rows,
+    shared by every matrix, written once per call.
     The temper takes kmax over own and injected keys apart (max is exact);
     division, max shift, exp and row normalisation run in place. Every GEMM
     keeps the reference's per-matrix shape, (nq x d)(d x keys) and
@@ -88,13 +117,13 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
     block = min(per_block, n_mat)
 
-    weights = np.empty((block, nq, n_keys))
+    weights = _scratch("weights", (block, nq, n_keys))
     out = np.empty((n_mat, nq, dv))
     means = np.empty((n_mat, nk)) if own_key_means else None
     root_d = np.sqrt(d)
     if n_inj:
         inj_kmax = np.max(np.abs(injected.keys))
-        k_ext = np.empty((block, n_keys, d))
+        k_ext = _scratch("k_ext", (block, n_keys, d))
         k_ext[:, nk:] = injected.keys
         if nk == 1:
             # With one own row per matrix, np.concatenate interleaves the
@@ -102,7 +131,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
             # stride: take the reference's own [V; V_inj] to keep its bits.
             v_all = extend_kv(ks, vs, injected)[1]
         else:
-            v_ext = np.empty((block, n_keys, dv))
+            v_ext = _scratch("v_ext", (block, n_keys, dv))
             v_ext[:, nk:] = injected.values
     for start in range(0, n_mat, per_block):
         stop = min(start + per_block, n_mat)

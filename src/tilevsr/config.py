@@ -14,6 +14,7 @@ from .guidance import GuidanceConfig
 from .models import ToyAttentionDenoiser, ToyCodec, check_toy_settings
 from .quality import DegradationConfig, check_flow_window
 from .sampler import PipelineConfig
+from .tiles import int_in_range
 
 
 def _parse_bool(value: str) -> bool:
@@ -64,8 +65,10 @@ class RunConfig:
                 f"pipeline seed {self.pipeline.seed} and degradation seed "
                 f"{self.degradation.seed} differ; the config key 'seed' sets both"
             )
-        check_toy_settings(self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim)
-        check_flow_window(self.flow_block, self.flow_radius)
+        self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim = check_toy_settings(
+            self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim)
+        self.flow_block, self.flow_radius = check_flow_window(self.flow_block, self.flow_radius)
+        self.denoiser_seed = int_in_range("denoiser_seed", self.denoiser_seed, ge=0)
 
     def build_denoiser(self, channels: int) -> ToyAttentionDenoiser:
         return ToyAttentionDenoiser(

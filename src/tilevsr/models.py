@@ -15,7 +15,7 @@ from .attention import attend
 # benchmark's outside-in tracer (perfbench/tracer.py) wraps these names here.
 from .attention import extend_kv, scaled_scores, softmax_rows  # noqa: F401
 from .sampler import precondition
-from .tiles import in_range
+from .tiles import in_range, int_in_range
 
 
 @dataclass
@@ -91,13 +91,17 @@ def _positions(gh: int, gw: int, embed_dim: int) -> np.ndarray:
     return table
 
 
-def check_toy_settings(patch_size: int, embed_dim: int, spatial_layers: int, cond_dim: int) -> None:
-    """ToyAttentionDenoiser's architecture checks, for configs that build one later."""
-    in_range("spatial_layers", spatial_layers, ge=4)  # first-two/last-two hooks
-    in_range("patch_size", patch_size, ge=1)
-    in_range("cond_dim", cond_dim, ge=1)
-    if in_range("embed_dim", embed_dim, ge=2) % 2 != 0:
+def check_toy_settings(patch_size: int, embed_dim: int, spatial_layers: int,
+                       cond_dim: int) -> tuple[int, int, int, int]:
+    """ToyAttentionDenoiser's architecture checks, for configs that build one
+    later. Returns the four settings as ints, in argument order."""
+    spatial_layers = int_in_range("spatial_layers", spatial_layers, ge=4)  # first-two/last-two hooks
+    patch_size = int_in_range("patch_size", patch_size, ge=1)
+    cond_dim = int_in_range("cond_dim", cond_dim, ge=1)
+    embed_dim = int_in_range("embed_dim", embed_dim, ge=2)
+    if embed_dim % 2 != 0:
         raise ValueError(f"embed_dim must be even, got {embed_dim}")
+    return patch_size, embed_dim, spatial_layers, cond_dim
 
 
 class ToyAttentionDenoiser:
@@ -117,16 +121,15 @@ class ToyAttentionDenoiser:
     def __init__(self, seed: int = 1234, channels: int = 3, patch_size: int = 4,
                  embed_dim: int = 32, spatial_layers: int = 4, cond_dim: int = 8,
                  sigma_data: float = 0.5):
-        check_toy_settings(patch_size, embed_dim, spatial_layers, cond_dim)
-        if channels < 1:
-            raise ValueError(f"channels must be >= 1, got {channels}")
+        patch_size, embed_dim, spatial_layers, cond_dim = check_toy_settings(
+            patch_size, embed_dim, spatial_layers, cond_dim)
         in_range("sigma_data", sigma_data, gt=0)
-        self.seed = int(seed)
-        self.channels = int(channels)
-        self.patch_size = int(patch_size)
-        self.embed_dim = int(embed_dim)
-        self.spatial_layers = int(spatial_layers)
-        self.cond_dim = int(cond_dim)
+        self.seed = int_in_range("seed", seed, ge=0)
+        self.channels = int_in_range("channels", channels, ge=1)
+        self.patch_size = patch_size
+        self.embed_dim = embed_dim
+        self.spatial_layers = spatial_layers
+        self.cond_dim = cond_dim
         self.sigma_data = float(sigma_data)
 
         rng = np.random.default_rng(self.seed)
@@ -260,8 +263,8 @@ class ToyCodec:
     factor: int = 8
 
     def __post_init__(self):
-        f = int(self.factor)
-        if f < 1 or (f & (f - 1)) != 0:
+        f = int_in_range("codec_factor", self.factor, ge=1)
+        if f & (f - 1) != 0:
             raise ValueError(f"codec factor must be a power of two >= 1, got {self.factor}")
         self.factor = f
 
@@ -272,9 +275,10 @@ class ToyCodec:
         f = self.factor
         if x.shape[-2] % f != 0 or x.shape[-1] % f != 0:
             raise ValueError(f"spatial dims {x.shape[-2]}x{x.shape[-1]} not divisible by factor {f}")
-        out = x.copy()
-        steps = int(np.log2(f))
-        for _ in range(steps):
+        if f == 1:
+            return x.copy()
+        out = x  # the first halving allocates
+        for _ in range(int(np.log2(f))):
             out = (out[..., 0::2, :] + out[..., 1::2, :]) * 0.5
             out = (out[..., :, 0::2] + out[..., :, 1::2]) * 0.5
         return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tiles import in_range, validate_video
+from .tiles import in_range, int_in_range, validate_video
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +55,31 @@ def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
 
 
 def _resample_axis(arr: np.ndarray, out_n: int, scale: float, axis: int) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, -1)
-    n = moved.shape[-1]
+    """Resample axis -1 or -2 to out_n samples, one leading plane at a time.
+
+    Each output sample starts at +0.0 and adds its weighted taps t_j * w_j
+    in tap order, as `.sum(-1)` adds a 4-tap gather (+0.0 first, so an all
+    -0.0 sum is +0.0): the bits match gathering every tap at once, while the
+    memory beyond the output is one plane's tap.
+    """
+    n = arr.shape[axis]
     src = (np.arange(out_n, dtype=np.float64) + 0.5) / scale - 0.5
     base = np.floor(src).astype(np.int64)
     weights = _catmull_rom_weights(src - base)
+    if axis == -2:
+        weights = weights[:, None]  # broadcast over the columns
     taps = np.clip(base[:, None] + np.array([-1, 0, 1, 2]), 0, n - 1)
-    gathered = moved[..., taps]  # (..., out_n, 4)
-    out = (gathered * weights).sum(axis=-1)
-    return np.moveaxis(out, -1, axis)
+    shape = list(arr.shape)
+    shape[axis] = out_n
+    out = np.zeros(shape)
+    tap = np.empty(shape[-2:])
+    for i in np.ndindex(arr.shape[:-2]):
+        plane, acc = arr[i], out[i]
+        for j in range(4):
+            np.take(plane, taps[:, j], axis=axis, out=tap, mode="clip")  # taps are clipped
+            tap *= weights[..., j]
+            acc += tap
+    return out
 
 
 def bicubic_resize(arr: np.ndarray, scale: float) -> np.ndarray:
@@ -96,8 +112,9 @@ class DegradationConfig:
     def __post_init__(self):
         in_range("blur_sigma", self.blur_sigma, ge=0)
         in_range("noise_sigma", self.noise_sigma, ge=0)
-        self.down_factor = int(in_range("down_factor", self.down_factor, ge=1))
-        self.quant_levels = int(in_range("quant_levels", self.quant_levels, ge=2))
+        self.down_factor = int_in_range("down_factor", self.down_factor, ge=1)
+        self.quant_levels = int_in_range("quant_levels", self.quant_levels, ge=2)
+        self.seed = int_in_range("seed", self.seed, ge=0)
 
 
 def quantize(arr: np.ndarray, levels: int) -> np.ndarray:
@@ -110,7 +127,10 @@ def degrade(video: np.ndarray, cfg: DegradationConfig) -> np.ndarray:
     """Blur -> bicubic downscale -> seeded noise (clamped) -> quantize."""
     x = validate_video(video).astype(np.float64)
     if cfg.blur_sigma > 0:
-        x = gaussian_blur(x, cfg.blur_sigma)
+        # frame by frame, in place (x is our copy): the blur's temporaries
+        # stay one frame in size
+        for t in range(len(x)):
+            x[t] = gaussian_blur(x[t], cfg.blur_sigma)
     if cfg.down_factor > 1:
         x = bicubic_resize(x, 1.0 / cfg.down_factor)
     if cfg.noise_sigma > 0:
@@ -178,10 +198,9 @@ def _as_frame(frame: np.ndarray) -> np.ndarray:
     return frame
 
 
-def check_flow_window(block: int, radius: int) -> None:
-    """block_match_flow's block and search-radius checks."""
-    in_range("flow_block", block, ge=1)
-    in_range("flow_radius", radius, ge=0)
+def check_flow_window(block: int, radius: int) -> tuple[int, int]:
+    """block_match_flow's block and search-radius checks; returns both as ints."""
+    return int_in_range("flow_block", block, ge=1), int_in_range("flow_radius", radius, ge=0)
 
 
 def _block_starts(extent: int, block: int) -> np.ndarray:
@@ -210,7 +229,7 @@ def block_match_flow(f1: np.ndarray, f2: np.ndarray, block: int = 8, radius: int
     f2 = _as_frame(f2)
     if f1.shape != f2.shape:
         raise ValueError(f"shape mismatch: {f1.shape} vs {f2.shape}")
-    check_flow_window(block, radius)
+    block, radius = check_flow_window(block, radius)
     c, h, w = f1.shape
     if h < block or w < block:
         raise ValueError(f"frame {h}x{w} smaller than block {block}")

@@ -25,7 +25,8 @@ from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsam
 from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
 from .tiles import (
-    Tile, deinterleave, gaussian_mask, in_range, interleave, merge, plan_tiles, split, validate_video,
+    Tile, deinterleave, gaussian_mask, in_range, int_in_range, interleave, merge, plan_tiles, split,
+    validate_video,
 )
 
 
@@ -44,7 +45,7 @@ def build_sigma_schedule(
 ) -> np.ndarray:
     """The T+1 float64 sigmas, strictly descending:
     sigma_i = (max^(1/e) + (i/T) * (min^(1/e) - max^(1/e)))^e, endpoints exact."""
-    steps = int(in_range("steps", steps, ge=1))
+    steps = int_in_range("steps", steps, ge=1)
     in_range("sigma_min", sigma_min, gt=0)
     in_range("sigma_max", sigma_max, gt=sigma_min)
     in_range("exponent", exponent, gt=0)
@@ -121,7 +122,8 @@ class PipelineConfig:
     def __post_init__(self):
         for name in ("steps", "tile_frames", "tile_h", "tile_w", "sap_rate", "tap_frames",
                      "upscale_factor", "workers"):
-            setattr(self, name, int(in_range(name, getattr(self, name), ge=1)))
+            setattr(self, name, int_in_range(name, getattr(self, name), ge=1))
+        self.seed = int_in_range("seed", self.seed, ge=0)
         for name in ("sigma_min", "schedule_exponent", "sigma_data", "mask_sigma_fraction"):
             in_range(name, getattr(self, name), gt=0)
         in_range("sigma_max", self.sigma_max, gt=self.sigma_min)
@@ -331,20 +333,32 @@ def denoise_pass_plain(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: 
 # ---------------------------------------------------------------------------
 # full sampling loop
 
+def _condition_latent(lr: np.ndarray, codec, factor: int) -> np.ndarray:
+    """codec.encode(bicubic_resize(lr, factor)), built one frame at a time so
+    that the full-resolution float64 video never exists."""
+    l = None
+    for f in range(lr.shape[0]):
+        frame = lr[f:f + 1]
+        z = codec.encode(bicubic_resize(frame, float(factor)) if factor != 1 else frame)
+        if l is None:
+            l = np.empty((lr.shape[0],) + z.shape[1:])
+        l[f] = z[0]
+    return l
+
+
 def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> RunResult:
     """Upscale a low-res video by sampling the diffusion ODE over tiles.
 
-    Steps: bicubic-upsample the input, encode it to the conditioning latent,
-    then run cfg.steps Euler steps from seeded noise. Every step interleaves
-    the noisy and conditioning latents frame by frame, splits into
-    half-overlapping tiles, applies the step's propagation scheme (spatial on
-    even steps, temporal on odd, when enabled), guidance-combines the
-    per-tile noise estimates, merges them with a Gaussian blend, and steps
-    the noisy latent. The final latent is decoded at sigma_min.
+    Steps: bicubic-upsample the input and encode it to the conditioning
+    latent, frame by frame, then run cfg.steps Euler steps from seeded noise.
+    Every step interleaves the noisy and conditioning latents frame by frame,
+    splits into half-overlapping tiles, applies the step's propagation scheme
+    (spatial on even steps, temporal on odd, when enabled), guidance-combines
+    the per-tile noise estimates, merges them with a Gaussian blend, and
+    steps the noisy latent. The final latent is decoded at sigma_min.
     """
     lr = validate_video(lr_video, "lr_video").astype(np.float64)
-    upsampled = bicubic_resize(lr, float(cfg.upscale_factor)) if cfg.upscale_factor != 1 else lr.copy()
-    l = codec.encode(upsampled)
+    l = _condition_latent(lr, codec, cfg.upscale_factor)
     n_frames, channels, lat_h, lat_w = l.shape
 
     eff_tile = (

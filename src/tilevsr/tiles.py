@@ -44,6 +44,15 @@ def in_range(name: str, value, *, gt=None, ge=None, le=None):
     raise ValueError(f"{name} must be {', '.join(['finite', *bounds])}, got {value}")
 
 
+def int_in_range(name: str, value, *, gt=None, ge=None, le=None) -> int:
+    """in_range for an integer setting: the value as an int, if it also has
+    no fractional part (so 4.0 passes and 4.5 fails)."""
+    in_range(name, value, gt=gt, ge=ge, le=le)
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def axis_offsets(extent: int, tile_extent: int) -> tuple[int, ...]:
     """Tile start offsets along one axis: stride tile_extent//2, last clamped."""
     if tile_extent < 1:

@@ -377,3 +377,23 @@ def test_component_checks_run_at_resolve(overrides):
 def test_denoiser_and_flow_settings_reject_nan_and_inf(key, value):
     with pytest.raises(ValueError, match="must be finite"):
         RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["patch_size", "embed_dim", "spatial_layers", "cond_dim",
+                                 "flow_block", "flow_radius"])
+def test_denoiser_and_flow_settings_reject_non_integer_floats(key):
+    with pytest.raises(ValueError, match="must be an integer"):
+        RunConfig(**{key: 4.5})
+    cfg = RunConfig(**{key: 4.0})  # an integral float is taken as its int
+    assert type(getattr(cfg, key)) is int and getattr(cfg, key) == 4
+
+
+def test_denoiser_seed_rejects_non_integer_floats():
+    with pytest.raises(ValueError, match="must be an integer"):
+        RunConfig(denoiser_seed=1.5)
+
+
+@pytest.mark.parametrize("key", COMPONENT_INT_KEYS + ("codec_factor", "seed"))
+def test_component_int_settings_reject_non_integer_floats(key):
+    with pytest.raises(ValueError, match="must be an integer"):
+        resolve_config(None, {key: 2.5})

@@ -9,8 +9,11 @@ and regenerates the table by running this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-The digests hold for one NumPy/BLAS build (recorded with the table in
-CHANGES.md); a different BLAS kernel may round a GEMM differently.
+The digests hold for the build they were recorded on: NumPy 2.4.6 with
+OpenBLAS 0.3.31 running its SkylakeX kernels (the runtime core, which
+`scipy_openblas_get_corename64_` reports, not the build's listing) on an
+AVX-512 CPU. Another BLAS kernel or another NumPy SIMD path rounds some
+GEMMs, exp or tanh calls differently, and then every digest differs.
 """
 
 import hashlib

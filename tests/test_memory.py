@@ -1,0 +1,212 @@
+"""Memory bounds of the front end and of attention.
+
+Resampling works one leading plane at a time, `degrade` blurs one frame at
+a time, the conditioning latent is built one frame at a time, and `attend`
+reuses a per-thread workspace for its score and [K; K_inj] / [V; V_inj]
+buffers.
+Peaks are measured with tracemalloc, which sees NumPy's array allocations;
+page faults with `resource.getrusage`.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tilevsr import attention, quality
+from tilevsr.attention import SCORE_BLOCK_BYTES, InjectedKV, attend
+from tilevsr.models import ToyAttentionDenoiser, ToyCodec
+from tilevsr.quality import DegradationConfig, bicubic_resize, degrade, gaussian_blur
+from tilevsr.sampler import PipelineConfig, _condition_latent, sample_video
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def traced_peak(fn):
+    """(result, peak bytes that NumPy and Python allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def in_fresh_thread(fn):
+    """fn() run on a new thread, which starts with an empty attention workspace."""
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert box, "the thread failed or timed out"
+    return box[0]
+
+
+def test_bicubic_resize_peaks_at_three_outputs():
+    x = np.random.default_rng(0).standard_normal((8, 3, 32, 32))
+    out, peak = traced_peak(lambda: bicubic_resize(x, 4.0))
+    assert out.shape == (8, 3, 128, 128)
+    assert peak <= 3 * out.nbytes
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 3.0])
+def test_degrade_blurs_in_bounded_memory(sigma):
+    """Blurred frame by frame into its own copy, degrade holds that copy and
+    a few frames, not the whole-video blur's two passes of temporaries."""
+    x = np.random.default_rng(1).uniform(0.0, 1.0, (8, 3, 64, 64))
+    cfg = DegradationConfig(blur_sigma=sigma, down_factor=4, noise_sigma=0.0)
+    _, peak = traced_peak(lambda: degrade(x, cfg))
+    assert peak <= x.nbytes + 5 * x[0].nbytes
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 3.0])
+def test_degrade_blur_is_the_whole_video_blur(sigma, monkeypatch):
+    """With quantisation switched off (the blur of [0, 1] values needs no
+    clamp), degrade returns its blur, which must be the whole-video blur's
+    bits."""
+    monkeypatch.setattr(quality, "quantize", lambda arr, levels: arr)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (5, 2, 12, 10))
+    cfg = DegradationConfig(blur_sigma=sigma, down_factor=1, noise_sigma=0.0)
+    assert degrade(x, cfg).tobytes() == gaussian_blur(x, sigma).tobytes()
+
+
+def injected_call_inputs(seed=0):
+    """The injected attend call of the sap_tap_dssag geometry: 14 frames of
+    16 queries and 16 own keys (d = 16), plus 504 injected rows."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((14, 16, 16)) for _ in range(3))
+    injected = InjectedKV(rng.standard_normal((504, 16)), rng.standard_normal((504, 16)))
+    return q, k, v, injected
+
+
+def test_a_repeated_attend_call_reuses_its_workspace():
+    q, k, v, injected = injected_call_inputs()
+    first = attend(q, k, v, injected, 0.5)
+    second, peak = traced_peak(lambda: attend(q, k, v, injected, 0.5))
+    score_block = 14 * 16 * (16 + 504) * 8
+    assert score_block < SCORE_BLOCK_BYTES  # the whole batch is one block
+    assert peak < score_block
+    assert np.array_equal(first, second)
+
+
+def test_workspace_is_per_thread_and_keeps_outputs_fresh():
+    """More threads than cores, switching often, each with its own inputs:
+    a workspace shared across threads would mix their scores."""
+    want = {i: attend(*injected_call_inputs(seed=i), 0.5, own_key_means=True) for i in range(4)}
+    got = {i: [] for i in want}
+
+    def run(i):
+        inputs = injected_call_inputs(seed=i)
+        for _ in range(25):
+            got[i].append(attend(*inputs, 0.5, own_key_means=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in want]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, (out, means) in want.items():
+        assert len(got[i]) == 25
+        for got_out, got_means in got[i]:
+            assert np.array_equal(got_out, out) and np.array_equal(got_means, means)
+    # returned arrays are the caller's: a later call does not write into them
+    first, second = got[0][0], got[0][1]
+    assert not np.shares_memory(first[0], second[0])
+    assert not np.shares_memory(first[1], second[1])
+
+
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+    import numpy as np
+    from tilevsr.attention import InjectedKV, attend
+
+    rng = np.random.default_rng(0)
+    q, k, v = (rng.standard_normal((14, 16, 16)) for _ in range(3))
+    injected = InjectedKV(rng.standard_normal((504, 16)), rng.standard_normal((504, 16)))
+    for _ in range(3):
+        attend(q, k, v, injected, 0.5)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calls = 40
+    for _ in range(calls):
+        attend(q, k, v, injected, 0.5)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls)
+""")
+
+
+def test_injected_attend_calls_do_not_fault_in_fresh_pages():
+    """With glibc serving every block over 128 KiB by mmap, a buffer that is
+    allocated per call is mapped, and faulted in page by page, on every
+    call. One score block here is about 228 pages."""
+    pytest.importorskip("resource")
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072")
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, SRC], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    faults_per_call = float(out.stdout.strip())
+    score_block_pages = 14 * 16 * 520 * 8 / 4096
+    assert faults_per_call < score_block_pages / 10
+
+
+def test_condition_latent_is_the_whole_video_encode():
+    lr = np.random.default_rng(2).uniform(0.0, 1.0, (3, 2, 8, 12))
+    for codec, factor in ((ToyCodec(2), 4), (ToyCodec(1), 3), (ToyCodec(4), 1)):
+        want = codec.encode(bicubic_resize(lr, float(factor)) if factor != 1 else lr)
+        got = _condition_latent(lr, codec, factor)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_codec_encode_returns_a_new_array():
+    x = np.random.default_rng(3).standard_normal((2, 1, 8, 8))
+    for factor in (1, 2, 8):
+        z = ToyCodec(factor).encode(x)
+        assert not np.shares_memory(z, x)
+    assert ToyCodec(1).encode(x).tobytes() == x.tobytes()
+
+
+def test_sample_video_peaks_under_two_outputs():
+    """Four frames, x4, codec 8: the upsampled video is as large as the
+    output, so building it whole (plus its resampling temporaries) would
+    cross the bound; one frame at a time it never exists."""
+    lr = np.random.default_rng(4).uniform(0.0, 1.0, (4, 3, 32, 32))
+    denoiser = ToyAttentionDenoiser(channels=3, embed_dim=16)
+    cfg = PipelineConfig(steps=1, tile_h=16, tile_w=16, tile_frames=8, upscale_factor=4)
+    sample_video(lr, denoiser, ToyCodec(8), cfg)  # warm caches
+    # a fresh thread starts with an empty attention workspace, so its
+    # buffers count against the bound too
+    result, peak = traced_peak(lambda: in_fresh_thread(lambda: sample_video(lr, denoiser, ToyCodec(8), cfg)))
+    assert result.video.shape == (4, 3, 128, 128)
+    assert peak < 2 * result.video.nbytes
+
+
+def test_workspace_keeps_no_buffer_over_one_score_block():
+    """One matrix over SCORE_BLOCK_BYTES gets fresh buffers: after the call
+    the thread keeps only the smaller ones of an earlier call."""
+    rng = np.random.default_rng(6)
+    small = injected_call_inputs()
+    q, k, v = (rng.standard_normal((1, 64, 16)) for _ in range(3))
+    big = (q, k, v, InjectedKV(rng.standard_normal((4096, 16)), rng.standard_normal((4096, 16))))
+    assert 64 * (64 + 4096) * 8 > SCORE_BLOCK_BYTES
+
+    def run():
+        attend(*small, 0.5)
+        want = attend(*big, 0.5)
+        kept = {name: getattr(attention._workspace, name).nbytes for name in ("weights", "k_ext", "v_ext")}
+        return want, kept
+
+    want, kept = in_fresh_thread(run)
+    assert all(n <= SCORE_BLOCK_BYTES for n in kept.values())
+    assert kept["weights"] == 14 * 16 * (16 + 504) * 8  # the small call's block
+    assert np.array_equal(want, attend(*big, 0.5))

@@ -145,6 +145,9 @@ def test_toy_validation_errors():
         den.denoise(np.zeros((1, 1, 8, 8)), None, 1.0, gamma=-0.5)
     with pytest.raises(ValueError):
         ToyAttentionDenoiser(spatial_layers=3)
+    for bad in (dict(channels=0), dict(channels=2.5), dict(seed=1.5), dict(seed=-1)):
+        with pytest.raises(ValueError):
+            ToyAttentionDenoiser(**bad)
 
 
 def test_toy_hook_layers_are_first_two_and_last_two():
@@ -223,7 +226,7 @@ def test_toy_gamma_hook_tempered_towards_uniform():
 def test_codec_factor_validation():
     ToyCodec(1)
     ToyCodec(8)
-    for bad in (0, 3, 6, -2):
+    for bad in (0, 3, 6, -2, 2.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ToyCodec(bad)
 

@@ -1,5 +1,6 @@
 """The vectorised block matching and SSIM against their per-block and
-per-window reference forms: outputs must match bit for bit."""
+per-window reference forms, and the per-plane resampling against its
+whole-array tap gather: outputs must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tilevsr.quality import _ssim_frame, block_match_flow, frame_flows, ssim, tof, warping_error
+from tilevsr.quality import (
+    _catmull_rom_weights, _ssim_frame, bicubic_resize, block_match_flow, frame_flows, ssim, tof,
+    warping_error,
+)
 
 
 def loop_block_match_flow(f1, f2, block=8, radius=4):
@@ -175,3 +179,57 @@ def test_precomputed_flows_give_the_same_tof_and_warping_error():
         warping_error(restored, flows[:2])
     with pytest.raises(ValueError, match="flows"):
         tof(gt_flows[:2], flows)
+
+
+def gather_resample_axis(arr, out_n, scale, axis):
+    """Reference: gather all four taps of every sample, weight them, sum."""
+    moved = np.moveaxis(arr, axis, -1)
+    n = moved.shape[-1]
+    src = (np.arange(out_n, dtype=np.float64) + 0.5) / scale - 0.5
+    base = np.floor(src).astype(np.int64)
+    weights = _catmull_rom_weights(src - base)
+    taps = np.clip(base[:, None] + np.array([-1, 0, 1, 2]), 0, n - 1)
+    gathered = moved[..., taps]  # (..., out_n, 4)
+    out = (gathered * weights).sum(axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+def gather_bicubic_resize(arr, scale):
+    out_h = max(1, int(round(arr.shape[-2] * scale)))
+    out_w = max(1, int(round(arr.shape[-1] * scale)))
+    return gather_resample_axis(gather_resample_axis(arr, out_w, scale, -1), out_h, scale, -2)
+
+
+def filter_input(rng, lead, h, w, kind):
+    """Random planes; 'signed_zeros' mixes in rows of 0.0 and columns of -0.0."""
+    x = rng.standard_normal(lead + (h, w))
+    if kind == "unit":
+        x = rng.uniform(0.0, 1.0, x.shape)
+    elif kind == "signed_zeros":
+        x[..., ::2, :] = 0.0
+        x[..., 1::3] = -0.0
+    return x
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    lead=st.sampled_from([(), (1,), (3,), (2, 3), (2, 1, 2)]),
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    scale=st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0, 1.7, 2.0, 3.0, 4.0]),
+    kind=st.sampled_from(["normal", "unit", "signed_zeros"]),
+    transposed=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@example(lead=(8, 3), h=32, w=32, scale=4.0, kind="unit", transposed=False, seed=0)
+@example(lead=(14, 3), h=16, w=16, scale=4.0, kind="unit", transposed=False, seed=0)
+# all-(-0.0) tap products: the sum starts from +0.0, so the sample is +0.0
+@example(lead=(), h=6, w=2, scale=3.0, kind="signed_zeros", transposed=True, seed=0)
+def test_bicubic_resize_is_bit_equal_to_the_tap_gather(lead, h, w, scale, kind, transposed, seed):
+    x = filter_input(np.random.default_rng(seed), lead, h, w, kind)
+    if transposed:
+        x = np.swapaxes(x, -1, -2)
+    got = bicubic_resize(x, scale)
+    want = gather_bicubic_resize(x, scale)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
