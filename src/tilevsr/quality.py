@@ -157,14 +157,49 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return min(99.0, -10.0 * np.log10(mse))
 
 
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Sum same-shape arrays in the order NumPy's add reduction takes over a
+    contiguous run: one by one below 8 items, otherwise 8 lanes, then
+    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the tail in order. NumPy
+    splits runs longer than 128 items recursively, which this does not."""
+    if len(terms) < 8:
+        total = terms[0].copy()
+        for t in terms[1:]:
+            total += t
+        return total
+    full = len(terms) - len(terms) % 8
+    lanes = terms[:8]
+    for i in range(8, full, 8):
+        lanes = [lane + t for lane, t in zip(lanes, terms[i:i + 8])]
+    total = lanes[0] + lanes[1]
+    total += lanes[2] + lanes[3]
+    right = lanes[4] + lanes[5]
+    right += lanes[6] + lanes[7]
+    total += right
+    for t in terms[full:]:
+        total += t
+    return total
+
+
 def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float) -> float:
     win = min(window, a.shape[0], a.shape[1])
+    out_h, out_w = a.shape[0] - win + 1, a.shape[1] - win + 1
 
     def window_mean(plane: np.ndarray) -> np.ndarray:
-        return sliding_window_view(plane, (win, win)).mean(axis=(-2, -1))
+        # The bits of sliding_window_view(plane, (win, win)).mean((-2, -1)),
+        # summed separably: each window row is a pairwise sum of win column-
+        # shifted slices, and the row sums are added in row order from +0.0.
+        # A window as wide as the plane is one contiguous run, which NumPy
+        # sums as a single pairwise sum, so that case keeps the window view.
+        if out_w == 1:
+            return sliding_window_view(plane, (win, win)).mean(axis=(-2, -1))
+        rows = _pairwise_sum([plane[:, j:j + out_w] for j in range(win)])
+        total = rows[:out_h] + 0.0
+        for i in range(1, win):
+            total += rows[i:i + out_h]
+        total /= win * win
+        return total
 
-    # window means of whole-plane products: the same per-window values as
-    # multiplying window copies, without materialising win*win copies of the plane
     mu_a = window_mean(a)
     mu_b = window_mean(b)
     var_a = window_mean(a * a) - mu_a * mu_a

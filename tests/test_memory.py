@@ -1,9 +1,9 @@
-"""Memory bounds of the front end and of attention.
+"""Memory bounds of the front end, of attention and of SSIM.
 
 Resampling works one leading plane at a time, `degrade` blurs one frame at
 a time, the conditioning latent is built one frame at a time, and `attend`
 reuses a per-thread workspace for its score and [K; K_inj] / [V; V_inj]
-buffers.
+buffers. SSIM works one plane at a time, with plane-sized temporaries.
 Peaks are measured with tracemalloc, which sees NumPy's array allocations;
 page faults with `resource.getrusage`.
 """
@@ -21,7 +21,7 @@ import pytest
 from tilevsr import attention, quality
 from tilevsr.attention import SCORE_BLOCK_BYTES, InjectedKV, attend
 from tilevsr.models import ToyAttentionDenoiser, ToyCodec
-from tilevsr.quality import DegradationConfig, bicubic_resize, degrade, gaussian_blur
+from tilevsr.quality import DegradationConfig, _ssim_frame, bicubic_resize, degrade, gaussian_blur
 from tilevsr.sampler import PipelineConfig, _condition_latent, sample_video
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -52,6 +52,14 @@ def test_bicubic_resize_peaks_at_three_outputs():
     out, peak = traced_peak(lambda: bicubic_resize(x, 4.0))
     assert out.shape == (8, 3, 128, 128)
     assert peak <= 3 * out.nbytes
+
+
+def test_ssim_frame_peaks_at_nine_planes():
+    """The window statistics and their separable sums stay a few plane-sized
+    arrays; `metrics` sets the pipeline's memory peak."""
+    a, b = np.random.default_rng(2).uniform(0.0, 1.0, (2, 256, 256))
+    _, peak = traced_peak(lambda: _ssim_frame(a, b, 8, 0.01 ** 2, 0.03 ** 2))
+    assert peak <= 9 * a.nbytes
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 3.0])

@@ -1,6 +1,13 @@
 """The vectorised block matching and SSIM against their per-block and
 per-window reference forms, and the per-plane resampling against its
-whole-array tap gather: outputs must match bit for bit."""
+whole-array tap gather: outputs must match bit for bit.
+
+SSIM's window means are separable sums that follow the order of NumPy's
+add reduction over each window of a window view: every window row is a
+pairwise sum of its columns (one by one below 8 columns, otherwise 8 lanes
+and then the tail), and the rows are added in order starting from +0.0. A
+window as wide as the frame is one contiguous run, which NumPy sums as a
+single pairwise sum; that case keeps the window view."""
 
 import numpy as np
 import pytest
@@ -138,14 +145,22 @@ def test_block_match_flow_rejects_non_finite_frames(bad, which):
 
 @settings(deadline=None, max_examples=150)
 @given(
-    h=st.integers(1, 30),
-    w=st.integers(1, 30),
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
     window=st.integers(1, 10),
     quantised=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 @example(h=3, w=5, window=8, quantised=False, seed=0)  # frame smaller than the window
 @example(h=1, w=1, window=8, quantised=True, seed=0)
+# frame as wide as the window: each window is one contiguous run
+@example(h=8, w=8, window=8, quantised=False, seed=0)
+@example(h=40, w=8, window=8, quantised=False, seed=1)
+# one column wider than the window: two windows per row, separable sums
+@example(h=12, w=9, window=8, quantised=False, seed=2)
+# 8 lanes plus a tail of one and of two columns
+@example(h=23, w=31, window=9, quantised=False, seed=3)
+@example(h=40, w=37, window=10, quantised=True, seed=4)
 def test_ssim_frame_is_bit_equal_to_window_copies(h, w, window, quantised, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0.0, 1.0, (2, h, w))
@@ -162,6 +177,29 @@ def test_ssim_on_frames_smaller_than_the_window_uses_one_frame_sized_window():
     c1, c2 = 0.01 ** 2, 0.03 ** 2
     want = np.mean([window_copy_ssim_frame(a[f, 0], b[f, 0], 8, c1, c2) for f in range(2)])
     assert ssim(a, b) == float(want)
+
+
+def pipeline_pair():
+    """A ground truth and a noisy restoration in the pipeline geometry (8×3×128²)."""
+    rng = np.random.default_rng(7)
+    gt = rng.uniform(0.0, 1.0, (8, 3, 128, 128))
+    return gt, np.clip(gt + rng.normal(0.0, 0.05, gt.shape), 0.0, 1.0)
+
+
+def test_ssim_on_the_pipeline_geometry_is_bit_equal_to_window_copies():
+    gt, restored = pipeline_pair()
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    want = np.mean([
+        window_copy_ssim_frame(gt[f, c], restored[f, c], 8, c1, c2)
+        for f in range(gt.shape[0])
+        for c in range(gt.shape[1])
+    ])
+    assert ssim(gt, restored) == float(want)
+
+
+def test_ssim_is_exactly_symmetric():
+    gt, restored = pipeline_pair()
+    assert ssim(gt, restored) == ssim(restored, gt)
 
 
 def test_precomputed_flows_give_the_same_tof_and_warping_error():
