@@ -43,7 +43,6 @@ def trajectory_error(
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         schedule_exponent=exponent,
-        sigma_data=sigma_data,
         upscale_factor=1,
     )
     lr = np.zeros((1, 1, size, size))

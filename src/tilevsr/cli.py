@@ -138,7 +138,7 @@ def cmd_upscale(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_degrade(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
-    lr = degrade(video, cfg.degradation)
+    lr = degrade(video, cfg.degradation, cfg.pipeline.seed)
     _write_video(args.out, lr, args.pfm)
     print(f"frames={lr.shape[0]} height={lr.shape[2]} width={lr.shape[3]}")
     return 0
@@ -284,9 +284,9 @@ def cmd_fixture(args: argparse.Namespace, cfg: RunConfig) -> int:
     height, width = spec["size"]
     hr = synthetic_video(
         spec["kind"], spec["frames"], spec["channels"], height, width,
-        shift=spec["shift"], value=spec["value"], seed=cfg.degradation.seed,
+        shift=spec["shift"], value=spec["value"], seed=cfg.pipeline.seed,
     )
-    lr = degrade(hr, cfg.degradation)
+    lr = degrade(hr, cfg.degradation, cfg.pipeline.seed)
     tio.write_tensor(os.path.join(args.out, "hr.dcvt"), hr)
     tio.write_tensor(os.path.join(args.out, "lr.dcvt"), lr)
     for sub, vid in (("hr", hr), ("lr", lr)):

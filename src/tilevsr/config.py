@@ -14,7 +14,7 @@ from .guidance import GuidanceConfig
 from .models import ToyAttentionDenoiser, ToyCodec, check_toy_settings
 from .quality import DegradationConfig, check_flow_window
 from .sampler import PipelineConfig
-from .tiles import int_in_range
+from .tiles import in_range, int_in_range
 
 
 def _parse_bool(value: str) -> bool:
@@ -40,10 +40,8 @@ def parse_extents(name: str, value: str, count: int) -> tuple[int, ...]:
 @dataclass
 class RunConfig:
     """The component configs, plus the denoiser and metric settings that have
-    no component config of their own.
-
-    Every flat config key is a field of one of them (see `_KEYS`); `seed` sets
-    both `pipeline.seed` and `degradation.seed`, so those two must agree.
+    no component config of their own. Every flat config key is exactly one
+    field of one of them (see `_KEYS`).
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -55,20 +53,17 @@ class RunConfig:
     embed_dim: int = 32
     spatial_layers: int = 4
     cond_dim: int = 8
+    sigma_data: float = 0.5  # the denoiser's preconditioning
     # metrics
     flow_block: int = 8
     flow_radius: int = 4
 
     def __post_init__(self):
-        if self.pipeline.seed != self.degradation.seed:
-            raise ValueError(
-                f"pipeline seed {self.pipeline.seed} and degradation seed "
-                f"{self.degradation.seed} differ; the config key 'seed' sets both"
-            )
         self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim = check_toy_settings(
             self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim)
         self.flow_block, self.flow_radius = check_flow_window(self.flow_block, self.flow_radius)
         self.denoiser_seed = int_in_range("denoiser_seed", self.denoiser_seed, ge=0)
+        in_range("sigma_data", self.sigma_data, gt=0)
 
     def build_denoiser(self, channels: int) -> ToyAttentionDenoiser:
         return ToyAttentionDenoiser(
@@ -78,7 +73,7 @@ class RunConfig:
             embed_dim=self.embed_dim,
             spatial_layers=self.spatial_layers,
             cond_dim=self.cond_dim,
-            sigma_data=self.pipeline.sigma_data,
+            sigma_data=self.sigma_data,
         )
 
 
@@ -94,19 +89,11 @@ _SECTIONS = {
 # The flat keys that are not their field's name, kept for compatibility.
 _RENAMED = {("guidance", "mode"): "guidance", ("pipeline", "tap_frames"): "tap_l",
             ("codec", "factor"): "codec_factor"}
-
-
-def _key_table() -> dict:
-    """Flat key -> [(section, dataclass field)]; 'seed' reaches two fields."""
-    table: dict = {}
-    for section, (cls, _) in _SECTIONS.items():
-        for f in fields(cls):
-            if f.name not in _SECTIONS:
-                table.setdefault(_RENAMED.get((section, f.name), f.name), []).append((section, f))
-    return table
-
-
-_KEYS = _key_table()
+# flat key -> (section, dataclass field)
+_KEYS = {
+    _RENAMED.get((section, f.name), f.name): (section, f)
+    for section, (cls, _) in _SECTIONS.items() for f in fields(cls) if f.name not in _SECTIONS
+}
 # 'tile' is accepted as a composite HxWxF key covering tile_h/tile_w/tile_frames
 KNOWN_KEYS = set(_KEYS) | {"tile"}
 _TILE_KEYS = ("tile_h", "tile_w", "tile_frames")  # the order of HxWxF
@@ -140,7 +127,7 @@ def _coerce(key: str, value):
     """A file's string value as its field's type; typed overrides pass as they are."""
     if not isinstance(value, str):
         return value
-    return _PARSERS[_KEYS[key][0][1].type](value)
+    return _PARSERS[_KEYS[key][1].type](value)
 
 
 def _expand_tile(layer: dict, source: str) -> dict:
@@ -176,9 +163,8 @@ def resolve_config(path: str | None = None, overrides: dict | None = None) -> Ru
     merged.update(_expand_tile(layer, "overrides"))
     args: dict = {section: {} for section in _SECTIONS}
     for key, value in merged.items():
-        value = _coerce(key, value)
-        for section, f in _KEYS[key]:
-            args[section][f.name] = value
+        section, f = _KEYS[key]
+        args[section][f.name] = _coerce(key, value)
     return RunConfig(
         pipeline=PipelineConfig(guidance=GuidanceConfig(**args["guidance"]), **args["pipeline"]),
         degradation=DegradationConfig(**args["degradation"]),
@@ -191,7 +177,7 @@ def echo_lines(cfg: RunConfig) -> list[str]:
     """The fully resolved config as sorted key=value lines."""
     lines = []
     for key in sorted(_KEYS):
-        section, f = _KEYS[key][0]
+        section, f = _KEYS[key]
         value = getattr(_SECTIONS[section][1](cfg), f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"

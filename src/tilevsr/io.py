@@ -7,6 +7,7 @@ half-written file.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -63,7 +64,7 @@ def read_tensor(path: str) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", data[8:dims_end])
     if any(d == 0 for d in dims):
         raise ValueError(f"{path}: zero-length dim in {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     expected = dims_end + 4 * count
     if len(data) != expected:
         raise ValueError(f"{path}: payload length {len(data) - dims_end}, expected {4 * count}")
@@ -113,21 +114,32 @@ def _read_ppm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1  # single whitespace byte ends the header
 
 
+def _read_image_header(path: str, data: bytes, channels_by_tag: dict,
+                       itemsize: int) -> tuple[int, int, int, bytes, int]:
+    """(channels, h, w, the header's last token, raster offset) of a PPM or
+    PFM file. The dims must be positive and the data must hold the whole
+    raster, so no size beyond the file reaches NumPy."""
+    tokens, offset = _read_ppm_tokens(data, 4)
+    tag, w_s, h_s, last = tokens
+    if tag not in channels_by_tag:
+        raise ValueError(f"{path}: unsupported image tag {tag!r}")
+    w, h = int(w_s), int(h_s)
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: image dims must be positive, got {w}x{h}")
+    channels = channels_by_tag[tag]
+    if w * h * channels * itemsize > len(data) - offset:
+        raise ValueError(f"{path}: truncated raster for a {w}x{h} image")
+    return channels, h, w, last, offset
+
+
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, offset = _read_ppm_tokens(data, 4)
-    tag, w_s, h_s, maxval_s = tokens
-    if tag not in (b"P6", b"P5"):
-        raise ValueError(f"{path}: unsupported image tag {tag!r}")
-    w, h, maxval = int(w_s), int(h_s), int(maxval_s)
+    channels, h, w, maxval_s, offset = _read_image_header(path, data, {b"P6": 3, b"P5": 1}, 1)
+    maxval = int(maxval_s)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
-    channels = 3 if tag == b"P6" else 1
-    count = w * h * channels
-    raster = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
-    if raster.size != count:
-        raise ValueError(f"{path}: truncated raster")
+    raster = np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=offset)
     frame = raster.reshape(h, w, channels).transpose(2, 0, 1)
     return frame.astype(np.float64) / 255.0
 
@@ -147,20 +159,12 @@ def write_pfm(path: str, frame: np.ndarray) -> None:
 def read_pfm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, offset = _read_ppm_tokens(data, 4)
-    tag, w_s, h_s, scale_s = tokens
-    if tag not in (b"PF", b"Pf"):
-        raise ValueError(f"{path}: unsupported float-image tag {tag!r}")
-    w, h = int(w_s), int(h_s)
+    channels, h, w, scale_s, offset = _read_image_header(path, data, {b"PF": 3, b"Pf": 1}, 4)
     scale = float(scale_s)
     if scale == 0:
         raise ValueError(f"{path}: zero scale")
     dtype = "<f4" if scale < 0 else ">f4"
-    channels = 3 if tag == b"PF" else 1
-    count = w * h * channels
-    raster = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    if raster.size != count:
-        raise ValueError(f"{path}: truncated raster")
+    raster = np.frombuffer(data, dtype=dtype, count=w * h * channels, offset=offset)
     frame = raster.reshape(h, w, channels)[::-1].transpose(2, 0, 1)
     return np.ascontiguousarray(frame).astype("<f4")
 

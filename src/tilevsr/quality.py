@@ -107,14 +107,12 @@ class DegradationConfig:
     down_factor: int = 4
     noise_sigma: float = 0.02
     quant_levels: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         in_range("blur_sigma", self.blur_sigma, ge=0)
         in_range("noise_sigma", self.noise_sigma, ge=0)
         self.down_factor = int_in_range("down_factor", self.down_factor, ge=1)
         self.quant_levels = int_in_range("quant_levels", self.quant_levels, ge=2)
-        self.seed = int_in_range("seed", self.seed, ge=0)
 
 
 def quantize(arr: np.ndarray, levels: int) -> np.ndarray:
@@ -123,8 +121,9 @@ def quantize(arr: np.ndarray, levels: int) -> np.ndarray:
     return np.floor(np.asarray(arr, dtype=np.float64) * steps + 0.5) / steps
 
 
-def degrade(video: np.ndarray, cfg: DegradationConfig) -> np.ndarray:
-    """Blur -> bicubic downscale -> seeded noise (clamped) -> quantize."""
+def degrade(video: np.ndarray, cfg: DegradationConfig, seed: int) -> np.ndarray:
+    """Blur -> bicubic downscale -> noise seeded by `seed` (clamped) -> quantize."""
+    seed = int_in_range("seed", seed, ge=0)
     x = validate_video(video).astype(np.float64)
     if cfg.blur_sigma > 0:
         # frame by frame, in place (x is our copy): the blur's temporaries
@@ -134,7 +133,7 @@ def degrade(video: np.ndarray, cfg: DegradationConfig) -> np.ndarray:
     if cfg.down_factor > 1:
         x = bicubic_resize(x, 1.0 / cfg.down_factor)
     if cfg.noise_sigma > 0:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(seed)
         x = x + rng.normal(0.0, cfg.noise_sigma, size=x.shape)
     x = np.clip(x, 0.0, 1.0)
     return quantize(x, cfg.quant_levels)

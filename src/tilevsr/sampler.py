@@ -113,24 +113,20 @@ class PipelineConfig:
     sigma_min: float = 0.002
     sigma_max: float = 700.0
     schedule_exponent: float = 7.0
-    sigma_data: float = 0.5
     upscale_factor: int = 4
     mask_sigma_fraction: float = 0.25
     workers: int = 1
-    tile_schedule: str = "ascending"
 
     def __post_init__(self):
         for name in ("steps", "tile_frames", "tile_h", "tile_w", "sap_rate", "tap_frames",
                      "upscale_factor", "workers"):
             setattr(self, name, int_in_range(name, getattr(self, name), ge=1))
         self.seed = int_in_range("seed", self.seed, ge=0)
-        for name in ("sigma_min", "schedule_exponent", "sigma_data", "mask_sigma_fraction"):
+        for name in ("sigma_min", "schedule_exponent", "mask_sigma_fraction"):
             in_range(name, getattr(self, name), gt=0)
         in_range("sigma_max", self.sigma_max, gt=self.sigma_min)
         if not isinstance(self.guidance, GuidanceConfig):
             raise ValueError("guidance must be a GuidanceConfig")
-        if self.tile_schedule not in ("ascending", "descending"):
-            raise ValueError(f"tile_schedule must be ascending or descending, got {self.tile_schedule!r}")
 
 
 @dataclass
@@ -211,19 +207,13 @@ def _guided_eps(tile: Tile, injections, collect_kv: bool, denoiser, cfg: Pipelin
     return guided, result
 
 
-def _map_tiles(items: list, fn, workers: int, schedule: str) -> list:
-    """fn over items in the configured order, optionally threaded.
-
-    Results come back in item order regardless of execution order, so the
-    schedule cannot change the merged output.
-    """
-    ordered = items[::-1] if schedule == "descending" else items
+def _map_tiles(items: list, fn, workers: int) -> list:
+    """fn over items, threaded when workers > 1; results in item order, so
+    the order tiles run in cannot change the merged output."""
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(fn, ordered))
-    else:
-        done = [fn(item) for item in ordered]
-    return done[::-1] if schedule == "descending" else done
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _run_pass(chains: list[list[Tile]], inject, denoiser, cfg: PipelineConfig, sigma: float,
@@ -244,7 +234,7 @@ def _run_pass(chains: list[list[Tile]], inject, denoiser, cfg: PipelineConfig, s
             out.append(Tile(n=tile.n, m=tile.m, data=eps))
         return out
 
-    done = _map_tiles(chains, run_chain, cfg.workers, cfg.tile_schedule)
+    done = _map_tiles(chains, run_chain, cfg.workers)
     return sorted((tile for chain in done for tile in chain), key=lambda t: (t.n, t.m))
 
 
@@ -278,7 +268,7 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
         }
 
     by_n: dict[int, list[dict[int, InjectedKV]]] = {}
-    for tile, parts in zip(tiles, _map_tiles(tiles, gather, cfg.workers, cfg.tile_schedule)):
+    for tile, parts in zip(tiles, _map_tiles(tiles, gather, cfg.workers)):
         by_n.setdefault(tile.n, []).append(parts)  # ascending m
     aggregate = {
         n: {layer: aggregate_frame_kv([p[layer] for p in parts]) for layer in layers}

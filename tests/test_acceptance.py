@@ -212,7 +212,6 @@ def test_06_sampler_tracks_closed_form_trajectory_and_output_variance():
         sigma_min=sigma_min,
         sigma_max=sigma_max,
         schedule_exponent=9.0,
-        sigma_data=sigma_data,
         upscale_factor=1,
     )
     lr = np.zeros((1, 1, 100, 100))
@@ -322,11 +321,11 @@ def test_08_consistency_metrics_hit_ideal_exact_and_hand_computed_values():
           f"perceptual gap {perceptual_gap:.2e}")
 
 
-def test_09_end_to_end_upscale_is_deterministic_across_runs_and_scheduling():
+def test_09_end_to_end_upscale_is_deterministic_across_runs_and_scheduling(reverse_tiles):
     started = time.perf_counter()
     lr = np.random.default_rng(123).uniform(0.0, 1.0, size=(14, 3, 16, 16))
 
-    def run(workers=1, tile_schedule="ascending"):
+    def run(workers=1):
         denoiser = ToyAttentionDenoiser(
             seed=1234, channels=3, patch_size=4, embed_dim=16,
             spatial_layers=4, cond_dim=8,
@@ -344,7 +343,6 @@ def test_09_end_to_end_upscale_is_deterministic_across_runs_and_scheduling():
             seed=0,
             upscale_factor=4,
             workers=workers,
-            tile_schedule=tile_schedule,
         )
         return sample_video(lr, denoiser, ToyCodec(2), cfg)
 
@@ -353,7 +351,8 @@ def test_09_end_to_end_upscale_is_deterministic_across_runs_and_scheduling():
     assert np.all(np.isfinite(first.video))
     repeat = run()
     threaded = run(workers=4)
-    reversed_order = run(tile_schedule="descending")
+    reverse_tiles()
+    reversed_order = run()
     assert first.video.tobytes() == repeat.video.tobytes()
     assert first.video.tobytes() == threaded.video.tobytes()
     assert first.video.tobytes() == reversed_order.video.tobytes()

@@ -222,6 +222,15 @@ def test_upscale_missing_input_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_frame_header_with_huge_dims_exits_2(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "frame_0000.ppm").write_bytes(b"P6\n99999999999 99999999999\n255\n")
+    rc, _, err = run_cli(capsys, "upscale", str(frames), "--out", str(tmp_path / "o.dcvt"))
+    assert rc == 2
+    assert err.startswith("error:") and "truncated raster" in err
+
+
 @pytest.mark.parametrize("error, code", [(NumericError, 3), (MemoryError, 2)])
 def test_upscale_numeric_failure_exits_3(
     tmp_path, tiny_cfg, tiny_input, capsys, monkeypatch, error, code

@@ -104,7 +104,7 @@ def test_resolve_config_file_then_overrides(tmp_path):
     p.write_text("steps = 10\nseed = 3\nguidance = dssag\n")
     cfg = resolve_config(str(p), {"seed": 4, "scale": None})
     assert cfg.pipeline.steps == 10
-    assert cfg.pipeline.seed == cfg.degradation.seed == 4  # override wins
+    assert cfg.pipeline.seed == 4  # override wins
     assert cfg.pipeline.guidance.mode == "dssag"
     assert cfg.pipeline.guidance.scale == 1.0  # None overrides are skipped
 
@@ -233,7 +233,6 @@ tap=true
 tap_l=4
 tile_frames=14
 tile_h=64
-tile_schedule=ascending
 tile_w=64
 upscale_factor=4
 workers=1""".splitlines()
@@ -260,8 +259,8 @@ KEY_WIRING = {
     "sap_rate": ("3", ["pipeline.sap_rate"]),
     "scale": ("2.5", ["pipeline.guidance.scale"]),
     "schedule_exponent": ("5.0", ["pipeline.schedule_exponent"]),
-    "seed": ("11", ["pipeline.seed", "degradation.seed"]),
-    "sigma_data": ("0.25", ["pipeline.sigma_data"]),
+    "seed": ("11", ["pipeline.seed"]),
+    "sigma_data": ("0.25", ["sigma_data"]),
     "sigma_max": ("80.0", ["pipeline.sigma_max"]),
     "sigma_min": ("0.01", ["pipeline.sigma_min"]),
     "spatial_layers": ("6", ["spatial_layers"]),
@@ -270,7 +269,6 @@ KEY_WIRING = {
     "tap_l": ("2", ["pipeline.tap_frames"]),
     "tile_frames": ("6", ["pipeline.tile_frames"]),
     "tile_h": ("16", ["pipeline.tile_h"]),
-    "tile_schedule": ("descending", ["pipeline.tile_schedule"]),
     "tile_w": ("24", ["pipeline.tile_w"]),
     "upscale_factor": ("2", ["pipeline.upscale_factor"]),
     "workers": ("3", ["pipeline.workers"]),
@@ -320,14 +318,16 @@ def test_every_component_field_is_reached_by_exactly_one_key():
         for path in paths:
             reached.setdefault(path, []).append(key)
     components = {
+        "": RunConfig,
         "pipeline.": PipelineConfig,
         "pipeline.guidance.": GuidanceConfig,
         "degradation.": DegradationConfig,
         "codec.": ToyCodec,
     }
     expected = {prefix + f.name for prefix, cls in components.items()
-                for f in dataclasses.fields(cls) if f.name != "guidance"}
-    assert expected <= set(reached)
+                for f in dataclasses.fields(cls)
+                if f.name not in ("pipeline", "guidance", "degradation", "codec")}
+    assert expected == set(reached)
     assert all(len(keys) == 1 for keys in reached.values())
 
 
@@ -337,12 +337,13 @@ def test_run_config_declares_no_component_field():
         assert not own & {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
-def test_run_config_rejects_two_seeds():
-    # the flat format has one 'seed' key, so it cannot hold two different seeds
-    with pytest.raises(ValueError, match="seed"):
-        RunConfig(pipeline=PipelineConfig(seed=1), degradation=DegradationConfig(seed=2))
-    cfg = RunConfig(pipeline=PipelineConfig(seed=3), degradation=DegradationConfig(seed=3))
-    assert cfg == resolve_config(None, {"seed": 3})
+@pytest.mark.parametrize("cls,name", [
+    (PipelineConfig, "sigma_data"), (PipelineConfig, "tile_schedule"), (DegradationConfig, "seed"),
+])
+def test_settings_with_another_owner_are_not_component_fields(cls, name):
+    # sigma_data belongs to the denoiser, seed to the pipeline; tile order is not a setting
+    with pytest.raises(TypeError):
+        cls(**{name: 1})
 
 
 # every float-typed config key (the table test below keeps the list whole)
@@ -362,7 +363,7 @@ def test_float_keys_are_every_float_field():
 @pytest.mark.parametrize("overrides", [
     {"steps": 0}, {"sap_rate": 0}, {"tap_l": 0}, {"scale": float("nan")},
     {"guidance": "loud"}, {"codec_factor": 3}, {"quant_levels": 1},
-    {"tile_schedule": "random"}, {"sigma_min": 800.0},
+    {"sigma_data": 0.0}, {"sigma_min": 800.0},
     *({key: value} for key in FLOAT_KEYS for value in (float("nan"), float("inf"))),
     *({key: value} for key in COMPONENT_INT_KEYS for value in (float("nan"), float("inf"))),
 ])

@@ -1,22 +1,30 @@
 """End-to-end output lock: SHA-256 of `sample_video` bytes for a small
 matrix of configs (every guidance mode with both propagation schemes on,
 plus each scheme alone and neither). Every digest also holds with threaded
-tiles run in descending order.
+tiles run in reverse order.
 
 A change that is meant to keep outputs byte-identical must leave every
 digest as it is. A change that alters output bits says so, bounds the drift,
-and regenerates the table by running this file as a script:
+and regenerates the digests and `golden_outputs.npz` by running this file as
+a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-The digests hold for the build they were recorded on: NumPy 2.4.6 with
-OpenBLAS 0.3.31 running its SkylakeX kernels (the runtime core, which
-`scipy_openblas_get_corename64_` reports, not the build's listing) on an
-AVX-512 CPU. Another BLAS kernel or another NumPy SIMD path rounds some
-GEMMs, exp or tanh calls differently, and then every digest differs.
+The digests hold for the platform they were recorded on, `RECORDED_PLATFORM`:
+the OpenBLAS core that runs (what `scipy_openblas_get_corename64_` reports,
+not the build's listing), the NumPy version and the SIMD targets NumPy
+dispatches to. Another BLAS kernel or another NumPy SIMD path rounds some
+GEMMs, exp or tanh calls differently, and then every digest differs. The
+float64 outputs stored beside this file are checked on every platform, to a
+bound relative to each output's largest magnitude.
 """
 
+import ctypes
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +32,17 @@ import pytest
 from tilevsr.guidance import GuidanceConfig
 from tilevsr.models import ToyAttentionDenoiser, ToyCodec
 from tilevsr.sampler import PipelineConfig, sample_video
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # NumPy 1.x
+    from numpy.core import _multiarray_umath as _umath
+
+HERE = Path(__file__).resolve().parent
+OUTPUTS = HERE / "golden_outputs.npz"
+
+# the platform the digests below were recorded on (see platform_key)
+RECORDED_PLATFORM = "openblas=SkylakeX numpy=2.4.6 simd=X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"
 
 # (guidance mode, sap, tap) -> sha256 of the output video's bytes
 GOLDEN = {
@@ -47,9 +66,36 @@ GOLDEN = {
         "dee3b4a04ba3a0f91ebb9d8bfa42729bc76dfae4bfba8ee7e58f289c762d0f0e",
 }
 
+# Other BLAS kernels and SIMD paths move the outputs by at most about 1e-14
+# of their largest magnitude; the stored outputs are held to 1e-12.
+RTOL = 1e-12
 
-def run_digest(mode: str, sap: bool, tap: bool, workers: int = 1,
-               tile_schedule: str = "ascending") -> str:
+
+def openblas_core() -> str | None:
+    """The OpenBLAS core running now, or None when NumPy's BLAS is not
+    the scipy-openblas build."""
+    try:
+        corename = ctypes.CDLL(_umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def dispatched_simd() -> list[str]:
+    return [name for name in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(name)]
+
+
+def platform_key() -> str:
+    return (f"openblas={openblas_core() or 'unknown'} numpy={np.__version__} "
+            f"simd={','.join(dispatched_simd())}")
+
+
+def output_name(mode: str, sap: bool, tap: bool) -> str:
+    return f"{mode}-{sap}-{tap}"
+
+
+def run_video(mode: str, sap: bool, tap: bool, workers: int = 1) -> np.ndarray:
     # 2 latent frames interleave to 4; 12x12 latent with 8x8x2 tiles gives
     # 2x2 spatial x 3 temporal tiles, 16 tokens per frame, so SAP injects
     # 32 rows and TAP hands over 2 frames; step 0 runs SAP, step 1 TAP.
@@ -60,24 +106,78 @@ def run_digest(mode: str, sap: bool, tap: bool, workers: int = 1,
     cfg = PipelineConfig(
         steps=2, tile_frames=2, tile_h=8, tile_w=8, sap=sap, tap=tap,
         sap_rate=2, tap_frames=2, guidance=GuidanceConfig(mode=mode, scale=1.5),
-        seed=3, sigma_min=0.1, sigma_max=80.0, upscale_factor=1,
-        workers=workers, tile_schedule=tile_schedule,
+        seed=3, sigma_min=0.1, sigma_max=80.0, upscale_factor=1, workers=workers,
     )
-    video = sample_video(lr, denoiser, ToyCodec(1), cfg).video
+    return sample_video(lr, denoiser, ToyCodec(1), cfg).video
+
+
+def digest(video: np.ndarray) -> str:
     return hashlib.sha256(video.tobytes()).hexdigest()
+
+
+def check_digest(got: str, key: tuple) -> None:
+    assert got == GOLDEN[key], (
+        f"digest of {key} differs; recorded on {RECORDED_PLATFORM!r}, "
+        f"running on {platform_key()!r}")
 
 
 @pytest.mark.parametrize("mode,sap,tap", sorted(GOLDEN))
 def test_output_digest_is_pinned(mode, sap, tap):
-    assert run_digest(mode, sap, tap) == GOLDEN[(mode, sap, tap)]
+    check_digest(digest(run_video(mode, sap, tap)), (mode, sap, tap))
 
 
 @pytest.mark.parametrize("mode,sap,tap", sorted(GOLDEN))
-def test_output_digest_holds_threaded_and_descending(mode, sap, tap):
-    got = run_digest(mode, sap, tap, workers=3, tile_schedule="descending")
-    assert got == GOLDEN[(mode, sap, tap)]
+def test_output_digest_holds_threaded_and_descending(mode, sap, tap, reverse_tiles):
+    reverse_tiles()
+    check_digest(digest(run_video(mode, sap, tap, workers=3)), (mode, sap, tap))
+
+
+def test_outputs_match_the_stored_floats_on_any_platform():
+    print(f"platform: {platform_key()}")
+    with np.load(OUTPUTS) as stored:
+        assert sorted(stored.files) == sorted(output_name(*key) for key in GOLDEN)
+        for key in sorted(GOLDEN):
+            want = stored[output_name(*key)]
+            got = run_video(*key)
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            drift = float(np.max(np.abs(got - want)))
+            assert drift <= RTOL * float(np.max(np.abs(want))), (key, drift, platform_key())
+            assert digest(want) == GOLDEN[key]  # the stored floats are the pinned bytes
+
+
+def _has_simd(*names: str) -> bool:
+    return all(_umath.__cpu_features__.get(name) for name in names)
+
+
+# (environment, the platform key it gives, SIMD the forced kernels need);
+# this OpenBLAS build runs its Haswell kernels when asked for Zen
+OTHER_PLATFORMS = [
+    pytest.param({"OPENBLAS_CORETYPE": core}, f"openblas={runs} ", ("X86_V3",), id=core)
+    for core, runs in (("Haswell", "Haswell"), ("Sandybridge", "Sandybridge"), ("Zen", "Haswell"))
+] + [
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"},
+                 "simd=X86_V3 ", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+                 id="no-avx512"),
+]
+
+
+@pytest.mark.parametrize("env,key_part,needs", OTHER_PLATFORMS)
+def test_stored_floats_hold_under_other_kernels(env, key_part, needs):
+    if openblas_core() is None or not _has_simd(*needs):
+        pytest.skip("needs the scipy-openblas build on a CPU that runs the forced kernels")
+    test = f"{Path(__file__).name}::test_outputs_match_the_stored_floats_on_any_platform"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", test],
+        cwd=HERE, env={**os.environ, **env}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    platform = next(ln for ln in proc.stdout.splitlines() if "platform: " in ln)
+    assert key_part in platform + " ", platform  # the setting took effect
 
 
 if __name__ == "__main__":
-    for mode, sap, tap in GOLDEN:
-        print(f'    ("{mode}", {sap}, {tap}):\n        "{run_digest(mode, sap, tap)}",')
+    videos = {key: run_video(*key) for key in GOLDEN}
+    np.savez(OUTPUTS, **{output_name(*key): video for key, video in videos.items()})
+    print(f'RECORDED_PLATFORM = "{platform_key()}"')
+    for (mode, sap, tap), video in videos.items():
+        print(f'    ("{mode}", {sap}, {tap}):\n        "{digest(video)}",')

@@ -158,6 +158,21 @@ def test_ppm_rejects_bad_headers(tmp_path):
             read_ppm(path)
 
 
+# headers whose dims are not positive, or whose raster outgrows any file
+BAD_DIMS = ["0 2", "2 0", "-1 2", "99999999999 99999999999"]
+
+
+@pytest.mark.parametrize("dims", BAD_DIMS)
+@pytest.mark.parametrize("tag,read", [(b"P6", read_ppm), (b"P5", read_ppm),
+                                      (b"PF", read_pfm), (b"Pf", read_pfm)])
+def test_image_headers_need_positive_dims_that_fit(tmp_path, dims, tag, read):
+    last = b"255" if read is read_ppm else b"-1.0"
+    path = tmp_path / "bad.img"
+    path.write_bytes(tag + b"\n" + dims.encode() + b"\n" + last + b"\n" + bytes(64))
+    with pytest.raises(ValueError, match="dims must be positive|truncated raster"):
+        read(str(path))
+
+
 def test_ppm_clips_out_of_range(tmp_path):
     frame = np.array([[[-0.5, 2.0]]])
     path = str(tmp_path / "r.ppm")
@@ -275,6 +290,14 @@ def test_load_video_errors(tmp_path):
     write_ppm(str(mixed / "b.ppm"), np.zeros((3, 5, 4)))
     with pytest.raises(ValueError):
         load_video(str(mixed))
+
+
+def test_container_dims_whose_product_overflows_are_rejected(tmp_path):
+    # 2**16 ** 4 is 0 in int64 arithmetic, which an empty payload would match
+    path = tmp_path / "huge.dcvt"
+    path.write_bytes(b"DCVT" + struct.pack("<HH", 1, 4) + struct.pack("<4I", *[2**16] * 4))
+    with pytest.raises(ValueError, match="payload length"):
+        read_tensor(str(path))
 
 
 def test_load_video_rejects_wrong_rank_container(tmp_path):

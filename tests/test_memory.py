@@ -68,7 +68,7 @@ def test_degrade_blurs_in_bounded_memory(sigma):
     a few frames, not the whole-video blur's two passes of temporaries."""
     x = np.random.default_rng(1).uniform(0.0, 1.0, (8, 3, 64, 64))
     cfg = DegradationConfig(blur_sigma=sigma, down_factor=4, noise_sigma=0.0)
-    _, peak = traced_peak(lambda: degrade(x, cfg))
+    _, peak = traced_peak(lambda: degrade(x, cfg, 0))
     assert peak <= x.nbytes + 5 * x[0].nbytes
 
 
@@ -80,7 +80,7 @@ def test_degrade_blur_is_the_whole_video_blur(sigma, monkeypatch):
     monkeypatch.setattr(quality, "quantize", lambda arr, levels: arr)
     x = np.random.default_rng(5).uniform(0.0, 1.0, (5, 2, 12, 10))
     cfg = DegradationConfig(blur_sigma=sigma, down_factor=1, noise_sigma=0.0)
-    assert degrade(x, cfg).tobytes() == gaussian_blur(x, sigma).tobytes()
+    assert degrade(x, cfg, 0).tobytes() == gaussian_blur(x, sigma).tobytes()
 
 
 def injected_call_inputs(seed=0):

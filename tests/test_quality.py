@@ -104,14 +104,14 @@ def test_degrade_identity_config_roundtrips_grid_videos():
     rng = np.random.default_rng(3)
     video = grid_video(rng)
     cfg = DegradationConfig(blur_sigma=0.0, down_factor=1, noise_sigma=0.0)
-    out = degrade(video, cfg)
+    out = degrade(video, cfg, 0)
     assert np.array_equal(out, video)
 
 
 def test_degrade_shapes_and_range():
     rng = np.random.default_rng(4)
     video = rng.uniform(0.0, 1.0, size=(3, 3, 16, 16))
-    out = degrade(video, DegradationConfig())
+    out = degrade(video, DegradationConfig(), 0)
     assert out.shape == (3, 3, 4, 4)
     assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -119,11 +119,15 @@ def test_degrade_shapes_and_range():
 def test_degrade_seeded_noise_is_reproducible():
     rng = np.random.default_rng(5)
     video = rng.uniform(0.0, 1.0, size=(2, 1, 8, 8))
-    a = degrade(video, DegradationConfig(down_factor=2, seed=11))
-    b = degrade(video, DegradationConfig(down_factor=2, seed=11))
-    c = degrade(video, DegradationConfig(down_factor=2, seed=12))
+    cfg = DegradationConfig(down_factor=2)
+    a = degrade(video, cfg, 11)
+    b = degrade(video, cfg, 11)
+    c = degrade(video, cfg, 12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            degrade(video, cfg, bad)
 
 
 def test_degradation_config_validation():

@@ -1,5 +1,6 @@
 """Sigma schedule, preconditioning, Euler stepping, and the tiled pipeline."""
 
+import dataclasses
 import os
 import sys
 import threading
@@ -134,20 +135,66 @@ def test_ode_step_ordering_errors():
 def test_pipeline_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         pipe_cfg(steps=0)
-    # TAP hands K/V to the immediate neighbour only; there is no range knob
+    # TAP hands K/V to the immediate neighbour only, so there is no range
+    # knob; the order tiles run in cannot change the output, so it is no setting
     lr = tmp_path / "lr.dcvt"
     write_tensor(str(lr), np.full((2, 1, 8, 8), 0.5))
     config = tmp_path / "run.cfg"
-    config.write_text("tap_range = 1\n")
-    rc = cli.main(["upscale", str(lr), "--out", str(tmp_path / "o.dcvt"), "--config", str(config)])
-    assert rc == 2
-    assert "unknown key 'tap_range'" in capsys.readouterr().err
-    with pytest.raises(ValueError):
-        pipe_cfg(tile_schedule="zigzag")
+    for key in ("tap_range", "tile_schedule"):
+        config.write_text(f"{key} = 1\n")
+        rc = cli.main(["upscale", str(lr), "--out", str(tmp_path / "o.dcvt"), "--config", str(config)])
+        assert rc == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
     with pytest.raises(ValueError):
         pipe_cfg(sap_rate=0)
     with pytest.raises(ValueError):
         pipe_cfg(tap_frames=0)
+
+
+# Every sampler setting but `workers` must reach the output bytes: field ->
+# (another value, the guidance mode the field acts in).
+SETTING_CHANGES = {
+    "steps": (3, "none"),
+    "tile_frames": (2, "none"),
+    "tile_h": (8, "none"),
+    "tile_w": (8, "none"),
+    "sap": (False, "none"),
+    "tap": (False, "none"),
+    "sap_rate": (1, "none"),
+    "tap_frames": (1, "none"),
+    "seed": (1, "none"),
+    "sigma_min": (0.2, "none"),
+    "sigma_max": (40.0, "none"),
+    "schedule_exponent": (5.0, "none"),
+    "upscale_factor": (2, "none"),
+    "mask_sigma_fraction": (0.5, "none"),
+    "mode": ("cfg", "none"),
+    "scale": (2.0, "cfg"),
+    "rho": (0.25, "dssag"),
+    "sag_blur_sigma": (1.0, "sag"),
+    "sag_mask_quantile": (0.75, "sag"),
+}
+GUIDANCE_FIELDS = {f.name for f in dataclasses.fields(GuidanceConfig)}
+
+
+@pytest.mark.parametrize("name", [
+    f.name for cls in (PipelineConfig, GuidanceConfig) for f in dataclasses.fields(cls)
+    if f.name not in ("guidance", "workers")  # workers may not change a bit
+])
+def test_every_sampler_setting_changes_the_output(name):
+    assert name in SETTING_CHANGES, f"no value for {name}: does sample_video read it?"
+    value, mode = SETTING_CHANGES[name]
+    lr = np.random.default_rng(8).uniform(0.0, 1.0, size=(4, 1, 8, 8))  # 3x3x3 tiles
+
+    def run(**change) -> bytes:
+        guidance = GuidanceConfig(**{"mode": mode, **{k: v for k, v in change.items()
+                                                      if k in GUIDANCE_FIELDS}})
+        # two steps: one SAP, one TAP
+        cfg = pipe_cfg(**{"steps": 2, "guidance": guidance,
+                          **{k: v for k, v in change.items() if k not in GUIDANCE_FIELDS}})
+        return sample_video(lr, small_toy(), ToyCodec(1), cfg).video.tobytes()
+
+    assert run() != run(**{name: value})
 
 
 # --- full pipeline ----------------------------------------------------------
@@ -187,7 +234,7 @@ def test_single_step_analytic_euler():
     assert np.max(np.abs(got.video - ref)) <= 1e-6
 
 
-def test_seeded_runs_are_bit_identical():
+def test_seeded_runs_are_bit_identical(reverse_tiles):
     rng = np.random.default_rng(2)
     lr = rng.uniform(0.0, 1.0, size=(2, 1, 8, 8))
     toy = small_toy()
@@ -195,7 +242,9 @@ def test_seeded_runs_are_bit_identical():
     a = sample_video(lr, toy, codec, pipe_cfg(steps=4))
     b = sample_video(lr, toy, codec, pipe_cfg(steps=4))
     par = sample_video(lr, toy, codec, pipe_cfg(steps=4, workers=4))
-    rev = sample_video(lr, toy, codec, pipe_cfg(steps=4, tile_schedule="descending"))
+    reached = reverse_tiles()
+    rev = sample_video(lr, toy, codec, pipe_cfg(steps=4))
+    assert set(reached) == {"gather", "run_chain"}  # the SAP gather runs reversed too
     assert a.video.tobytes() == b.video.tobytes()
     assert a.video.tobytes() == par.video.tobytes()
     assert a.video.tobytes() == rev.video.tobytes()
