@@ -5,7 +5,8 @@ batched (the video denoiser batches over frames). `attend` is the one kernel
 the denoiser calls: plain, detail-suppressed and injected-K/V attention are
 all its arguments, so gamma = 0 reproduces plain attention bit for bit.
 `scaled_scores`, `softmax_rows` and `extend_kv` compute the same values step
-by step and serve as its reference.
+by step, in the textbook order; they are the reference `attend` is held to
+within a bound of a few eps (see `attend`).
 """
 from __future__ import annotations
 
@@ -23,30 +24,28 @@ from .tiles import in_range
 # larger), so memory stays bounded however many injected rows arrive.
 SCORE_BLOCK_BYTES = 2 * 1024 * 1024
 
-# attend's score and [K; K_inj] / [V; V_inj] buffers, kept per thread (tiles
-# may run on worker threads). Allocated per call, a buffer of a megabyte or
-# so is mapped and faulted in afresh whenever the C allocator serves it by
-# mmap, which it does unless earlier large frees happened to raise its
-# threshold. A buffer larger than SCORE_BLOCK_BYTES (one matrix too large to
-# share a block) is allocated per call and not kept, so a thread keeps at
-# most three buffers of SCORE_BLOCK_BYTES each between calls.
+# attend's score buffer, kept per thread (tiles may run on worker threads).
+# Allocated per call, a buffer of a megabyte or so is mapped and faulted in
+# afresh whenever the C allocator serves it by mmap, which it does unless
+# earlier large frees happened to raise its threshold. A buffer larger than
+# SCORE_BLOCK_BYTES (one matrix too large to share a block) is allocated per
+# call and not kept, so a thread keeps at most SCORE_BLOCK_BYTES between calls.
 _workspace = threading.local()
 
 
-def _scratch(name: str, shape: tuple) -> np.ndarray:
-    """This thread's float64 buffer `name`, viewed as a C-contiguous `shape`.
+def _scratch(shape: tuple) -> np.ndarray:
+    """This thread's float64 score buffer, viewed as a C-contiguous `shape`.
 
-    A kept buffer only grows, up to SCORE_BLOCK_BYTES; a larger request gets
-    a fresh array. Contents are whatever the last call left: write before
-    reading.
+    The kept buffer only grows, up to SCORE_BLOCK_BYTES; a larger request
+    gets a fresh array. Contents are whatever the last call left: write
+    before reading.
     """
     size = math.prod(shape)
     if size * 8 > SCORE_BLOCK_BYTES:
         return np.empty(shape)
-    buf = getattr(_workspace, name, None)
+    buf = getattr(_workspace, "weights", None)
     if buf is None or buf.size < size:
-        buf = np.empty(size)
-        setattr(_workspace, name, buf)
+        buf = _workspace.weights = np.empty(size)
     return buf[:size].reshape(shape)
 
 
@@ -76,22 +75,24 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
            gamma: float = 0.0, own_key_means: bool = False):
     """softmax(Q [K; K_inj]^T / (max(gamma^2 * qmax * kmax, 1) * sqrt(d))) [V; V_inj].
 
-    Bit for bit the values of softmax_rows(scaled_scores(q, k2, gamma)) @ v2
-    with k2, v2 = extend_kv(k, v, injected), in float64, but without the
-    batch-wide k2, v2 or score tensor. Leading axes are walked in blocks of
-    whole (queries x keys) matrices holding at most SCORE_BLOCK_BYTES of
-    scores. The buffers are reused from block to block, and from call to
-    call within a thread: [K; K_inj] and [V; V_inj] get the injected rows,
-    shared by every matrix, written once per call.
-    The temper takes kmax over own and injected keys apart (max is exact);
-    division, max shift, exp and row normalisation run in place. Every GEMM
-    keeps the reference's per-matrix shape, (nq x d)(d x keys) and
-    (nq x keys)(keys x dv): BLAS rounds a product differently when its query
-    rows or key columns are split.
+    The values of softmax_rows(scaled_scores(q, k2, gamma)) @ v2 with
+    k2, v2 = extend_kv(k, v, injected), in float64, to within
+    4 * eps * (1 + max|score|) * max|v2| (a score's rounding reaches its
+    weight through exp; the output is a convex combination of the rows of
+    v2), but without k2, v2 or a batch-wide score tensor. Leading axes are
+    walked in blocks of whole (queries x keys) matrices holding at most
+    SCORE_BLOCK_BYTES of scores, in a per-thread buffer reused from block to
+    block and from call to call.
+    The temper (kmax over own and injected keys) and sqrt(d) divide Q, a
+    per-matrix scalar. Own keys are scored one GEMM per matrix; the injected
+    rows, shared by every matrix, are scored for the whole block in one
+    (block * nq x d)(d x n_inj) GEMM into the same buffer. The max shift and
+    exp run in place, the unnormalised weights meet V as
+    S_own V + S_inj V_inj, and the row sums divide that output.
+    gamma = 0, or a temper clamped to 1, gives plain attention bit for bit.
 
     With own_key_means, returns (output, means) where means (..., own keys)
-    is the weight each own key receives, averaged over the queries: bit for
-    bit softmax_rows(scaled_scores(q, k2, gamma))[..., :nk].mean(-2), taken
+    is the weight each own key receives, averaged over the queries, taken
     block by block. q, k and v must share their batch shape (a ValueError
     otherwise); their values are trusted: the caller validates them.
     """
@@ -99,10 +100,10 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    n_inj = 0
+    n_inj, inj_kmax = 0, 0.0
     if injected is not None and injected.rows > 0:
         _check_injected_dims(injected, k, v)
-        n_inj = injected.rows
+        n_inj, inj_kmax = injected.rows, np.max(np.abs(injected.keys))
     batch = q.shape[:-2]
     if k.shape[:-2] != batch or v.shape[:-2] != batch:
         raise ValueError(
@@ -115,48 +116,32 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     vs = v.reshape(-1, nk, dv)
     n_mat = qs.shape[0]
     per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
-    block = min(per_block, n_mat)
 
-    weights = _scratch("weights", (block, nq, n_keys))
+    weights = _scratch((min(per_block, n_mat), nq, n_keys))
     out = np.empty((n_mat, nq, dv))
     means = np.empty((n_mat, nk)) if own_key_means else None
     root_d = np.sqrt(d)
-    if n_inj:
-        inj_kmax = np.max(np.abs(injected.keys))
-        k_ext = _scratch("k_ext", (block, n_keys, d))
-        k_ext[:, nk:] = injected.keys
-        if nk == 1:
-            # With one own row per matrix, np.concatenate interleaves the
-            # matrices' rows, and BLAS rounds a one-query product by that row
-            # stride: take the reference's own [V; V_inj] to keep its bits.
-            v_all = extend_kv(ks, vs, injected)[1]
-        else:
-            v_ext = _scratch("v_ext", (block, n_keys, dv))
-            v_ext[:, nk:] = injected.values
     for start in range(0, n_mat, per_block):
         stop = min(start + per_block, n_mat)
         qb, kb, vb = qs[start:stop], ks[start:stop], vs[start:stop]
         qmax = np.max(np.abs(qb), axis=(-2, -1), keepdims=True, initial=0.0)
-        kmax = np.max(np.abs(kb), axis=(-2, -1), keepdims=True, initial=0.0)
-        if n_inj:
-            kmax = np.maximum(kmax, inj_kmax)
-            k_ext[:stop - start, :nk] = kb
-            kb = k_ext[:stop - start]
-            if nk == 1:
-                vb = v_all[start:stop]
-            else:
-                v_ext[:stop - start, :nk] = vb
-                vb = v_ext[:stop - start]
+        kmax = np.max(np.abs(kb), axis=(-2, -1), keepdims=True, initial=inj_kmax)
+        qb = qb / (np.maximum(gamma * gamma * qmax * kmax, 1.0) * root_d)
         s = weights[:stop - start]
-        np.matmul(qb, np.swapaxes(kb, -1, -2), out=s)
-        temper = np.maximum(gamma * gamma * qmax * kmax, 1.0)
-        np.divide(s, temper * root_d, out=s)
+        flat = s.reshape(-1, n_keys)  # a view: the buffer is C-contiguous
+        np.matmul(qb, np.swapaxes(kb, -1, -2), out=s[..., :nk])
+        if n_inj:
+            np.matmul(qb.reshape(-1, d), injected.keys.T, out=flat[:, nk:])
         np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
         np.exp(s, out=s)
-        np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        ob = out[start:stop]
+        np.matmul(s[..., :nk], vb, out=ob)
+        if n_inj:
+            ob += (flat[:, nk:] @ injected.values).reshape(ob.shape)
+        np.divide(ob, total, out=ob)
         if own_key_means:
-            means[start:stop] = s[..., :nk].mean(axis=-2)
-        np.matmul(s, vb, out=out[start:stop])
+            means[start:stop] = (s[..., :nk] / total).mean(axis=-2)
     out = out.reshape(batch + (nq, dv))
     if own_key_means:
         return out, means.reshape(batch + (nk,))
@@ -243,17 +228,18 @@ def aggregate_frame_kv(parts: list[InjectedKV]) -> InjectedKV:
     )
 
 
-def select_tap_frames(keys_by_frame, count: int) -> list[int]:
+def select_tap_frames(keys: np.ndarray, count: int) -> list[int]:
     """Indices of the `count` frames whose keys have the largest standard
-    deviation (population std over all entries). keys_by_frame is a list of
-    per-frame key arrays or one array indexed by frame. Ties go to the lower
-    frame index; the result is ascending."""
+    deviation (population std over all entries of a frame). keys is one
+    (frames, ...) array. Ties go to the lower frame index; the result is
+    ascending."""
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count > len(keys_by_frame):
-        raise ValueError(f"count {count} exceeds frame count {len(keys_by_frame)}")
-    stds = np.array([float(np.std(np.asarray(k, dtype=np.float64))) for k in keys_by_frame])
+    keys = np.asarray(keys, dtype=np.float64)
+    if count > len(keys):
+        raise ValueError(f"count {count} exceeds frame count {len(keys)}")
+    stds = keys.reshape(len(keys), -1).std(axis=1)
     if not np.all(np.isfinite(stds)):
         raise ValueError("non-finite key statistics")
     # stable sort on descending std keeps lower indices first among ties

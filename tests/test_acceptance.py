@@ -241,9 +241,9 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
     for trial in range(100):
         n = int(rng.integers(1, 10))
         count = int(rng.integers(1, n + 1))
-        frames = [rng.standard_normal((int(rng.integers(1, 5)), 3)) for _ in range(n)]
+        frames = rng.standard_normal((n, int(rng.integers(1, 5)), 3))
         if trial % 3 == 0 and n >= 2:
-            frames[-1] = frames[0].copy()  # exact ties
+            frames[-1] = frames[0]  # exact ties
         assert select_tap_frames(frames, count) == brute_force(frames, count)
 
     # 4 key/value frames handed over out of a 14-frame tile ~ 28% of tokens

@@ -120,7 +120,7 @@ def test_temper_below_one_clamps_to_plain():
     # tiny gamma: gamma^2 * qmax * kmax < 1, denominator clamps at 1
     a = attend(q, k, v, gamma=1e-6)
     b = attend(q, k, v)
-    assert np.max(np.abs(a - b)) < 1e-9
+    assert np.array_equal(a, b)
 
 
 def test_row_entropy_grows_with_gamma():
@@ -171,7 +171,7 @@ def test_empty_injection_matches_plain():
     empty = InjectedKV(np.zeros((0, 4)), np.zeros((0, 3)))
     b = attend(q, k, v, empty)
     assert np.array_equal(a, base)
-    assert np.max(np.abs(b - base)) < 1e-6
+    assert np.array_equal(b, base)
 
 
 def test_duplicate_injection_preserves_output():
@@ -299,13 +299,13 @@ def brute_force_selection(keys_by_frame, count):
 
 
 def test_select_single_spread_frame():
-    frames = [np.zeros((2, 1)) for _ in range(5)]
-    frames[2] = np.array([[-3.0], [3.0]])
+    frames = np.zeros((5, 2, 1))
+    frames[2] = [[-3.0], [3.0]]
     assert select_tap_frames(frames, 1) == [2]
 
 
 def test_select_ties_break_to_lower_index():
-    frames = [np.ones((2, 2)) * 7.0 for _ in range(6)]
+    frames = np.full((6, 2, 2), 7.0)
     assert select_tap_frames(frames, 3) == [0, 1, 2]
     assert select_tap_frames(frames, 6) == [0, 1, 2, 3, 4, 5]
 
@@ -315,15 +315,15 @@ def test_select_matches_brute_force_on_random_instances():
     for trial in range(100):
         n = int(rng.integers(1, 9))
         count = int(rng.integers(1, n + 1))
-        frames = [rng.standard_normal((int(rng.integers(1, 5)), 3)) for _ in range(n)]
+        frames = rng.standard_normal((n, int(rng.integers(1, 5)), 3))
         if trial % 3 == 0 and n >= 2:
             # force exact ties by duplicating a frame's keys
-            frames[n - 1] = frames[0].copy()
+            frames[n - 1] = frames[0]
         assert select_tap_frames(frames, count) == brute_force_selection(frames, count)
 
 
 def test_select_count_validation():
-    frames = [np.zeros((2, 2))]
+    frames = np.zeros((1, 2, 2))
     with pytest.raises(ValueError):
         select_tap_frames(frames, 2)
     with pytest.raises(ValueError):
@@ -339,21 +339,40 @@ def test_batched_weights_are_probabilities(tq, tk, d, seed):
     q = rng.standard_normal((2, tq, d))
     k = rng.standard_normal((2, tk, d))
     gamma = float(rng.uniform(0.0, 3.0))
-    w = softmax_rows(scaled_scores(q, k, gamma))
+    scores = scaled_scores(q, k, gamma)
+    w = softmax_rows(scores)
     assert w.shape == (2, tq, tk)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-6
+    # attend's mean weights per key, taken without the full weight tensor
+    _, means = attend(q, k, k, gamma=gamma, own_key_means=True)
+    assert np.max(np.abs(means - w.mean(-2))) <= reference_bound(scores)
+    assert np.max(np.abs(means.sum(-1) - 1.0)) < 1e-12
 
 
 # --- fused kernel against the step-by-step reference ------------------------
 
-def assert_attend_is_reference(q, k, v, injected, gamma):
+def reference_bound(scores, v=None):
+    """How far attend may be from the reference: 4 eps (1 + max|score|),
+    times max|v| for an output, a convex combination of the rows of v.
+    Each score carries a rounding of about eps of its magnitude (attend
+    scales Q where the reference divides the scores), which exp turns into
+    that relative error of the weights; normalising after PV adds a few
+    eps. Measured on 50,000 random cases of the shapes below: at most 1.17
+    (outputs) and 0.49 (means) of the 4."""
+    bound = 4 * np.finfo(np.float64).eps * (1.0 + float(np.max(np.abs(scores), initial=0.0)))
+    return bound if v is None else bound * float(np.max(np.abs(v)))
+
+
+def assert_attend_matches_reference(q, k, v, injected, gamma):
     k2, v2 = extend_kv(k, v, injected)
-    ref_weights = softmax_rows(scaled_scores(q, k2, gamma))
+    scores = scaled_scores(q, k2, gamma)
+    ref_weights = softmax_rows(scores)
     ref_out = ref_weights @ v2
     out, means = attend(q, k, v, injected, gamma, own_key_means=True)
-    assert np.array_equal(out, ref_out)
-    assert np.array_equal(means, ref_weights[..., :k.shape[-2]].mean(-2))
-    assert np.array_equal(attend(q, k, v, injected, gamma), ref_out)
+    assert np.max(np.abs(out - ref_out), initial=0.0) <= reference_bound(scores, v2)
+    ref_means = ref_weights[..., :k.shape[-2]].mean(-2)
+    assert np.max(np.abs(means - ref_means), initial=0.0) <= reference_bound(scores)
+    assert np.array_equal(attend(q, k, v, injected, gamma), out)
 
 
 def random_injection(rng, rows, d, dv):
@@ -374,14 +393,27 @@ def random_injection(rng, rows, d, dv):
     scale=st.sampled_from([0.1, 1.0, 5.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-# one own row per frame: the reference's [V; V_inj] has frame-interleaved rows
 @example(batch=(3,), nq=1, nk=1, d=1, dv=1, inj_rows=3, gamma=0.0, scale=0.1, seed=0)
-def test_attend_is_bitwise_the_reference(batch, nq, nk, d, dv, inj_rows, gamma, scale, seed):
+def test_attend_matches_the_reference(batch, nq, nk, d, dv, inj_rows, gamma, scale, seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(batch + (nq, d)) * scale
     k = rng.standard_normal(batch + (nk, d)) * scale
     v = rng.standard_normal(batch + (nk, dv))
-    assert_attend_is_reference(q, k, v, random_injection(rng, inj_rows, d, dv), gamma)
+    assert_attend_matches_reference(q, k, v, random_injection(rng, inj_rows, d, dv), gamma)
+
+
+@pytest.mark.parametrize("nq", [1, 4])
+@pytest.mark.parametrize("gamma", [0.0, 1.5])
+def test_attend_one_own_key_per_frame(nq, gamma):
+    # one own key per frame: the own-key GEMMs are (nq x d)(d x 1) and
+    # (nq x 1)(1 x dv), next to the shared injected rows
+    rng = np.random.default_rng(23)
+    q = rng.standard_normal((3, nq, 4))
+    k = rng.standard_normal((3, 1, 4))
+    v = rng.standard_normal((3, 1, 2))
+    assert_attend_matches_reference(q, k, v, random_injection(rng, 5, 4, 2), gamma)
+    # one key and nothing injected: every query returns that key's value
+    assert np.array_equal(attend(q, k, v, gamma=gamma), np.repeat(v, nq, axis=-2))
 
 
 @settings(deadline=None, max_examples=8)
@@ -400,7 +432,7 @@ def test_attend_spans_several_score_blocks(nq, nk, inj_rows, extra, gamma, seed)
     q = rng.standard_normal((frames, nq, 4))
     k = rng.standard_normal((frames, nk, 4))
     v = rng.standard_normal((frames, nk, 3))
-    assert_attend_is_reference(q, k, v, random_injection(rng, inj_rows, 4, 3), gamma)
+    assert_attend_matches_reference(q, k, v, random_injection(rng, inj_rows, 4, 3), gamma)
 
 
 def test_attend_frame_larger_than_block_budget():
@@ -410,7 +442,7 @@ def test_attend_frame_larger_than_block_budget():
     inj = random_injection(rng, 4096, 16, 16)
     assert 64 * (64 + 4096) * 8 > SCORE_BLOCK_BYTES
     for gamma in (0.0, 0.8):
-        assert_attend_is_reference(q, k, v, inj, gamma)
+        assert_attend_matches_reference(q, k, v, inj, gamma)
 
 
 def peak_traced_bytes(fn):

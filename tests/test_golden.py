@@ -5,10 +5,14 @@ tiles run in reverse order.
 
 A change that is meant to keep outputs byte-identical must leave every
 digest as it is. A change that alters output bits says so, bounds the drift,
-and regenerates the digests and `golden_outputs.npz` by running this file as
-a script:
+and re-records the digests, which running this file as a script prints:
 
     PYTHONPATH=src python tests/test_golden.py
+
+`golden_outputs.npz` is the drift anchor and stays as it is: a change that
+alters bits is held to it at RTOL, so drift cannot pile up unseen from change
+to change. `--floats` also rewrites it, for a change that means to move
+the outputs beyond that bound.
 
 The digests hold for the platform they were recorded on, `RECORDED_PLATFORM`:
 the OpenBLAS core that runs (what `scipy_openblas_get_corename64_` reports,
@@ -47,23 +51,23 @@ RECORDED_PLATFORM = "openblas=SkylakeX numpy=2.4.6 simd=X86_V3,X86_V4,AVX512_ICL
 # (guidance mode, sap, tap) -> sha256 of the output video's bytes
 GOLDEN = {
     ("none", True, True):
-        "3ae0d6ec5d9d67f5139b2808c53e6828f835f3f194ddfac910651e6749b0c572",
+        "f68a0e031ba088603a800601543e2819e05d30e570b90fa1779ea821dd684811",
     ("cfg", True, True):
-        "095e51a9c7b3a350ca4a18c9904892ebb03f9d667faa8c8be28390a43a307b38",
+        "867ca87c906d480b7fbd09a4286571c2375c2262ae2cf27034a32efbe3969c48",
     ("sag", True, True):
-        "ecd718c440e989229d25caf0e4e3d88ed29fede75b657aacb1c271ff079c3564",
+        "13f25d871601fb86399680ae716c04029095d5b481cec60d54cc8029f1543cb3",
     ("pag", True, True):
-        "cee163f458e8aae7c97336c7524ebe8ec1015354a83ba4e0286ecf410faf29a8",
+        "1453a1605a5cda8b5bee43a7e8b4ff93587af76806f84ae81c8c5a8220a966e6",
     ("dssag", True, True):
-        "7ad2768cf07de7c89a63c249c50498dd53320f3334db27c54fd9520e8ae008ca",
+        "7c8d639854ec76ee2104fa1fa5a89ce65ec520b5e5ff655e690e9fcd2a8b57a2",
     ("cfg_dssag", True, True):
-        "3f14e5856189b23e68cc6822cb65e9e962169fd397629db1f9956003708de2e0",
+        "ab8970cce17f6a8ad37923eb65f9f91e341735c0923f7be9b01d5775a48bcc73",
     ("cfg_dssag", True, False):
-        "48f66db818b10c852487594693335f95fea22d8db2b9aa01d96b42640a58ea64",
+        "4c42ec2eb81064a6a0e2bbaab4f1d0909e6577bc01a30fc09aeddf80d2f60490",
     ("cfg_dssag", False, True):
-        "1614e0dc179d455a56ebd0fe035997f92f69e32b1b62d65de37f7b1bcdb4f16a",
+        "82f28738d643afd1e0c5647ba63ee3d0c77cb73913f8a9164eada26fced073de",
     ("cfg_dssag", False, False):
-        "dee3b4a04ba3a0f91ebb9d8bfa42729bc76dfae4bfba8ee7e58f289c762d0f0e",
+        "8969faa6eeac5511f4ec2946ecb457c0cde9bf08065973547bd1379ac6303f88",
 }
 
 # Other BLAS kernels and SIMD paths move the outputs by at most about 1e-14
@@ -142,7 +146,6 @@ def test_outputs_match_the_stored_floats_on_any_platform():
             assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
             drift = float(np.max(np.abs(got - want)))
             assert drift <= RTOL * float(np.max(np.abs(want))), (key, drift, platform_key())
-            assert digest(want) == GOLDEN[key]  # the stored floats are the pinned bytes
 
 
 def _has_simd(*names: str) -> bool:
@@ -177,7 +180,8 @@ def test_stored_floats_hold_under_other_kernels(env, key_part, needs):
 
 if __name__ == "__main__":
     videos = {key: run_video(*key) for key in GOLDEN}
-    np.savez(OUTPUTS, **{output_name(*key): video for key, video in videos.items()})
+    if "--floats" in sys.argv[1:]:
+        np.savez(OUTPUTS, **{output_name(*key): video for key, video in videos.items()})
     print(f'RECORDED_PLATFORM = "{platform_key()}"')
     for (mode, sap, tap), video in videos.items():
         print(f'    ("{mode}", {sap}, {tap}):\n        "{digest(video)}",')

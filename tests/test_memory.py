@@ -2,8 +2,8 @@
 
 Resampling works one leading plane at a time, `degrade` blurs one frame at
 a time, the conditioning latent is built one frame at a time, and `attend`
-reuses a per-thread workspace for its score and [K; K_inj] / [V; V_inj]
-buffers. SSIM works one plane at a time, with plane-sized temporaries.
+reuses a per-thread workspace for its score buffer and never copies the
+injected rows. SSIM works one plane at a time, with plane-sized temporaries.
 Peaks are measured with tracemalloc, which sees NumPy's array allocations;
 page faults with `resource.getrusage`.
 """
@@ -100,6 +100,19 @@ def test_a_repeated_attend_call_reuses_its_workspace():
     assert score_block < SCORE_BLOCK_BYTES  # the whole batch is one block
     assert peak < score_block
     assert np.array_equal(first, second)
+
+
+def test_injected_call_holds_one_score_block_and_own_sized_arrays():
+    """On a fresh thread the call allocates its score block; beside it only
+    arrays the size of one input (the output, the scaled Q, the injected
+    rows' share of the output) and NumPy's 64 KiB ufunc buffer. A
+    [K; K_inj] or [V; V_inj] copy would be as large as the score block."""
+    q, k, v, injected = injected_call_inputs()
+    score_block = 14 * 16 * (16 + 504) * 8
+    bound = score_block + 3 * q.nbytes + 64 * 1024
+    out, peak = traced_peak(lambda: in_fresh_thread(lambda: attend(q, k, v, injected, 0.5)))
+    assert peak <= bound < score_block + 14 * (16 + 504) * 16 * 8
+    assert out.shape == (14, 16, 16)
 
 
 def test_workspace_is_per_thread_and_keeps_outputs_fresh():
@@ -200,8 +213,8 @@ def test_sample_video_peaks_under_two_outputs():
 
 
 def test_workspace_keeps_no_buffer_over_one_score_block():
-    """One matrix over SCORE_BLOCK_BYTES gets fresh buffers: after the call
-    the thread keeps only the smaller ones of an earlier call."""
+    """One matrix over SCORE_BLOCK_BYTES gets a fresh score buffer: after
+    the call the thread keeps only the score block of an earlier call."""
     rng = np.random.default_rng(6)
     small = injected_call_inputs()
     q, k, v = (rng.standard_normal((1, 64, 16)) for _ in range(3))
@@ -211,10 +224,10 @@ def test_workspace_keeps_no_buffer_over_one_score_block():
     def run():
         attend(*small, 0.5)
         want = attend(*big, 0.5)
-        kept = {name: getattr(attention._workspace, name).nbytes for name in ("weights", "k_ext", "v_ext")}
+        kept = {name: buf.nbytes for name, buf in vars(attention._workspace).items()}
         return want, kept
 
     want, kept = in_fresh_thread(run)
-    assert all(n <= SCORE_BLOCK_BYTES for n in kept.values())
-    assert kept["weights"] == 14 * 16 * (16 + 504) * 8  # the small call's block
+    assert kept == {"weights": 14 * 16 * (16 + 504) * 8}  # the small call's block
+    assert kept["weights"] <= SCORE_BLOCK_BYTES
     assert np.array_equal(want, attend(*big, 0.5))

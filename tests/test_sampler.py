@@ -411,9 +411,7 @@ def test_injected_rows_match_token_major_selection():
 
         l_frames = int(rng.integers(1, 9))
         per_frame = gh * gw
-        chosen = select_tap_frames(
-            [flat_k[f * per_frame:(f + 1) * per_frame] for f in range(frames)], min(l_frames, frames),
-        )
+        chosen = select_tap_frames(flat_k.reshape(frames, per_frame, d), min(l_frames, frames))
         rows = [f * per_frame + t for f in chosen for t in range(per_frame)]
         result = DenoiseResult(None, keys={3: keys}, values={3: values})
         tap = _tap_injections(result, l_frames, (3,))[3]
