@@ -6,7 +6,11 @@ the denoiser calls: plain, detail-suppressed and injected-K/V attention are
 all its arguments, so gamma = 0 reproduces plain attention bit for bit.
 `scaled_scores`, `softmax_rows` and `extend_kv` compute the same values step
 by step, in the textbook order; they are the reference `attend` is held to
-within a bound of a few eps (see `attend`).
+within a bound of a few eps (see `attend`). Where the reference shifts every
+row by its maximum, `attend` skips the shift for a block whose scores are
+provably within +-SHIFT_FREE_BOUND (from qmax, kmax and the temper, see
+`attend`) and whose values are in range: the shift cancels in the softmax
+and only keeps exp finite.
 """
 from __future__ import annotations
 
@@ -23,6 +27,15 @@ from .tiles import in_range
 # are scored together up to this many bytes (one matrix when it alone is
 # larger), so memory stays bounded however many injected rows arrive.
 SCORE_BLOCK_BYTES = 2 * 1024 * 1024
+
+# attend skips the row-max shift of a block whose scores provably lie within
+# +-SHIFT_FREE_BOUND and whose values are in range (see attend): e^256 is
+# finite and normal with a wide margin (exp overflows past 709.78), and the
+# benchmark geometries' scores stay below about 41.
+SHIFT_FREE_BOUND = 256.0
+_SHIFT_FREE_WEIGHT = math.exp(SHIFT_FREE_BOUND)
+_SHIFT_FREE_V_CEIL = float(np.finfo(np.float64).max) / (4.0 * _SHIFT_FREE_WEIGHT)
+_SHIFT_FREE_V_FLOOR = float(np.finfo(np.float64).tiny) * _SHIFT_FREE_WEIGHT
 
 # attend's score buffer, kept per thread (tiles may run on worker threads).
 # Allocated per call, a buffer of a megabyte or so is mapped and faulted in
@@ -86,10 +99,28 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     The temper (kmax over own and injected keys) and sqrt(d) divide Q, a
     per-matrix scalar. Own keys are scored one GEMM per matrix; the injected
     rows, shared by every matrix, are scored for the whole block in one
-    (block * nq x d)(d x n_inj) GEMM into the same buffer. The max shift and
-    exp run in place, the unnormalised weights meet V as
-    S_own V + S_inj V_inj, and the row sums divide that output.
+    (block * nq x d)(d x n_inj) GEMM into the same buffer. exp runs in
+    place, the unnormalised weights meet V as S_own V + S_inj V_inj, and
+    the row sums, one GEMV of the block's weights with a ones vector,
+    divide that output.
     gamma = 0, or a temper clamped to 1, gives plain attention bit for bit.
+
+    The row-max shift cancels in the quotient; it exists only to keep exp
+    finite, and is decided block by block. Every score obeys
+    |s| <= sqrt(d) * qmax * kmax / temper =: B (d products, each at most
+    qmax * kmax, over temper * sqrt(d)), with qmax, kmax and temper per
+    matrix. A block skips the shift when its rows have more than one key,
+    its largest B is at most SHIFT_FREE_BOUND (256), and its values obey
+    n_keys * e^256 * tiny <= max|V| and n_keys * e^256 * max|V| <= max/4
+    (V own and injected; tiny and max the smallest normal and the largest
+    float64). Then every weight is in [e^-256, e^256], normal and finite;
+    a row sum is between e^-256 and n_keys * e^256; each partial sum of
+    S V is at most n_keys * e^256 * max|V|, finite; and the n_keys
+    weight-value products of a row, each off by at most 2^-1075 where it
+    rounds to a subnormal, over a row sum >= e^-256, move the output by
+    at most eps/2 * max|V|.
+    Otherwise, or with one key a row (so one key returns its value bit
+    for bit, exp(0) = 1), each row is shifted by its maximum first.
 
     With own_key_means, returns (output, means) where means (..., own keys)
     is the weight each own key receives, averaged over the queries, taken
@@ -100,10 +131,11 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    n_inj, inj_kmax = 0, 0.0
+    n_inj, inj_kmax, inj_vmax = 0, 0.0, 0.0
     if injected is not None and injected.rows > 0:
         _check_injected_dims(injected, k, v)
-        n_inj, inj_kmax = injected.rows, np.max(np.abs(injected.keys))
+        n_inj = injected.rows
+        inj_kmax, inj_vmax = np.max(np.abs(injected.keys)), np.max(np.abs(injected.values))
     batch = q.shape[:-2]
     if k.shape[:-2] != batch or v.shape[:-2] != batch:
         raise ValueError(
@@ -121,20 +153,27 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     out = np.empty((n_mat, nq, dv))
     means = np.empty((n_mat, nk)) if own_key_means else None
     root_d = np.sqrt(d)
+    ones = np.ones(n_keys)
     for start in range(0, n_mat, per_block):
         stop = min(start + per_block, n_mat)
         qb, kb, vb = qs[start:stop], ks[start:stop], vs[start:stop]
         qmax = np.max(np.abs(qb), axis=(-2, -1), keepdims=True, initial=0.0)
         kmax = np.max(np.abs(kb), axis=(-2, -1), keepdims=True, initial=inj_kmax)
-        qb = qb / (np.maximum(gamma * gamma * qmax * kmax, 1.0) * root_d)
+        temper = np.maximum(gamma * gamma * qmax * kmax, 1.0)
+        qb = qb / (temper * root_d)
+        vmax = np.max(np.abs(vb), initial=inj_vmax)
+        shift_free = (n_keys > 1 and root_d * np.max(qmax * kmax / temper) <= SHIFT_FREE_BOUND
+                      and n_keys * _SHIFT_FREE_V_FLOOR <= vmax
+                      and n_keys * vmax <= _SHIFT_FREE_V_CEIL)
         s = weights[:stop - start]
         flat = s.reshape(-1, n_keys)  # a view: the buffer is C-contiguous
         np.matmul(qb, np.swapaxes(kb, -1, -2), out=s[..., :nk])
         if n_inj:
             np.matmul(qb.reshape(-1, d), injected.keys.T, out=flat[:, nk:])
-        np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+        if not shift_free:
+            np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
         np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
+        total = (flat @ ones).reshape(s.shape[:-1] + (1,))
         ob = out[start:stop]
         np.matmul(s[..., :nk], vb, out=ob)
         if n_inj:

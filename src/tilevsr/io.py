@@ -163,6 +163,8 @@ def read_pfm(path: str) -> np.ndarray:
     scale = float(scale_s)
     if scale == 0:
         raise ValueError(f"{path}: zero scale")
+    if not math.isfinite(scale):  # its sign picks the byte order: nan < 0 is false
+        raise ValueError(f"{path}: non-finite scale {scale_s.decode()!r}")
     dtype = "<f4" if scale < 0 else ">f4"
     raster = np.frombuffer(data, dtype=dtype, count=w * h * channels, offset=offset)
     frame = raster.reshape(h, w, channels)[::-1].transpose(2, 0, 1)

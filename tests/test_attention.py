@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tilevsr import models
 from tilevsr.attention import (
     SCORE_BLOCK_BYTES,
+    SHIFT_FREE_BOUND,
     InjectedKV,
     aggregate_frame_kv,
     attend,
@@ -19,7 +21,9 @@ from tilevsr.attention import (
     softmax_rows,
     subsample_spatial_kv,
 )
-from tilevsr.models import ToyAttentionDenoiser
+from tilevsr.guidance import GuidanceConfig
+from tilevsr.models import ToyAttentionDenoiser, ToyCodec
+from tilevsr.sampler import PipelineConfig, sample_video
 
 Q1 = np.array([[1.0, 0.0]])
 I2 = np.eye(2)
@@ -412,7 +416,10 @@ def test_attend_one_own_key_per_frame(nq, gamma):
     k = rng.standard_normal((3, 1, 4))
     v = rng.standard_normal((3, 1, 2))
     assert_attend_matches_reference(q, k, v, random_injection(rng, 5, 4, 2), gamma)
-    # one key and nothing injected: every query returns that key's value
+    # one key and nothing injected: every query returns that key's value.
+    # The score bound alone would skip the row-max shift; one key a row
+    # keeps it, so the weight is exp(0) = 1 exactly
+    assert score_bound(q, k, None, gamma) <= SHIFT_FREE_BOUND
     assert np.array_equal(attend(q, k, v, gamma=gamma), np.repeat(v, nq, axis=-2))
 
 
@@ -471,3 +478,79 @@ def test_own_key_means_keep_scores_to_one_block():
         lambda: den.denoise(x, None, 1.0, injected=injected, collect_attention=True)
     )
     assert peak < 4 * SCORE_BLOCK_BYTES
+
+
+# --- the row-max shift and its guard ----------------------------------------
+
+def score_bound(q, k, injected, gamma):
+    """attend's free bound on |score|: sqrt(d) * qmax * kmax / temper, the
+    largest over the batched matrices (kmax over own and injected keys)."""
+    axes = (-2, -1)
+    qmax = np.max(np.abs(q), axis=axes)
+    kmax = np.max(np.abs(k), axis=axes)
+    if injected is not None and injected.rows:
+        kmax = np.maximum(kmax, np.max(np.abs(injected.keys)))
+    temper = np.maximum(gamma * gamma * qmax * kmax, 1.0)
+    return math.sqrt(q.shape[-1]) * float(np.max(qmax * kmax / temper))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.01])
+def test_scores_past_the_bound_are_shifted(gamma):
+    # q and k scaled x100: scores reach thousands, where an unshifted exp
+    # overflows, so only the shifted path matches the reference
+    rng = np.random.default_rng(31)
+    q, k, v = (rng.standard_normal((2, 5, 4)) * 100.0 for _ in range(3))
+    v /= 100.0
+    inj = random_injection(rng, 7, 4, 4)
+    inj.keys *= 100.0
+    assert score_bound(q, k, inj, gamma) > SHIFT_FREE_BOUND
+    k2, _ = extend_kv(k, v, inj)
+    assert np.max(np.abs(scaled_scores(q, k2, gamma))) > 710.0
+    assert_attend_matches_reference(q, k, v, inj, gamma)
+
+
+@pytest.mark.parametrize("v_scale,sign", [(1e300, 1.0), (1e-290, -1.0)])
+def test_values_out_of_range_are_shifted(v_scale, sign):
+    # every score between 100 and 196 (or -196 and -100), inside the bound:
+    # unshifted, e^100 * 1e300 overflows and e^-100 * 1e-290 underflows to
+    # zero; shifted, the largest weight is 1 and the output is the
+    # reference's, finite and nonzero
+    rng = np.random.default_rng(32)
+    q = rng.uniform(10.0, 14.0, (3, 4, 1))
+    k = sign * rng.uniform(10.0, 14.0, (3, 6, 1))
+    v = rng.uniform(-1.0, 1.0, (3, 6, 2)) * v_scale
+    inj = InjectedKV(sign * rng.uniform(10.0, 14.0, (5, 1)),
+                     rng.uniform(-1.0, 1.0, (5, 2)) * v_scale)
+    assert score_bound(q, k, inj, 0.0) <= SHIFT_FREE_BOUND
+    k2, v2 = extend_kv(k, v, inj)
+    ref = softmax_rows(scaled_scores(q, k2)) @ v2
+    assert np.all(np.isfinite(ref)) and np.all(ref != 0.0)
+    assert_attend_matches_reference(q, k, v, inj, 0.0)
+
+
+def test_denoiser_scores_stay_inside_the_shift_free_bound(monkeypatch):
+    # every attend call of one 25-step SAP/TAP/dssag run on the 14x3x16x16
+    # acceptance geometry is inside the bound, with values in range, so none
+    # falls back to the shifted path (the largest bound is about 34)
+    bounds, v_ranges = [], []
+    real = models.attend
+
+    def recording(q, k, v, injected=None, gamma=0.0, **kw):
+        n_keys = k.shape[-2] + (injected.rows if injected is not None else 0)
+        assert n_keys > 1
+        bounds.append(score_bound(q, k, injected, gamma))
+        inj_v = injected.values if injected is not None and injected.rows else np.zeros(1)
+        v_ranges.append(max(np.max(np.abs(v)), np.max(np.abs(inj_v))))
+        return real(q, k, v, injected, gamma, **kw)
+
+    monkeypatch.setattr(models, "attend", recording)
+    lr = np.random.default_rng(123).uniform(0.0, 1.0, size=(14, 3, 16, 16))
+    denoiser = ToyAttentionDenoiser(seed=1234, channels=3, patch_size=4, embed_dim=16,
+                                    spatial_layers=4, cond_dim=8)
+    cfg = PipelineConfig(steps=25, tile_frames=14, tile_h=16, tile_w=16, sap=True, tap=True,
+                         sap_rate=2, tap_frames=4, upscale_factor=4, seed=0,
+                         guidance=GuidanceConfig(mode="dssag", scale=1.0, rho=0.5))
+    sample_video(lr, denoiser, ToyCodec(2), cfg)
+    assert len(bounds) == 1701 * 5  # 4 spatial layers and the temporal block a forward
+    assert max(bounds) <= SHIFT_FREE_BOUND / 4, max(bounds)
+    assert 1e-3 <= min(v_ranges) and max(v_ranges) <= 1e3

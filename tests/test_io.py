@@ -224,6 +224,18 @@ def test_pfm_rejects_malformed(tmp_path):
         read_pfm(path)
 
 
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"0", b"-0.0"])
+def test_pfm_rejects_a_non_finite_or_zero_scale(tmp_path, scale):
+    # a NaN scale once passed as "not negative" and read the little-endian
+    # bytes of 1.0 big-endian, as 4.6e-41
+    path = tmp_path / "s.pfm"
+    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + struct.pack("<f", 1.0))
+    with pytest.raises(ValueError, match="scale"):
+        read_pfm(str(path))
+    path.write_bytes(b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 1.0))
+    assert read_pfm(str(path))[0, 0, 0] == 1.0
+
+
 # --- frame directories and video loading ------------------------------------
 
 def test_save_frames_and_load_video_ppm(tmp_path):
