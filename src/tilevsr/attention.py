@@ -28,6 +28,11 @@ from .tiles import in_range
 # larger), so memory stays bounded however many injected rows arrive.
 SCORE_BLOCK_BYTES = 2 * 1024 * 1024
 
+# Tile input of one stacked denoiser forward: the sampler stacks same-shape
+# tiles up to this many bytes (one tile when it alone is larger), so a
+# forward's activations stay bounded however many tiles a pass has.
+STACK_BYTES = 256 * 1024
+
 # attend skips the row-max shift of a block whose scores provably lie within
 # +-SHIFT_FREE_BOUND and whose values are in range (see attend): e^256 is
 # finite and normal with a wide margin (exp overflows past 709.78), and the
@@ -37,7 +42,7 @@ _SHIFT_FREE_WEIGHT = math.exp(SHIFT_FREE_BOUND)
 _SHIFT_FREE_V_CEIL = float(np.finfo(np.float64).max) / (4.0 * _SHIFT_FREE_WEIGHT)
 _SHIFT_FREE_V_FLOOR = float(np.finfo(np.float64).tiny) * _SHIFT_FREE_WEIGHT
 
-# attend's score buffer, kept per thread (tiles may run on worker threads).
+# attend's score buffer, kept per thread (stacks may run on worker threads).
 # Allocated per call, a buffer of a megabyte or so is mapped and faulted in
 # afresh whenever the C allocator serves it by mmap, which it does unless
 # earlier large frees happened to raise its threshold. A buffer larger than
@@ -105,6 +110,14 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     divide that output.
     gamma = 0, or a temper clamped to 1, gives plain attention bit for bit.
 
+    Every leading axis but the last indexes tiles (a stack of tiles, see
+    ToyAttentionDenoiser.denoise), and each tile gets the bits a call of
+    its own would give: its blocks, temper, shift decisions, injected GEMMs
+    and row-sum GEMVs are that call's. A call with at most one leading axis
+    is one tile. Injected rows are shared by every tile (keys (n, d)) or
+    given one set per tile (keys (tiles, n, d)). The maxima behind temper
+    and shift are taken once per call, per matrix, and read per block.
+
     The row-max shift cancels in the quotient; it exists only to keep exp
     finite, and is decided block by block. Every score obeys
     |s| <= sqrt(d) * qmax * kmax / temper =: B (d products, each at most
@@ -131,56 +144,73 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    n_inj, inj_kmax, inj_vmax = 0, 0.0, 0.0
-    if injected is not None and injected.rows > 0:
-        _check_injected_dims(injected, k, v)
-        n_inj = injected.rows
-        inj_kmax, inj_vmax = np.max(np.abs(injected.keys)), np.max(np.abs(injected.values))
     batch = q.shape[:-2]
     if k.shape[:-2] != batch or v.shape[:-2] != batch:
         raise ValueError(
             f"q, k and v need equal batch shapes, got {batch}, {k.shape[:-2]} and {v.shape[:-2]}"
         )
+    tiles = math.prod(batch[:-1])
     (nq, d), nk, dv = q.shape[-2:], k.shape[-2], v.shape[-1]
+    n_inj = injected.rows if injected is not None else 0
+    inj_kmax = inj_vmax = np.zeros(tiles)
+    if n_inj:
+        _check_injected_dims(injected, k, v)
+        if injected.keys.ndim == 3 and injected.keys.shape[0] != tiles:
+            raise ValueError(f"injected rows for {injected.keys.shape[0]} tiles need a call "
+                             f"of as many tiles, got {tiles}")
+        # the rows' maxima (per tile for per-tile rows), read afresh each call
+        inj_kmax = np.broadcast_to(np.abs(injected.keys).max(axis=(-2, -1)), (tiles,))
+        inj_vmax = np.broadcast_to(np.abs(injected.values).max(axis=(-2, -1)), (tiles,))
     n_keys = nk + n_inj
     qs = q.reshape(-1, nq, d)
     ks = k.reshape(-1, nk, d)
     vs = v.reshape(-1, nk, dv)
     n_mat = qs.shape[0]
-    per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
-
-    weights = _scratch((min(per_block, n_mat), nq, n_keys))
     out = np.empty((n_mat, nq, dv))
     means = np.empty((n_mat, nk)) if own_key_means else None
-    root_d = np.sqrt(d)
-    ones = np.ones(n_keys)
-    for start in range(0, n_mat, per_block):
-        stop = min(start + per_block, n_mat)
-        qb, kb, vb = qs[start:stop], ks[start:stop], vs[start:stop]
-        qmax = np.max(np.abs(qb), axis=(-2, -1), keepdims=True, initial=0.0)
-        kmax = np.max(np.abs(kb), axis=(-2, -1), keepdims=True, initial=inj_kmax)
+    if n_mat:
+        per_tile = n_mat // tiles
+        per_block = max(1, SCORE_BLOCK_BYTES // max(1, nq * n_keys * 8))
+        # per-matrix maxima, temper and score bound, once per call
+        qmax = np.abs(qs).max(axis=(1, 2), initial=0.0)
+        kmax = np.maximum(np.abs(ks).max(axis=(1, 2), initial=0.0).reshape(tiles, -1),
+                          inj_kmax[:, None]).reshape(-1)
+        vmax = np.abs(vs).max(axis=(1, 2), initial=0.0)
         temper = np.maximum(gamma * gamma * qmax * kmax, 1.0)
-        qb = qb / (temper * root_d)
-        vmax = np.max(np.abs(vb), initial=inj_vmax)
-        shift_free = (n_keys > 1 and root_d * np.max(qmax * kmax / temper) <= SHIFT_FREE_BOUND
-                      and n_keys * _SHIFT_FREE_V_FLOOR <= vmax
-                      and n_keys * vmax <= _SHIFT_FREE_V_CEIL)
-        s = weights[:stop - start]
-        flat = s.reshape(-1, n_keys)  # a view: the buffer is C-contiguous
-        np.matmul(qb, np.swapaxes(kb, -1, -2), out=s[..., :nk])
-        if n_inj:
-            np.matmul(qb.reshape(-1, d), injected.keys.T, out=flat[:, nk:])
-        if not shift_free:
-            np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
-        np.exp(s, out=s)
-        total = (flat @ ones).reshape(s.shape[:-1] + (1,))
-        ob = out[start:stop]
-        np.matmul(s[..., :nk], vb, out=ob)
-        if n_inj:
-            ob += (flat[:, nk:] @ injected.values).reshape(ob.shape)
-        np.divide(ob, total, out=ob)
-        if own_key_means:
-            means[start:stop] = (s[..., :nk] / total).mean(axis=-2)
+        root_d = np.sqrt(d)
+        q_scale = (temper * root_d)[:, None, None]
+        bound = qmax * kmax / temper
+        weights = _scratch((min(per_block, n_mat), nq, n_keys))
+        ones = np.ones(n_keys)
+        for t in range(tiles):
+            if n_inj:
+                inj_keys, inj_values = injected.keys, injected.values
+                if inj_keys.ndim == 3:
+                    inj_keys, inj_values = inj_keys[t], inj_values[t]
+            # blocks: runs of per_block matrices, never across tiles
+            for start in range(t * per_tile, (t + 1) * per_tile, per_block):
+                stop = min(start + per_block, (t + 1) * per_tile)
+                qb = qs[start:stop] / q_scale[start:stop]
+                block_vmax = np.maximum(vmax[start:stop].max(), inj_vmax[t])
+                shift_free = (n_keys > 1 and root_d * bound[start:stop].max() <= SHIFT_FREE_BOUND
+                              and n_keys * _SHIFT_FREE_V_FLOOR <= block_vmax
+                              and n_keys * block_vmax <= _SHIFT_FREE_V_CEIL)
+                s = weights[:stop - start]
+                flat = s.reshape(-1, n_keys)  # a view: the buffer is C-contiguous
+                np.matmul(qb, np.swapaxes(ks[start:stop], -1, -2), out=s[..., :nk])
+                if n_inj:
+                    np.matmul(qb.reshape(-1, d), inj_keys.T, out=flat[:, nk:])
+                if not shift_free:
+                    np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+                np.exp(s, out=s)
+                total = (flat @ ones).reshape(s.shape[:-1] + (1,))
+                ob = out[start:stop]
+                np.matmul(s[..., :nk], vs[start:stop], out=ob)
+                if n_inj:
+                    ob += (flat[:, nk:] @ inj_values).reshape(ob.shape)
+                np.divide(ob, total, out=ob)
+                if own_key_means:
+                    means[start:stop] = (s[..., :nk] / total).mean(axis=-2)
     out = out.reshape(batch + (nq, dv))
     if own_key_means:
         return out, means.reshape(batch + (nk,))
@@ -189,7 +219,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
 
 @dataclass
 class InjectedKV:
-    """Key/value rows gathered from other tiles."""
+    """Key/value rows gathered from other tiles: (rows, d) shared by every
+    tile of an attend call, or (tiles, rows, d) one set per tile."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -197,26 +228,26 @@ class InjectedKV:
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.keys.ndim != 2 or self.values.ndim != 2:
-            raise ValueError("injected keys/values must be 2-D")
-        if self.keys.shape[0] != self.values.shape[0]:
+        if self.keys.ndim not in (2, 3) or self.values.ndim not in (2, 3):
+            raise ValueError("injected keys/values must be (rows, d) or (tiles, rows, d)")
+        if self.keys.shape[:-1] != self.values.shape[:-1]:
             raise ValueError(
-                f"injected keys have {self.keys.shape[0]} rows, values {self.values.shape[0]}"
+                f"injected keys have {self.keys.shape[:-1]} rows, values {self.values.shape[:-1]}"
             )
 
     @property
     def rows(self) -> int:
-        return self.keys.shape[0]
+        return self.keys.shape[-2]
 
 
 def _check_injected_dims(injected: InjectedKV, k: np.ndarray, v: np.ndarray) -> None:
-    if injected.keys.shape[1] != k.shape[-1]:
+    if injected.keys.shape[-1] != k.shape[-1]:
         raise ValueError(
-            f"injected key dim {injected.keys.shape[1]} does not match {k.shape[-1]}"
+            f"injected key dim {injected.keys.shape[-1]} does not match {k.shape[-1]}"
         )
-    if injected.values.shape[1] != v.shape[-1]:
+    if injected.values.shape[-1] != v.shape[-1]:
         raise ValueError(
-            f"injected value dim {injected.values.shape[1]} does not match {v.shape[-1]}"
+            f"injected value dim {injected.values.shape[-1]} does not match {v.shape[-1]}"
         )
 
 

@@ -20,7 +20,9 @@ from .tiles import in_range, int_in_range
 
 @dataclass
 class DenoiseResult:
-    denoised: np.ndarray
+    """A forward's outputs; a stacked forward's carry a leading tile axis."""
+
+    denoised: np.ndarray | None  # None after a kv_only forward
     keys: dict = field(default_factory=dict)     # hook layer -> (frames, gh, gw, d)
     values: dict = field(default_factory=dict)   # hook layer -> (frames, gh, gw, d)
     attention: np.ndarray | None = None  # (frames, h, w), mean over hook layers
@@ -151,43 +153,54 @@ class ToyAttentionDenoiser:
         self.hook_layers = tuple(sorted(set(first_last)))
 
     def _patchify(self, x: np.ndarray) -> np.ndarray:
-        f, c, h, w = x.shape
+        n, f, c, h, w = x.shape
         p = self.patch_size
         gh, gw = h // p, w // p
         return (
-            x.reshape(f, c, gh, p, gw, p)
-            .transpose(0, 2, 4, 1, 3, 5)
-            .reshape(f, gh * gw, c * p * p)
+            x.reshape(n, f, c, gh, p, gw, p)
+            .transpose(0, 1, 3, 5, 2, 4, 6)
+            .reshape(n, f, gh * gw, c * p * p)
         )
 
     def _unpatchify(self, tokens: np.ndarray, gh: int, gw: int) -> np.ndarray:
-        f = tokens.shape[0]
+        n, f = tokens.shape[:2]
         p = self.patch_size
         c = self.channels
         return (
-            tokens.reshape(f, gh, gw, c, p, p)
-            .transpose(0, 3, 1, 4, 2, 5)
-            .reshape(f, c, gh * p, gw * p)
+            tokens.reshape(n, f, gh, gw, c, p, p)
+            .transpose(0, 1, 4, 2, 5, 3, 6)
+            .reshape(n, f, c, gh * p, gw * p)
         )
 
     def denoise(self, x, c=None, sigma: float = 1.0, injected=None, gamma: float = 0.0,
                 identity: bool = False, collect_kv: bool = False,
-                collect_attention: bool = False) -> DenoiseResult:
+                collect_attention: bool = False, kv_only: bool = False) -> DenoiseResult:
         """D(x; sigma), conditioned on c unless c is None.
 
+        x is one tile (frames, channels, h, w) or a stack of same-shape tiles
+        (tiles, frames, channels, h, w); every output then carries the same
+        leading tile axis, and each tile's bits are those of its own call.
+        The spatial layers run on (tiles, frames, tokens, d) and the temporal
+        block on (tiles, tokens, frames, d), one attend call each.
+
         The hook settings act on the hook layers only: `injected` maps a hook
-        layer to the K/V rows that extend its keys and values, gamma > 0
+        layer to the K/V rows that extend its keys and values (shared by the
+        stack, or one set per tile, see InjectedKV), gamma > 0
         tempers their score denominators, and identity replaces their
         attention by the value rows (ignoring injections: it needs the tile's
         own rows). collect_kv keeps each hook layer's K/V on the token grid,
         (frames, gh, gw, d); collect_attention returns the weight each token
         receives, averaged over the queries and the hook layers and repeated
-        to pixel resolution (frames, h, w).
+        to pixel resolution (frames, h, w). kv_only stops once the last hook
+        layer's K/V exist and returns those K/V alone (denoised is None).
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4:
-            raise ValueError(f"expected (frames, channels, h, w), got shape {x.shape}")
-        f, ch, h, w = x.shape
+        if x.ndim not in (4, 5):
+            raise ValueError(
+                f"expected (frames, channels, h, w) or a stack of them, got shape {x.shape}"
+            )
+        stack = x if x.ndim == 5 else x[None]
+        n, f, ch, h, w = stack.shape
         if ch != self.channels:
             raise ValueError(f"denoiser built for {self.channels} channels, got {ch}")
         p = self.patch_size
@@ -203,8 +216,8 @@ class ToyAttentionDenoiser:
 
         pre = precondition(sigma, self.sigma_data)
         gh, gw = h // p, w // p
-        tok = self._patchify(pre.c_in * x) @ self.w_embed
-        tok = tok + 0.1 * _positions(gh, gw, self.embed_dim)[None]
+        tok = self._patchify(pre.c_in * stack) @ self.w_embed  # (tiles, frames, tokens, d)
+        tok = tok + 0.1 * _positions(gh, gw, self.embed_dim)
         tok = tok + pre.c_noise * self.v_noise
         if c is not None:
             c = np.asarray(c, dtype=np.float64)
@@ -213,42 +226,46 @@ class ToyAttentionDenoiser:
             if np.any(c):
                 tok = tok + c @ self.w_cond
 
+        unstack = (lambda a: a) if x.ndim == 5 else (lambda a: a[0])
         keys_out: dict = {}
         values_out: dict = {}
         maps = []
         for idx, (wq, wk, wv, wo) in enumerate(self.layers):
-            q = tok @ wq
             k = tok @ wk
             v = tok @ wv
             hooked = idx in self.hook_layers
-            if collect_kv and hooked:  # attend never writes to k or v
-                keys_out[idx] = k.reshape(f, gh, gw, -1)
-                values_out[idx] = v.reshape(f, gh, gw, -1)
+            if (collect_kv or kv_only) and hooked:  # attend never writes to k or v
+                keys_out[idx] = unstack(k.reshape(n, f, gh, gw, -1))
+                values_out[idx] = unstack(v.reshape(n, f, gh, gw, -1))
+                if kv_only and idx == self.hook_layers[-1]:
+                    return DenoiseResult(denoised=None, keys=keys_out, values=values_out)
+            q = tok @ wq
             if not hooked:
                 out = attend(q, k, v)
             elif identity:
                 out = v.copy()
                 if collect_attention:
-                    maps.append(np.full((f, gh, gw), 1.0 / (gh * gw)))
+                    maps.append(np.full((n, f, gh, gw), 1.0 / (gh * gw)))
             elif collect_attention:
                 # mean attention weight received by each of the tile's own tokens
                 out, received = attend(q, k, v, injected.get(idx), gamma, own_key_means=True)
-                maps.append(received.reshape(f, gh, gw))
+                maps.append(received.reshape(n, f, gh, gw))
             else:
                 out = attend(q, k, v, injected.get(idx), gamma)
             tok = tok + np.tanh(out @ wo) * 0.5
 
         twq, twk, twv, two = self.temporal
-        tt = tok.transpose(1, 0, 2)  # (tokens, frames, d)
+        tt = tok.transpose(0, 2, 1, 3)  # (tiles, tokens, frames, d)
         out_t = attend(tt @ twq, tt @ twk, tt @ twv)
-        tok = tok + np.tanh(out_t @ two).transpose(1, 0, 2) * 0.5
+        tok = tok + np.tanh(out_t @ two).transpose(0, 2, 1, 3) * 0.5
 
         raw = self._unpatchify(tok @ self.w_out, gh, gw)
-        denoised = pre.c_skip * x + pre.c_out * raw
+        denoised = pre.c_skip * stack + pre.c_out * raw
         attention = None
         if collect_attention:
-            attention = np.repeat(np.repeat(np.mean(maps, axis=0), p, axis=-2), p, axis=-1)
-        return DenoiseResult(denoised=denoised, keys=keys_out, values=values_out, attention=attention)
+            attention = unstack(np.repeat(np.repeat(np.mean(maps, axis=0), p, axis=-2), p, axis=-1))
+        return DenoiseResult(denoised=unstack(denoised), keys=keys_out, values=values_out,
+                             attention=attention)
 
 
 @dataclass

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv
+from .attention import (
+    STACK_BYTES, InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv,
+)
 from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
 from .tiles import (
@@ -131,15 +133,15 @@ class PipelineConfig:
 
 @dataclass
 class RunStats:
-    eps_calls: int = 0
-    gather_calls: int = 0
+    eps_calls: int = 0  # one per tile per guided forward
+    gather_calls: int = 0  # one per tile per SAP gather
     tile_units: int = 0  # one per tile per step
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
-    def increment(self, counter: str) -> None:
-        """Add one to a pass counter; tile workers share one RunStats."""
+    def increment(self, counter: str, tiles: int) -> None:
+        """Add a stack's tiles to a pass counter; stack workers share one RunStats."""
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+            setattr(self, counter, getattr(self, counter) + tiles)
 
     @property
     def ff_per_iter(self) -> float:
@@ -154,48 +156,55 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the pass engine: guided noise estimates over chains of tiles
+# the pass engine: guided noise estimates over stacks of tiles
 
-def _forward(denoiser, sigma: float, stats: RunStats, where: str, x, *, conditional=True,
-             injections=None, gamma=0.0, identity=False, collect_kv=False,
-             collect_attention=False, counter="eps_calls"):
-    """One denoiser pass over x. Returns (noise estimate, DenoiseResult).
-
-    `where` names the step and tile in a NumericError.
-    """
-    cond = denoiser.cond_vector if conditional else None
-    result = denoiser.denoise(
-        x, cond, sigma, injected=injections, gamma=gamma, identity=identity,
-        collect_kv=collect_kv, collect_attention=collect_attention,
-    )
-    stats.increment(counter)
-    eps = (x - result.denoised) / sigma
-    if not np.all(np.isfinite(eps)):
-        raise NumericError(f"non-finite noise estimate at {where}, sigma={sigma:g}")
-    return eps, result
+def _stacks(items: list, tile_bytes: int) -> list[list]:
+    """items in order, cut into runs that hold at most STACK_BYTES of tile
+    input (one item a run when a tile alone is larger)."""
+    size = max(1, STACK_BYTES // max(1, tile_bytes))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _guided_eps(tile: Tile, injections, collect_kv: bool, denoiser, cfg: PipelineConfig,
+def _require_finite(arrays, stack: list[Tile], step: int, what: str, sigma: float) -> None:
+    """NumericError naming the step and the first tile of the stack whose
+    slice of any array (tile axis first) is not finite."""
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
+    for i, tile in enumerate(stack):
+        if not all(np.all(np.isfinite(a[i])) for a in arrays):
+            raise NumericError(f"non-finite {what} at step {step}, tile {(tile.n, tile.m)}, "
+                               f"sigma={sigma:g}")
+
+
+def _guided_eps(stack: list[Tile], injections, collect_kv: bool, denoiser, cfg: PipelineConfig,
                 sigma: float, gamma_t: float, stats: RunStats, step: int):
-    """Guided noise estimate of one tile, and its target branch's result.
+    """Guided noise estimates of a stack of tiles (tile axis first), and its
+    target branch's stacked result.
 
-    The branches of the mode's GUIDANCE_BRANCHES row run in order; a blurred
-    branch's input is built from branch 0's estimate and attention map.
+    The branches of the mode's GUIDANCE_BRANCHES row run in order, one
+    stacked forward each; a blurred branch's input is built tile by tile
+    from branch 0's estimate and attention map.
     """
-    stats.increment("tile_units")
+    stats.increment("tile_units", len(stack))
     g = cfg.guidance
-    where = f"step {step}, tile {(tile.n, tile.m)}"
     branches = GUIDANCE_BRANCHES[g.mode]
     needs_map = any(branch.blurred for branch in branches)
+    x0 = np.stack([tile.data for tile in stack])
     eps = []
     for i, branch in enumerate(branches):
-        x = sag_input(tile.data, eps[0], attention, sigma, g) if branch.blurred else tile.data
-        e, result = _forward(
-            denoiser, sigma, stats, where, x, conditional=branch.conditional,
-            injections=injections, gamma=gamma_t if branch.tempered else 0.0,
-            identity=branch.identity, collect_kv=collect_kv and i == len(branches) - 1,
+        x = x0
+        if branch.blurred:
+            x = np.stack([sag_input(tile.data, e, a, sigma, g)
+                          for tile, e, a in zip(stack, eps[0], attention)])
+        result = denoiser.denoise(
+            x, denoiser.cond_vector if branch.conditional else None, sigma, injected=injections,
+            gamma=gamma_t if branch.tempered else 0.0, identity=branch.identity,
+            collect_kv=collect_kv and i == len(branches) - 1,
             collect_attention=needs_map and i == 0,
         )
+        stats.increment("eps_calls", len(stack))
+        e = (x - result.denoised) / sigma
+        _require_finite([e], stack, step, "noise estimate", sigma)
         if i == 0:
             attention = result.attention
         eps.append(e)
@@ -208,34 +217,39 @@ def _guided_eps(tile: Tile, injections, collect_kv: bool, denoiser, cfg: Pipelin
 
 
 def _map_tiles(items: list, fn, workers: int) -> list:
-    """fn over items, threaded when workers > 1; results in item order, so
-    the order tiles run in cannot change the merged output."""
+    """fn over items (stacks of tiles), threaded when workers > 1; results
+    in item order, so the order stacks run in cannot change the merged output."""
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
-def _run_pass(chains: list[list[Tile]], inject, denoiser, cfg: PipelineConfig, sigma: float,
-              gamma_t: float, stats: RunStats, step: int) -> list[Tile]:
+def _run_pass(bundles: list[list[list[Tile]]], inject, denoiser, cfg: PipelineConfig,
+              sigma: float, gamma_t: float, stats: RunStats, step: int) -> list[Tile]:
     """Guided noise estimates of every tile of every chain, in (n, m) order.
 
-    Chains run independently through _map_tiles; the tiles of a chain run in
-    order, each with the per-layer K/V inject(tile, result) gives it, where
-    result is its predecessor's target-branch DenoiseResult (None for a
-    chain's first tile). A tile with a successor keeps its K/V for it.
+    A bundle is a list of equal-length tile chains that advance in
+    lockstep: rank r of every chain forms one stack and one forward per
+    branch. Bundles run independently through _map_tiles. Each stack runs
+    with the per-layer K/V inject(stack, result) gives it, where result is
+    the previous rank's target-branch DenoiseResult (None at rank 0); a rank
+    with a successor keeps its K/V for it.
     """
-    def run_chain(chain: list[Tile]) -> list[Tile]:
+    def run_chain(bundle: list[list[Tile]]) -> list[Tile]:
         out, prev = [], None
-        for i, tile in enumerate(chain, 1):
+        ranks = len(bundle[0])
+        for rank in range(ranks):
+            stack = [chain[rank] for chain in bundle]
             eps, prev = _guided_eps(
-                tile, inject(tile, prev), i < len(chain), denoiser, cfg, sigma, gamma_t, stats, step,
+                stack, inject(stack, prev), rank + 1 < ranks, denoiser, cfg, sigma, gamma_t, stats,
+                step,
             )
-            out.append(Tile(n=tile.n, m=tile.m, data=eps))
+            out.extend(Tile(n=tile.n, m=tile.m, data=e) for tile, e in zip(stack, eps))
         return out
 
-    done = _map_tiles(chains, run_chain, cfg.workers)
-    return sorted((tile for chain in done for tile in chain), key=lambda t: (t.n, t.m))
+    done = _map_tiles(bundles, run_chain, cfg.workers)
+    return sorted((tile for bundle in done for tile in bundle), key=lambda t: (t.n, t.m))
 
 
 def _require_hooks(denoiser, scheme: str):
@@ -247,45 +261,57 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
                      gamma_t: float, stats: RunStats, step: int = 0) -> list[Tile]:
     """Two-phase spatial propagation over every temporal group.
 
-    Phase 1 runs each tile once to tap per-layer key/values, subsampled on a
-    stride grid and aggregated over all tiles of the group (own tile
-    included). Phase 2 starts only after every gather has: each tile is rerun
-    with its group's aggregate injected into its hooked layers.
+    Phase 1 runs stacks of tiles as far as their hook layers' key/values
+    (kv_only), subsampled on a stride grid and aggregated over all tiles of
+    the group (own tile included). Phase 2 starts only after every gather
+    has: the tiles of each group are rerun in stacks, with the group's
+    aggregate injected into their hooked layers.
     """
     _require_hooks(denoiser, "spatial")
     layers = denoiser.hook_layers
     tiles = sorted(tiles, key=lambda t: (t.n, t.m))
+    tile_bytes = tiles[0].data.nbytes
 
-    def gather(tile: Tile) -> dict[int, InjectedKV]:
-        # only the subsampled rows outlive the task, not the full result
-        _, result = _forward(
-            denoiser, sigma, stats, f"step {step}, tile {(tile.n, tile.m)}", tile.data,
-            collect_kv=True, counter="gather_calls",
-        )
-        return {
-            layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
-            for layer in layers
-        }
+    def gather(stack: list[Tile]) -> list[dict[int, InjectedKV]]:
+        # only the subsampled rows outlive the task, not the full K/V
+        result = denoiser.denoise(np.stack([tile.data for tile in stack]), denoiser.cond_vector,
+                                  sigma, kv_only=True)
+        stats.increment("gather_calls", len(stack))
+        _require_finite([*result.keys.values(), *result.values.values()], stack, step,
+                        "key/value rows", sigma)
+        return [
+            {layer: subsample_spatial_kv(result.keys[layer][i], result.values[layer][i], cfg.sap_rate)
+             for layer in layers}
+            for i in range(len(stack))
+        ]
 
-    by_n: dict[int, list[dict[int, InjectedKV]]] = {}
-    for tile, parts in zip(tiles, _map_tiles(tiles, gather, cfg.workers)):
-        by_n.setdefault(tile.n, []).append(parts)  # ascending m
+    by_n: dict[int, list[Tile]] = {}
+    parts: dict[int, list[dict[int, InjectedKV]]] = {}
+    gathered = (p for ps in _map_tiles(_stacks(tiles, tile_bytes), gather, cfg.workers) for p in ps)
+    for tile, tile_parts in zip(tiles, gathered):
+        by_n.setdefault(tile.n, []).append(tile)  # ascending m
+        parts.setdefault(tile.n, []).append(tile_parts)
     aggregate = {
-        n: {layer: aggregate_frame_kv([p[layer] for p in parts]) for layer in layers}
-        for n, parts in by_n.items()
+        n: {layer: aggregate_frame_kv([p[layer] for p in group]) for layer in layers}
+        for n, group in parts.items()
     }
-    return _run_pass([[t] for t in tiles], lambda tile, _prev: aggregate[tile.n],
+    bundles = [[[tile] for tile in stack]
+               for group in by_n.values() for stack in _stacks(group, tile_bytes)]
+    return _run_pass(bundles, lambda stack, _prev: aggregate[stack[0].n],
                      denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
-    """Per-layer K/V of the frames with the largest key spread in a neighbor tile."""
+    """Per-layer, per-tile K/V of the frames with the largest key spread in
+    each tile of a stacked neighbor result."""
     injections = {}
     for layer in hook_layers:
-        keys, values = result.keys[layer], result.values[layer]
-        chosen = select_tap_frames(keys, min(l_frames, len(keys)))
-        injections[layer] = InjectedKV(keys=keys[chosen].reshape(-1, keys.shape[-1]),
-                                       values=values[chosen].reshape(-1, values.shape[-1]))
+        keys, values = result.keys[layer], result.values[layer]  # (tiles, frames, gh, gw, d)
+        chosen = [select_tap_frames(tile_keys, min(l_frames, len(tile_keys))) for tile_keys in keys]
+        injections[layer] = InjectedKV(
+            keys=np.stack([k[c].reshape(-1, k.shape[-1]) for k, c in zip(keys, chosen)]),
+            values=np.stack([v[c].reshape(-1, v.shape[-1]) for v, c in zip(values, chosen)]),
+        )
     return injections
 
 
@@ -294,8 +320,9 @@ def denoise_pass_tap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
     """Sequential temporal propagation along each spatial tile column.
 
     Tiles are visited in temporal order (reversed when direction is
-    backward); each receives the selected key/value frames tapped from its
-    immediate predecessor's target-branch pass.
+    backward), the columns of a bundle in lockstep; each receives the
+    selected key/value frames tapped from its immediate predecessor's
+    target-branch pass.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -305,19 +332,20 @@ def denoise_pass_tap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
         columns.setdefault(tile.m, []).append(tile)  # ascending n
     chains = [columns[m] if direction == "forward" else columns[m][::-1] for m in sorted(columns)]
 
-    def inject(_tile: Tile, prev):
+    def inject(_stack: list[Tile], prev):
         if prev is None:
             return None
         return _tap_injections(prev, cfg.tap_frames, denoiser.hook_layers)
 
-    return _run_pass(chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
+    return _run_pass(_stacks(chains, tiles[0].data.nbytes), inject, denoiser, cfg, sigma, gamma_t,
+                     stats, step)
 
 
 def denoise_pass_plain(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: float,
                        gamma_t: float, stats: RunStats, step: int = 0) -> list[Tile]:
-    """No cross-tile propagation; guidance branches still run per tile."""
-    return _run_pass([[t] for t in tiles], lambda _tile, _prev: None,
-                     denoiser, cfg, sigma, gamma_t, stats, step)
+    """No cross-tile propagation; guidance branches still run per stack."""
+    bundles = [[[tile] for tile in stack] for stack in _stacks(tiles, tiles[0].data.nbytes)]
+    return _run_pass(bundles, lambda _stack, _prev: None, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,6 @@ class TileGrid:
     def n_temporal(self) -> int:
         return len(self.offsets_t)
 
-    @property
-    def n_tiles(self) -> int:
-        return self.n_spatial * self.n_temporal
-
     def spatial_offset(self, m: int) -> tuple[int, int]:
         ny, nx = len(self.offsets_y), len(self.offsets_x)
         if not 0 <= m < ny * nx:

@@ -257,10 +257,13 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
 
         def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
                     collect_kv=False, collect_attention=False):
+            # x is a stack of tiles; TAP injects one set of rows per tile
             patch = self.inner.patch_size
-            own = x.shape[0] * (x.shape[2] // patch) * (x.shape[3] // patch)
+            tiles, frames, _, h, w = x.shape
+            own = frames * (h // patch) * (w // patch)
             for inj in (injected or {}).values():  # sap=False: every injection is TAP
-                self.rows.append((int(inj.keys.shape[0]), own))
+                assert inj.keys.shape[0] == tiles
+                self.rows.extend((int(inj.keys.shape[1]), own) for _ in range(tiles))
             return self.inner.denoise(
                 x, c, sigma, injected=injected, gamma=gamma, identity=identity,
                 collect_kv=collect_kv, collect_attention=collect_attention,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tilevsr import attention as attention_module
 from tilevsr import models
 from tilevsr.attention import (
     SCORE_BLOCK_BYTES,
@@ -536,11 +537,16 @@ def test_denoiser_scores_stay_inside_the_shift_free_bound(monkeypatch):
     real = models.attend
 
     def recording(q, k, v, injected=None, gamma=0.0, **kw):
-        n_keys = k.shape[-2] + (injected.rows if injected is not None else 0)
-        assert n_keys > 1
-        bounds.append(score_bound(q, k, injected, gamma))
-        inj_v = injected.values if injected is not None and injected.rows else np.zeros(1)
-        v_ranges.append(max(np.max(np.abs(v)), np.max(np.abs(inj_v))))
+        assert q.ndim == 4  # (tiles, frames or tokens, n, d): a stack
+        for t in range(len(q)):  # one record per tile of the stack
+            inj = injected
+            if inj is not None and inj.keys.ndim == 3:
+                inj = InjectedKV(inj.keys[t], inj.values[t])
+            n_keys = k.shape[-2] + (inj.rows if inj is not None else 0)
+            assert n_keys > 1
+            bounds.append(score_bound(q[t], k[t], inj, gamma))
+            inj_v = inj.values if inj is not None and inj.rows else np.zeros(1)
+            v_ranges.append(max(np.max(np.abs(v[t])), np.max(np.abs(inj_v))))
         return real(q, k, v, injected, gamma, **kw)
 
     monkeypatch.setattr(models, "attend", recording)
@@ -551,6 +557,91 @@ def test_denoiser_scores_stay_inside_the_shift_free_bound(monkeypatch):
                          sap_rate=2, tap_frames=4, upscale_factor=4, seed=0,
                          guidance=GuidanceConfig(mode="dssag", scale=1.0, rho=0.5))
     sample_video(lr, denoiser, ToyCodec(2), cfg)
-    assert len(bounds) == 1701 * 5  # 4 spatial layers and the temporal block a forward
+    # 4 spatial layers and the temporal block a guided forward; a gather
+    # stops at the last hook layer's K/V, before its attention
+    assert len(bounds) == 1350 * 5 + 351 * 3
     assert max(bounds) <= SHIFT_FREE_BOUND / 4, max(bounds)
     assert 1e-3 <= min(v_ranges) and max(v_ranges) <= 1e3
+
+
+# --- stacked calls: a leading tile axis, bit for bit per tile ----------------
+
+def assert_stacked_is_per_tile(q, k, v, injected, gamma):
+    """A stacked call's output and key means equal, byte for byte, those of
+    one call per tile with that tile's rows (shared rows go to every tile)."""
+    out, means = attend(q, k, v, injected, gamma, own_key_means=True)
+    assert np.array_equal(attend(q, k, v, injected, gamma), out)
+    for t in range(len(q)):
+        inj = injected
+        if inj is not None and inj.keys.ndim == 3:
+            inj = InjectedKV(inj.keys[t], inj.values[t])
+        one, one_means = attend(q[t], k[t], v[t], inj, gamma, own_key_means=True)
+        assert out[t].tobytes() == one.tobytes(), t
+        assert means[t].tobytes() == one_means.tobytes(), t
+
+
+def random_stack(rng, tiles, frames, nq, nk, d, dv, scale=1.0):
+    return (rng.standard_normal((tiles, frames, nq, d)) * scale,
+            rng.standard_normal((tiles, frames, nk, d)) * scale,
+            rng.standard_normal((tiles, frames, nk, dv)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    tiles=st.integers(1, 5),
+    frames=st.integers(1, 6),
+    nq=st.integers(1, 20),
+    nk=st.integers(1, 20),
+    inj=st.sampled_from(["none", "shared", "per_tile"]),
+    inj_rows=st.integers(0, 40),
+    gamma=st.just(0.0) | st.floats(0.01, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_attend_is_per_tile_attend(tiles, frames, nq, nk, inj, inj_rows, gamma, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = random_stack(rng, tiles, frames, nq, nk, 6, 5)
+    injected = None
+    if inj == "shared":
+        injected = random_injection(rng, inj_rows, 6, 5)
+    elif inj == "per_tile":
+        injected = InjectedKV(rng.standard_normal((tiles, inj_rows, 6)),
+                              rng.standard_normal((tiles, inj_rows, 5)))
+    assert_stacked_is_per_tile(q, k, v, injected, gamma)
+
+
+@pytest.mark.parametrize("inj", ["shared", "per_tile"])
+def test_stacked_attend_uneven_block_tails(monkeypatch, inj):
+    # a 2-frame score block splits the 7-frame tiles into blocks of 2, 2, 2
+    # and 1 that never span two tiles
+    rng = np.random.default_rng(41)
+    q, k, v = random_stack(rng, 3, 7, 16, 16, 4, 3)
+    keys = (3, 24, 4) if inj == "per_tile" else (24, 4)
+    injected = InjectedKV(rng.standard_normal(keys), rng.standard_normal(keys[:-1] + (3,)))
+    monkeypatch.setattr(attention_module, "SCORE_BLOCK_BYTES", 2 * 16 * (16 + 24) * 8)
+    assert_stacked_is_per_tile(q, k, v, injected, 0.7)
+
+
+def test_stacked_attend_shifts_only_the_tiles_that_need_it():
+    # tile 1's scores pass the bound and are shifted; tiles 0 and 2 are not
+    rng = np.random.default_rng(42)
+    q, k, v = random_stack(rng, 3, 2, 5, 6, 4, 3)
+    q[1] *= 100.0
+    k[1] *= 100.0
+    bounds = [score_bound(q[t], k[t], None, 0.0) for t in range(3)]
+    assert bounds[1] > SHIFT_FREE_BOUND >= max(bounds[0], bounds[2])
+    assert_stacked_is_per_tile(q, k, v, None, 0.0)
+    injected = InjectedKV(rng.standard_normal((3, 7, 4)), rng.standard_normal((3, 7, 3)))
+    injected.keys *= np.array([1.0, 100.0, 1.0])[:, None, None]
+    assert_stacked_is_per_tile(q, k, v, injected, 0.0)
+
+
+def test_stacked_attend_rejects_mismatched_tiles():
+    rng = np.random.default_rng(44)
+    q, k, v = random_stack(rng, 3, 2, 4, 4, 4, 4)
+    per_tile = InjectedKV(rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4)))
+    with pytest.raises(ValueError, match="injected rows for 2 tiles"):
+        attend(q, k, v, per_tile)
+    with pytest.raises(ValueError, match="injected rows for 2 tiles"):
+        attend(q[0], k[0], v[0], per_tile)
+    with pytest.raises(ValueError):
+        InjectedKV(np.zeros((2, 5, 4)), np.zeros((3, 5, 4)))

@@ -3,7 +3,8 @@
 Resampling works one leading plane at a time, `degrade` blurs one frame at
 a time, the conditioning latent is built one frame at a time, and `attend`
 reuses a per-thread workspace for its score buffer and never copies the
-injected rows. SSIM works one plane at a time, with plane-sized temporaries.
+injected rows. A pass runs its tiles in stacks of bounded bytes, so its
+working memory does not grow with the tile count. SSIM works one plane at a time, with plane-sized temporaries.
 Peaks are measured with tracemalloc, which sees NumPy's array allocations;
 page faults with `resource.getrusage`.
 """
@@ -19,10 +20,12 @@ import numpy as np
 import pytest
 
 from tilevsr import attention, quality
-from tilevsr.attention import SCORE_BLOCK_BYTES, InjectedKV, attend
+from tilevsr.attention import SCORE_BLOCK_BYTES, STACK_BYTES, InjectedKV, attend
+from tilevsr.guidance import GuidanceConfig
 from tilevsr.models import ToyAttentionDenoiser, ToyCodec
 from tilevsr.quality import DegradationConfig, _ssim_frame, bicubic_resize, degrade, gaussian_blur
-from tilevsr.sampler import PipelineConfig, _condition_latent, sample_video
+from tilevsr.sampler import PipelineConfig, RunStats, _condition_latent, denoise_pass_sap, sample_video
+from tilevsr.tiles import plan_tiles, split
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -231,3 +234,29 @@ def test_workspace_keeps_no_buffer_over_one_score_block():
     assert kept == {"weights": 14 * 16 * (16 + 504) * 8}  # the small call's block
     assert kept["weights"] <= SCORE_BLOCK_BYTES
     assert np.array_equal(want, attend(*big, 0.5))
+
+
+def test_wide_sap_pass_peak_grows_only_by_what_it_must_hold():
+    """The sap_wide geometry (8-frame 32x32 tiles of 192 KiB, one to a stack)
+    with 9 and with 25 spatial tiles: the pass must hold each tile's noise
+    estimate and, while it aggregates, the subsampled K/V twice (the
+    per-tile parts and their concatenation). Past that, its traced peak
+    grows by less than one stack's budget. Measured: 7.06 MiB growth against
+    7.0 MiB held; with the whole pass in one stack, 23 MiB."""
+    den = ToyAttentionDenoiser(seed=1234, channels=3, patch_size=4, embed_dim=16, cond_dim=8)
+    cfg = PipelineConfig(tile_frames=8, tile_h=32, tile_w=32, sap_rate=2,
+                         guidance=GuidanceConfig(mode="none"))
+    kv_bytes = 8 * 4 * 4 * 16 * 8  # one layer's subsampled keys of one tile: 8 frames x 4x4 rows x d 16
+    per_tile = 8 * 3 * 32 * 32 * 8 + 2 * len(den.hook_layers) * 2 * kv_bytes
+    assert 8 * 3 * 32 * 32 * 8 * 2 > STACK_BYTES  # one tile a stack
+
+    def pass_tiles(side):
+        y = np.random.default_rng(side).standard_normal((8, 3, side, side))
+        return split(y, plan_tiles((8, side, side), (8, 32, 32)))
+
+    small, wide = pass_tiles(64), pass_tiles(96)
+    assert (len(small), len(wide)) == (9, 25)
+    denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats())  # warm the attention workspace
+    _, small_peak = traced_peak(lambda: denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats()))
+    _, wide_peak = traced_peak(lambda: denoise_pass_sap(wide, den, cfg, 2.0, 0.5, RunStats()))
+    assert wide_peak - small_peak <= (25 - 9) * per_tile + STACK_BYTES

@@ -221,6 +221,68 @@ def test_toy_gamma_hook_tempered_towards_uniform():
     assert np.max(np.abs(res.attention - 1.0 / 16.0)) < 1e-6
 
 
+# --- stacked forwards -------------------------------------------------------
+
+def per_tile_injection(injected, t):
+    return {layer: inj if inj.keys.ndim == 2 else InjectedKV(inj.keys[t], inj.values[t])
+            for layer, inj in injected.items()}
+
+
+@pytest.mark.parametrize("case", ["plain", "shared", "per_tile", "identity", "attention",
+                                  "attention_per_tile"])
+def test_toy_stacked_forward_is_per_tile_forward(case):
+    # every output of a stack of 3 tiles equals, byte for byte, the output
+    # of each tile's own forward with that tile's injections
+    den = toy(spatial_layers=5)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((3, 4, 1, 8, 8))
+    shared = {layer: InjectedKV(rng.standard_normal((12, 8)), rng.standard_normal((12, 8)))
+              for layer in den.hook_layers}
+    per_tile = {layer: InjectedKV(rng.standard_normal((3, 16, 8)), rng.standard_normal((3, 16, 8)))
+                for layer in den.hook_layers[1:]}
+    kw = {
+        "plain": dict(),
+        "shared": dict(injected=shared, gamma=0.6),
+        "per_tile": dict(injected=per_tile, gamma=0.3),
+        "identity": dict(injected=shared, gamma=0.6, identity=True, collect_attention=True),
+        "attention": dict(injected=shared, collect_attention=True),
+        "attention_per_tile": dict(injected=per_tile, gamma=2.0, collect_attention=True),
+    }[case]
+    stacked = den.denoise(x, den.cond_vector, 2.5, collect_kv=True, **kw)
+    for t in range(3):
+        one_kw = dict(kw, injected=per_tile_injection(kw.get("injected", {}), t))
+        one = den.denoise(x[t], den.cond_vector, 2.5, collect_kv=True, **one_kw)
+        assert stacked.denoised[t].tobytes() == one.denoised.tobytes()
+        assert (stacked.attention is None) == (one.attention is None)
+        if one.attention is not None:
+            assert stacked.attention[t].tobytes() == one.attention.tobytes()
+        assert tuple(stacked.keys) == tuple(one.keys) == den.hook_layers
+        for layer in den.hook_layers:
+            assert stacked.keys[layer][t].tobytes() == one.keys[layer].tobytes()
+            assert stacked.values[layer][t].tobytes() == one.values[layer].tobytes()
+
+
+def test_toy_kv_only_stops_at_the_last_hook_layer():
+    den = toy(spatial_layers=6)
+    x = np.random.default_rng(17).standard_normal((2, 3, 1, 8, 8))
+    full = den.denoise(x, den.cond_vector, 1.5, collect_kv=True)
+    kv = den.denoise(x, den.cond_vector, 1.5, kv_only=True)
+    assert kv.denoised is None and kv.attention is None
+    assert tuple(kv.keys) == tuple(kv.values) == den.hook_layers == (0, 1, 4, 5)
+    for layer in den.hook_layers:
+        assert kv.keys[layer].tobytes() == full.keys[layer].tobytes()
+        assert kv.values[layer].tobytes() == full.values[layer].tobytes()
+
+
+def test_toy_rejects_stacks_of_the_wrong_rank():
+    den = toy()
+    with pytest.raises(ValueError, match="stack"):
+        den.denoise(np.zeros((1, 1, 1, 1, 8, 8)), None, 1.0)
+    rows = np.zeros((2, 4, 8))
+    with pytest.raises(ValueError, match="injected rows for 2 tiles"):
+        den.denoise(np.zeros((3, 1, 1, 8, 8)), None, 1.0, injected={0: InjectedKV(rows, rows)})
+
+
 # --- toy codec --------------------------------------------------------------
 
 def test_codec_factor_validation():

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from tilevsr import cli
+from tilevsr import cli, sampler
 from tilevsr.attention import select_tap_frames, subsample_spatial_kv
 from tilevsr.guidance import GUIDANCE_BRANCHES, GUIDANCE_MODES, GuidanceConfig
 from tilevsr.io import write_tensor
@@ -291,7 +291,8 @@ def test_feedforward_counts_per_mode():
 
 
 class ForwardSpy:
-    """Records each forward's conditioning, hook settings and input."""
+    """Records each forward's conditioning, hook settings and input, one
+    record per tile of the stack the forward runs on."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -302,7 +303,8 @@ class ForwardSpy:
 
     def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
                 collect_kv=False, collect_attention=False):
-        self.calls.append((np.array(x), c is not None, gamma, identity, collect_attention))
+        self.calls.extend((np.array(tile_x), c is not None, gamma, identity, collect_attention)
+                          for tile_x in x)
         return self.inner.denoise(
             x, c, sigma, injected=injected, gamma=gamma, identity=identity,
             collect_kv=collect_kv, collect_attention=collect_attention,
@@ -383,8 +385,47 @@ def test_non_finite_denoiser_output_raises():
             return DenoiseResult(bad, None, None, None)
 
     lr = np.full((2, 1, 8, 8), 0.5)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"noise estimate at step 0, tile \(0, 0\)"):
         sample_video(lr, BrokenDenoiser(), ToyCodec(2), pipe_cfg(steps=2, sap=False, tap=False))
+
+
+def test_non_finite_gathered_kv_names_its_tile():
+    class BrokenGather:
+        """Puts a NaN into the first hook layer's keys of the second tile of
+        every gather stack."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+        def denoise(self, x, c=None, sigma=1.0, kv_only=False, **kw):
+            result = self.inner.denoise(x, c, sigma, kv_only=kv_only, **kw)
+            if kv_only:
+                result.keys[self.inner.hook_layers[0]][1, 0, 0, 0, 0] = np.nan
+            return result
+
+    lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
+    with pytest.raises(NumericError, match=r"key/value rows at step 0, tile \(0, 1\)"):
+        sample_video(lr, BrokenGather(small_toy()), ToyCodec(2), pipe_cfg(steps=2, tile_frames=2))
+
+
+@pytest.mark.parametrize("mode", ["sag", "pag", "cfg_dssag"])
+def test_stack_size_changes_no_bit(monkeypatch, mode):
+    # 27 tiles of 256 bytes a step (9 per SAP group and 9 TAP columns of 3):
+    # one tile a stack, two (every pass ends in an uneven stack) and all of
+    # them give the same bytes and the same pass counts, threaded or not
+    lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
+    runs = []
+    for stack_bytes, workers in ((256, 1), (512, 1), (512, 3), (1 << 20, 1)):
+        monkeypatch.setattr(sampler, "STACK_BYTES", stack_bytes)
+        cfg = pipe_cfg(steps=4, tile_frames=2, guidance=GuidanceConfig(mode=mode), workers=workers)
+        runs.append(sample_video(lr, small_toy(), ToyCodec(2), cfg))
+    for res in runs[1:]:
+        assert res.video.tobytes() == runs[0].video.tobytes()
+        assert res.stats == runs[0].stats
+    assert (runs[0].stats.gather_calls, runs[0].stats.tile_units) == (54, 108)
 
 
 # --- propagation passes -----------------------------------------------------
@@ -415,10 +456,12 @@ def test_injected_rows_match_token_major_selection():
         per_frame = gh * gw
         chosen = select_tap_frames(flat_k.reshape(frames, per_frame, d), min(l_frames, frames))
         rows = [f * per_frame + t for f in chosen for t in range(per_frame)]
-        result = DenoiseResult(None, keys={3: keys}, values={3: values})
+        # a stack of two tiles: the rows are chosen per tile
+        result = DenoiseResult(None, keys={3: np.stack([keys, keys + 1.0])},
+                               values={3: np.stack([values, values - 1.0])})
         tap = _tap_injections(result, l_frames, (3,))[3]
-        assert np.array_equal(tap.keys, flat_k[rows])
-        assert np.array_equal(tap.values, flat_v[rows])
+        assert np.array_equal(tap.keys, np.stack([flat_k[rows], flat_k[rows] + 1.0]))
+        assert np.array_equal(tap.values, np.stack([flat_v[rows], flat_v[rows] - 1.0]))
 
 
 def test_spatial_rate_one_single_frame_tile_matches_plain():

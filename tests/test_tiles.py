@@ -73,7 +73,7 @@ def test_plan_tiles_counts_and_indexing():
     assert grid.offsets_x == (0, 32, 64)
     assert grid.n_temporal == 3
     assert grid.n_spatial == 9
-    assert grid.n_tiles == 27
+    assert grid.n_spatial * grid.n_temporal == 27
     # spatial index m walks the y/x grid row-major
     assert grid.spatial_offset(0) == (0, 0)
     assert grid.spatial_offset(1) == (0, 32)
@@ -95,7 +95,7 @@ def test_split_order_and_copies():
     video = make_video(rng, 6, 2, 8, 8)
     grid = plan_tiles((6, 8, 8), (4, 4, 4))
     tiles = split(video, grid)
-    assert len(tiles) == grid.n_tiles
+    assert len(tiles) == grid.n_spatial * grid.n_temporal
     indices = [(t.n, t.m) for t in tiles]
     assert indices == sorted(indices)
     for t in tiles:
