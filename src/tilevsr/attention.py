@@ -28,11 +28,6 @@ from .tiles import in_range
 # larger), so memory stays bounded however many injected rows arrive.
 SCORE_BLOCK_BYTES = 2 * 1024 * 1024
 
-# Tile input of one stacked denoiser forward: the sampler stacks same-shape
-# tiles up to this many bytes (one tile when it alone is larger), so a
-# forward's activations stay bounded however many tiles a pass has.
-STACK_BYTES = 256 * 1024
-
 # attend skips the row-max shift of a block whose scores provably lie within
 # +-SHIFT_FREE_BOUND and whose values are in range (see attend): e^256 is
 # finite and normal with a wide margin (exp overflows past 709.78), and the

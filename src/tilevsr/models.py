@@ -20,12 +20,12 @@ from .tiles import in_range, int_in_range
 
 @dataclass
 class DenoiseResult:
-    """A forward's outputs; a stacked forward's carry a leading tile axis."""
+    """A stacked forward's outputs; a one-tile forward's lack the tiles axis."""
 
-    denoised: np.ndarray | None  # None after a kv_only forward
-    keys: dict = field(default_factory=dict)     # hook layer -> (frames, gh, gw, d)
-    values: dict = field(default_factory=dict)   # hook layer -> (frames, gh, gw, d)
-    attention: np.ndarray | None = None  # (frames, h, w), mean over hook layers
+    denoised: np.ndarray | None  # (tiles, frames, c, h, w); None after a kv_only forward
+    keys: dict = field(default_factory=dict)     # hook layer -> (tiles, frames, gh, gw, d)
+    values: dict = field(default_factory=dict)   # hook layer -> (tiles, frames, gh, gw, d)
+    attention: np.ndarray | None = None  # (tiles, frames, h, w), mean over hook layers
 
 
 @dataclass

@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (
-    STACK_BYTES, InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv,
-)
+from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsample_spatial_kv
 from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
 from .tiles import (
-    Tile, deinterleave, gaussian_mask, in_range, int_in_range, interleave, merge, plan_tiles, split,
+    deinterleave, gaussian_mask, in_range, int_in_range, interleave, merge, plan_tiles, split,
     validate_video,
 )
 
@@ -156,55 +154,68 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the pass engine: guided noise estimates over stacks of tiles
+# the pass engine: guided noise estimates over stacks of tiles. A pass maps
+# split's (n, m) tile array to estimates in the same layout; a stack is a
+# slice of the flat tile index n * n_spatial + m, so its input is a view.
 
-def _stacks(items: list, tile_bytes: int) -> list[list]:
-    """items in order, cut into runs that hold at most STACK_BYTES of tile
-    input (one item a run when a tile alone is larger)."""
+# Tile input of one stacked denoiser forward (one tile when it alone is larger),
+# so a forward's activations stay bounded however many tiles a pass has.
+STACK_BYTES = 256 * 1024
+
+
+def _flat(tiles: np.ndarray) -> np.ndarray:
+    """The tile array with (n, m) folded into the flat tile index."""
+    return tiles.reshape((-1,) + tiles.shape[2:])
+
+
+def _stacks(start: int, stop: int, tile_bytes: int) -> list[slice]:
+    """range(start, stop) in order, cut into slices that hold at most
+    STACK_BYTES of tile input (one index a slice when a tile alone is larger)."""
     size = max(1, STACK_BYTES // max(1, tile_bytes))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+    return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
 
 
-def _require_finite(arrays, stack: list[Tile], step: int, what: str, sigma: float) -> None:
-    """NumericError naming the step and the first tile of the stack whose
-    slice of any array (tile axis first) is not finite."""
+def _require_finite(arrays, stack: slice, n_spatial: int, step: int, what: str,
+                    sigma: float) -> None:
+    """NumericError naming the step and the (n, m) of the first tile of the
+    stack whose slice of any array (tile axis first) is not finite."""
     if all(np.all(np.isfinite(a)) for a in arrays):
         return
-    for i, tile in enumerate(stack):
+    for i in range(stack.stop - stack.start):
         if not all(np.all(np.isfinite(a[i])) for a in arrays):
-            raise NumericError(f"non-finite {what} at step {step}, tile {(tile.n, tile.m)}, "
-                               f"sigma={sigma:g}")
+            raise NumericError(f"non-finite {what} at step {step}, tile "
+                               f"{divmod(stack.start + i, n_spatial)}, sigma={sigma:g}")
 
 
-def _guided_eps(stack: list[Tile], injections, collect_kv: bool, denoiser, cfg: PipelineConfig,
-                sigma: float, gamma_t: float, stats: RunStats, step: int):
-    """Guided noise estimates of a stack of tiles (tile axis first), and its
-    target branch's stacked result.
+def _guided_eps(tiles: np.ndarray, stack: slice, injections, collect_kv: bool, denoiser,
+                cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats, step: int):
+    """Guided noise estimates of a stack of the tile array (tile axis first),
+    and its target branch's stacked result.
 
     The branches of the mode's GUIDANCE_BRANCHES row run in order, one
     stacked forward each; a blurred branch's input is built tile by tile
     from branch 0's estimate and attention map.
     """
-    stats.increment("tile_units", len(stack))
+    x0 = _flat(tiles)[stack]
+    stats.increment("tile_units", len(x0))
     g = cfg.guidance
     branches = GUIDANCE_BRANCHES[g.mode]
     needs_map = any(branch.blurred for branch in branches)
-    x0 = np.stack([tile.data for tile in stack])
     eps = []
     for i, branch in enumerate(branches):
         x = x0
         if branch.blurred:
-            x = np.stack([sag_input(tile.data, e, a, sigma, g)
-                          for tile, e, a in zip(stack, eps[0], attention)])
+            x = np.stack([sag_input(tile, e, a, sigma, g)
+                          for tile, e, a in zip(x0, eps[0], attention)])
         result = denoiser.denoise(
             x, denoiser.cond_vector if branch.conditional else None, sigma, injected=injections,
             gamma=gamma_t if branch.tempered else 0.0, identity=branch.identity,
             collect_kv=collect_kv and i == len(branches) - 1,
             collect_attention=needs_map and i == 0,
         )
-        stats.increment("eps_calls", len(stack))
+        stats.increment("eps_calls", len(x0))
         e = (x - result.denoised) / sigma
-        _require_finite([e], stack, step, "noise estimate", sigma)
+        _require_finite([e], stack, tiles.shape[1], step, "noise estimate", sigma)
         if i == 0:
             attention = result.attention
         eps.append(e)
@@ -217,39 +228,37 @@ def _guided_eps(stack: list[Tile], injections, collect_kv: bool, denoiser, cfg: 
 
 
 def _map_tiles(items: list, fn, workers: int) -> list:
-    """fn over items (stacks of tiles), threaded when workers > 1; results
-    in item order, so the order stacks run in cannot change the merged output."""
+    """fn over items (stacks, or chains of stacks), threaded when workers > 1;
+    results in item order."""
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
-def _run_pass(bundles: list[list[list[Tile]]], inject, denoiser, cfg: PipelineConfig,
-              sigma: float, gamma_t: float, stats: RunStats, step: int) -> list[Tile]:
-    """Guided noise estimates of every tile of every chain, in (n, m) order.
+def _run_pass(tiles: np.ndarray, chains: list[list[slice]], inject, denoiser, cfg: PipelineConfig,
+              sigma: float, gamma_t: float, stats: RunStats, step: int) -> np.ndarray:
+    """Guided noise estimates of every tile, in the tile array's layout.
 
-    A bundle is a list of equal-length tile chains that advance in
-    lockstep: rank r of every chain forms one stack and one forward per
-    branch. Bundles run independently through _map_tiles. Each stack runs
-    with the per-layer K/V inject(stack, result) gives it, where result is
-    the previous rank's target-branch DenoiseResult (None at rank 0); a rank
-    with a successor keeps its K/V for it.
+    A chain is a list of stacks that run in order, one forward per branch
+    each, with the per-layer K/V inject(stack, result) gives them: result is
+    the previous stack's target-branch DenoiseResult (None for the first),
+    kept for it. Chains run independently through _map_tiles; each writes
+    only its own tiles, so the order chains run in cannot change a bit.
     """
-    def run_chain(bundle: list[list[Tile]]) -> list[Tile]:
-        out, prev = [], None
-        ranks = len(bundle[0])
-        for rank in range(ranks):
-            stack = [chain[rank] for chain in bundle]
-            eps, prev = _guided_eps(
-                stack, inject(stack, prev), rank + 1 < ranks, denoiser, cfg, sigma, gamma_t, stats,
-                step,
-            )
-            out.extend(Tile(n=tile.n, m=tile.m, data=e) for tile, e in zip(stack, eps))
-        return out
+    out = np.empty(tiles.shape)
 
-    done = _map_tiles(bundles, run_chain, cfg.workers)
-    return sorted((tile for bundle in done for tile in bundle), key=lambda t: (t.n, t.m))
+    def run_chain(chain: list[slice]) -> None:
+        prev = None
+        for rank, stack in enumerate(chain):
+            eps, prev = _guided_eps(
+                tiles, stack, inject(stack, prev), rank + 1 < len(chain), denoiser, cfg, sigma,
+                gamma_t, stats, step,
+            )
+            _flat(out)[stack] = eps
+
+    _map_tiles(chains, run_chain, cfg.workers)
+    return out
 
 
 def _require_hooks(denoiser, scheme: str):
@@ -257,8 +266,8 @@ def _require_hooks(denoiser, scheme: str):
         raise ValueError(f"{scheme} propagation needs a denoiser with hook layers")
 
 
-def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: float,
-                     gamma_t: float, stats: RunStats, step: int = 0) -> list[Tile]:
+def denoise_pass_sap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: float,
+                     gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """Two-phase spatial propagation over every temporal group.
 
     Phase 1 runs stacks of tiles as far as their hook layers' key/values
@@ -269,35 +278,32 @@ def denoise_pass_sap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: fl
     """
     _require_hooks(denoiser, "spatial")
     layers = denoiser.hook_layers
-    tiles = sorted(tiles, key=lambda t: (t.n, t.m))
-    tile_bytes = tiles[0].data.nbytes
+    n_temporal, n_spatial = tiles.shape[:2]
+    flat = _flat(tiles)
+    tile_bytes = flat[0].nbytes
 
-    def gather(stack: list[Tile]) -> list[dict[int, InjectedKV]]:
+    def gather(stack: slice) -> list[dict[int, InjectedKV]]:
         # only the subsampled rows outlive the task, not the full K/V
-        result = denoiser.denoise(np.stack([tile.data for tile in stack]), denoiser.cond_vector,
-                                  sigma, kv_only=True)
-        stats.increment("gather_calls", len(stack))
-        _require_finite([*result.keys.values(), *result.values.values()], stack, step,
+        result = denoiser.denoise(flat[stack], denoiser.cond_vector, sigma, kv_only=True)
+        stats.increment("gather_calls", stack.stop - stack.start)
+        _require_finite([*result.keys.values(), *result.values.values()], stack, n_spatial, step,
                         "key/value rows", sigma)
         return [
             {layer: subsample_spatial_kv(result.keys[layer][i], result.values[layer][i], cfg.sap_rate)
              for layer in layers}
-            for i in range(len(stack))
+            for i in range(stack.stop - stack.start)
         ]
 
-    by_n: dict[int, list[Tile]] = {}
-    parts: dict[int, list[dict[int, InjectedKV]]] = {}
-    gathered = (p for ps in _map_tiles(_stacks(tiles, tile_bytes), gather, cfg.workers) for p in ps)
-    for tile, tile_parts in zip(tiles, gathered):
-        by_n.setdefault(tile.n, []).append(tile)  # ascending m
-        parts.setdefault(tile.n, []).append(tile_parts)
-    aggregate = {
-        n: {layer: aggregate_frame_kv([p[layer] for p in group]) for layer in layers}
-        for n, group in parts.items()
-    }
-    bundles = [[[tile] for tile in stack]
-               for group in by_n.values() for stack in _stacks(group, tile_bytes)]
-    return _run_pass(bundles, lambda stack, _prev: aggregate[stack[0].n],
+    parts = [p for ps in _map_tiles(_stacks(0, len(flat), tile_bytes), gather, cfg.workers)
+             for p in ps]
+    aggregate = [
+        {layer: aggregate_frame_kv([p[layer] for p in parts[n * n_spatial:(n + 1) * n_spatial]])
+         for layer in layers}
+        for n in range(n_temporal)
+    ]
+    chains = [[stack] for n in range(n_temporal)
+              for stack in _stacks(n * n_spatial, (n + 1) * n_spatial, tile_bytes)]
+    return _run_pass(tiles, chains, lambda stack, _prev: aggregate[stack.start // n_spatial],
                      denoiser, cfg, sigma, gamma_t, stats, step)
 
 
@@ -315,37 +321,34 @@ def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]
     return injections
 
 
-def denoise_pass_tap(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: float,
-                     gamma_t: float, direction: str, stats: RunStats, step: int = 0) -> list[Tile]:
+def denoise_pass_tap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: float,
+                     gamma_t: float, direction: str, stats: RunStats, step: int = 0) -> np.ndarray:
     """Sequential temporal propagation along each spatial tile column.
 
-    Tiles are visited in temporal order (reversed when direction is
-    backward), the columns of a bundle in lockstep; each receives the
-    selected key/value frames tapped from its immediate predecessor's
-    target-branch pass.
+    A chain is a run of columns m that advance in lockstep through time
+    (reversed when direction is backward), one stack tiles[n, run] per n;
+    each tile receives the selected key/value frames tapped from its
+    immediate predecessor's target-branch pass.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     _require_hooks(denoiser, "temporal")
-    columns: dict[int, list[Tile]] = {}
-    for tile in sorted(tiles, key=lambda t: (t.n, t.m)):
-        columns.setdefault(tile.m, []).append(tile)  # ascending n
-    chains = [columns[m] if direction == "forward" else columns[m][::-1] for m in sorted(columns)]
+    n_temporal, n_spatial = tiles.shape[:2]
+    order = range(n_temporal) if direction == "forward" else range(n_temporal)[::-1]
+    chains = [[slice(n * n_spatial + run.start, n * n_spatial + run.stop) for n in order]
+              for run in _stacks(0, n_spatial, tiles[0, 0].nbytes)]
 
-    def inject(_stack: list[Tile], prev):
-        if prev is None:
-            return None
-        return _tap_injections(prev, cfg.tap_frames, denoiser.hook_layers)
+    def inject(_stack: slice, prev):
+        return None if prev is None else _tap_injections(prev, cfg.tap_frames, denoiser.hook_layers)
 
-    return _run_pass(_stacks(chains, tiles[0].data.nbytes), inject, denoiser, cfg, sigma, gamma_t,
-                     stats, step)
+    return _run_pass(tiles, chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
-def denoise_pass_plain(tiles: list[Tile], denoiser, cfg: PipelineConfig, sigma: float,
-                       gamma_t: float, stats: RunStats, step: int = 0) -> list[Tile]:
+def denoise_pass_plain(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: float,
+                       gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """No cross-tile propagation; guidance branches still run per stack."""
-    bundles = [[[tile] for tile in stack] for stack in _stacks(tiles, tiles[0].data.nbytes)]
-    return _run_pass(bundles, lambda _stack, _prev: None, denoiser, cfg, sigma, gamma_t, stats, step)
+    chains = [[stack] for stack in _stacks(0, len(_flat(tiles)), tiles[0, 0].nbytes)]
+    return _run_pass(tiles, chains, lambda *_: None, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 # ---------------------------------------------------------------------------

@@ -102,13 +102,6 @@ class TileGrid:
         return slice(t0, t0 + tf), slice(y0, y0 + th), slice(x0, x0 + tw)
 
 
-@dataclass
-class Tile:
-    n: int  # temporal index
-    m: int  # spatial index, row-major over (offsets_y, offsets_x)
-    data: np.ndarray
-
-
 def plan_tiles(video_dims: tuple[int, int, int], tile_dims: tuple[int, int, int]) -> TileGrid:
     video_dims = tuple(int(d) for d in video_dims)
     tile_dims = tuple(int(d) for d in tile_dims)
@@ -123,17 +116,19 @@ def plan_tiles(video_dims: tuple[int, int, int], tile_dims: tuple[int, int, int]
     )
 
 
-def split(video: np.ndarray, grid: TileGrid) -> list[Tile]:
-    """Copy out every tile, ordered by ascending (n, m)."""
+def split(video: np.ndarray, grid: TileGrid) -> np.ndarray:
+    """Copy out every tile into one (n_temporal, n_spatial, frames, channels,
+    h, w) array: [n, m] is the tile at temporal index n, spatial index m."""
     video = validate_video(video)
     dims = (video.shape[0], video.shape[2], video.shape[3])
     if dims != grid.video_dims:
         raise ValueError(f"video dims {dims} do not match grid {grid.video_dims}")
-    tiles = []
+    tf, th, tw = grid.tile_dims
+    tiles = np.empty((grid.n_temporal, grid.n_spatial, tf, video.shape[1], th, tw), video.dtype)
     for n in range(grid.n_temporal):
         for m in range(grid.n_spatial):
             st, sy, sx = grid.slices(n, m)
-            tiles.append(Tile(n=n, m=m, data=video[st, :, sy, sx].copy()))
+            tiles[n, m] = video[st, :, sy, sx]
     return tiles
 
 
@@ -142,7 +137,8 @@ def gaussian_mask(tile_dims: tuple[int, ...], sigma_fraction: float) -> np.ndarr
 
     Per axis of extent e the weight at index i is
     exp(-(i - c)^2 / (2 * (sigma_fraction * e)^2)) with c = (e - 1) / 2,
-    so the mask is symmetric and peaks at the tile center.
+    so the mask is symmetric and peaks at the tile center. A corner weight
+    that underflows (0 or subnormal) raises ValueError: merge divides by it.
     """
     in_range("sigma_fraction", sigma_fraction, gt=0)
     if any(int(e) < 1 for e in tile_dims):
@@ -155,49 +151,31 @@ def gaussian_mask(tile_dims: tuple[int, ...], sigma_fraction: float) -> np.ndarr
         sigma = sigma_fraction * e
         axis = np.exp(-((idx - center) ** 2) / (2.0 * sigma * sigma))
         mask = mask[..., None] * axis
+    if mask.flat[0] < np.finfo(np.float64).tiny:
+        raise ValueError(f"sigma_fraction {sigma_fraction} underflows the blend mask of tile dims "
+                         f"{tuple(int(e) for e in tile_dims)}: corner weight {mask.flat[0]:g}")
     return mask
 
 
-def merge(tiles: list[Tile], grid: TileGrid, mask: np.ndarray) -> np.ndarray:
-    """Weighted-average recomposition: sum(mask * tile) / sum(mask).
-
-    Accumulation runs in fixed ascending (n, m) order regardless of the order
-    tiles arrive in, so the result is independent of tile scheduling.
-    """
+def merge(tiles: np.ndarray, grid: TileGrid, mask: np.ndarray) -> np.ndarray:
+    """Weighted-average recomposition of split's layout, sum(mask * tile) /
+    sum(mask), accumulated in fixed ascending (n, m) order."""
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != grid.tile_dims:
         raise ValueError(f"mask shape {mask.shape} does not match tile dims {grid.tile_dims}")
-    seen = {}
-    for tile in tiles:
-        key = (tile.n, tile.m)
-        if key in seen:
-            raise ValueError(f"duplicate tile {key}")
-        seen[key] = tile
-    expected = {(n, m) for n in range(grid.n_temporal) for m in range(grid.n_spatial)}
-    if set(seen) != expected:
-        missing = sorted(expected - set(seen))
-        extra = sorted(set(seen) - expected)
-        raise ValueError(f"tile coverage mismatch: missing {missing}, extra {extra}")
-
-    tf, th, tw = grid.tile_dims
-    channels = None
+    tiles = np.asarray(tiles, dtype=np.float64)
+    layout = (grid.n_temporal, grid.n_spatial, *grid.tile_dims)
+    if tiles.ndim != 6 or tiles.shape[:3] + tiles.shape[4:] != layout:
+        raise ValueError("tiles have shape %s, expected (%d, %d, %d, C, %d, %d)" % (tiles.shape, *layout))
     frames, height, width = grid.video_dims
     mask4 = mask[:, None, :, :]
-    num = None
+    num = np.zeros((frames, tiles.shape[3], height, width), dtype=np.float64)
     den = np.zeros((frames, 1, height, width), dtype=np.float64)
-    for key in sorted(seen):
-        tile = seen[key]
-        data = np.asarray(tile.data, dtype=np.float64)
-        if data.ndim != 4 or data.shape[0] != tf or data.shape[2:] != (th, tw):
-            raise ValueError(f"tile {key} has shape {data.shape}, expected ({tf}, C, {th}, {tw})")
-        if channels is None:
-            channels = data.shape[1]
-            num = np.zeros((frames, channels, height, width), dtype=np.float64)
-        elif data.shape[1] != channels:
-            raise ValueError(f"tile {key} channel count {data.shape[1]} != {channels}")
-        st, sy, sx = grid.slices(*key)
-        num[st, :, sy, sx] += mask4 * data
-        den[st, :, sy, sx] += mask4
+    for n in range(grid.n_temporal):
+        for m in range(grid.n_spatial):
+            st, sy, sx = grid.slices(n, m)
+            num[st, :, sy, sx] += mask4 * tiles[n, m]
+            den[st, :, sy, sx] += mask4
     return num / den
 
 

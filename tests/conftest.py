@@ -7,10 +7,11 @@ from tilevsr import sampler
 
 @pytest.fixture
 def reverse_tiles(monkeypatch):
-    """A switch: once called, the sampler runs its tile tasks (SAP gathers and
-    pass chains) in reverse order, threaded when workers > 1, and still gets
-    the results in item order. The switch returns the names of the task
-    functions run since, so a test can check which passes it reached."""
+    """A switch: once called, the sampler runs its tile tasks (SAP gather
+    stacks and pass chains, slices of the flat tile index) in reverse order,
+    threaded when workers > 1, and still gets the results in item order. The
+    switch returns the names of the task functions run since, so a test can
+    check which passes it reached."""
     real = sampler._map_tiles
     reached: list[str] = []
 

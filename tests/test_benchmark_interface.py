@@ -2,8 +2,10 @@
 WRAPS), and its workloads build configs and CLI argv from tilevsr's names
 (perfbench/workloads.py). A refactor that renames or removes one of them
 would crash a benchmark run, so every tracer target must resolve to a
-callable here, and every workload must set up. The benchmark files are read,
-never edited.
+callable here, and every workload must set up. A refactor that stops calling
+one of the sampler's targets by its traced name would silently zero its
+layer, so those targets must also record spans. The benchmark files are
+read, never edited.
 """
 
 import importlib
@@ -11,8 +13,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import tilevsr
 from tilevsr import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,3 +48,28 @@ def test_benchmark_workload_sets_up(name, tmp_path):
     workload.setup(0, str(tmp_path))
     for argv in getattr(workload, "verbs", []):
         cli.build_parser().parse_args(argv)
+
+
+def test_sampler_tracer_targets_record_spans(monkeypatch):
+    # every target on tilevsr, tilevsr.sampler and the Toy* classes; the
+    # reference kernels the denoiser no longer calls are not among them
+    tracer = load("tracer")
+    wanted = [f"{module}:{path}" for module, path, _, _ in tracer.WRAPS
+              if module in ("tilevsr", "tilevsr.sampler") or path.startswith("Toy")]
+    # one span name per target, so targets that share a span name are told apart
+    monkeypatch.setattr(tracer, "WRAPS", tuple(
+        (module, path, f"{module}:{path}", counter) for module, path, _, counter in tracer.WRAPS
+    ))
+    lr = np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 3, 8, 8))
+    spans = tracer.Tracer()
+    with spans.installed():
+        for schemes in (True, False):  # SAP and TAP, then the plain pass
+            cfg = tilevsr.PipelineConfig(
+                steps=2, tile_frames=2, tile_h=4, tile_w=4, sap=schemes, tap=schemes,
+                guidance=tilevsr.GuidanceConfig(mode="dssag"), upscale_factor=2,
+            )
+            den = tilevsr.ToyAttentionDenoiser(seed=7, channels=3, patch_size=2, embed_dim=8,
+                                               cond_dim=4)
+            tilevsr.sample_video(lr, den, tilevsr.ToyCodec(2), cfg)
+    reached = {span[0] for span in spans.spans}
+    assert [name for name in wanted if name not in reached] == []

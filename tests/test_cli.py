@@ -602,6 +602,21 @@ def test_invalid_denoiser_or_metric_setting_exits_2_before_the_echo(tmp_path, ca
     assert not (out / "run.cfg").exists()
 
 
+def test_blend_mask_that_underflows_exits_2_before_the_first_step(tmp_path, tiny_input, capsys):
+    # mask_sigma_fraction = 0.01 passes the config's range check, but the
+    # (4, 16, 16) tile's corner weight underflows to 0; merge would divide 0 by 0
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(TINY_RUN_CFG + "mask_sigma_fraction = 0.01\n")
+    out = tmp_path / "o.dcvt"
+    rc, _, err = run_cli(capsys, "upscale", tiny_input, "--out", str(out), "--config", str(cfg))
+    assert rc == 2
+    assert err.splitlines() == [
+        "error: sigma_fraction 0.01 underflows the blend mask of tile dims (4, 16, 16): "
+        "corner weight 0"
+    ]
+    assert not out.exists()
+
+
 def test_unknown_guidance_mode_exits_2(tmp_path, tiny_input, capsys):
     rc, _, err = run_cli(
         capsys, "upscale", tiny_input, "--out", str(tmp_path / "o.dcvt"),

@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 
 from tilevsr import attention, quality
-from tilevsr.attention import SCORE_BLOCK_BYTES, STACK_BYTES, InjectedKV, attend
+from tilevsr.attention import SCORE_BLOCK_BYTES, InjectedKV, attend
 from tilevsr.guidance import GuidanceConfig
 from tilevsr.models import ToyAttentionDenoiser, ToyCodec
 from tilevsr.quality import DegradationConfig, _ssim_frame, bicubic_resize, degrade, gaussian_blur
-from tilevsr.sampler import PipelineConfig, RunStats, _condition_latent, denoise_pass_sap, sample_video
+from tilevsr.sampler import (
+    STACK_BYTES, PipelineConfig, RunStats, _condition_latent, denoise_pass_sap, sample_video,
+)
 from tilevsr.tiles import plan_tiles, split
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -255,7 +257,7 @@ def test_wide_sap_pass_peak_grows_only_by_what_it_must_hold():
         return split(y, plan_tiles((8, side, side), (8, 32, 32)))
 
     small, wide = pass_tiles(64), pass_tiles(96)
-    assert (len(small), len(wide)) == (9, 25)
+    assert (small.shape[:2], wide.shape[:2]) == ((1, 9), (1, 25))
     denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats())  # warm the attention workspace
     _, small_peak = traced_peak(lambda: denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats()))
     _, wide_peak = traced_peak(lambda: denoise_pass_sap(wide, den, cfg, 2.0, 0.5, RunStats()))

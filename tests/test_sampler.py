@@ -353,7 +353,9 @@ def test_hook_layers_and_cond_vector_are_not_constructor_options():
 
 def test_pass_counts_exact_under_thread_contention():
     # 27 tiles per step (3x3 spatial x 3 temporal), cfg = 2 passes per tile;
-    # step 0 runs SAP (plus one gather per tile), step 1 TAP.
+    # step 0 runs SAP (plus one gather per tile), step 1 TAP. The threads
+    # write their stacks' estimates into one shared array, so a lost write
+    # would show in the bytes.
     lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
     cfg = pipe_cfg(steps=2, tile_frames=2, guidance=GuidanceConfig(mode="cfg"),
                    workers=4 * (os.cpu_count() or 1))
@@ -372,6 +374,8 @@ def test_pass_counts_exact_under_thread_contention():
     assert not worker.is_alive(), "sampling did not finish within 120 s"
     stats = got["res"].stats
     assert (stats.eps_calls, stats.gather_calls, stats.tile_units) == (108, 27, 54)
+    serial = sample_video(lr, small_toy(), ToyCodec(2), dataclasses.replace(cfg, workers=1))
+    assert got["res"].video.tobytes() == serial.video.tobytes()
 
 
 def test_non_finite_denoiser_output_raises():
@@ -428,6 +432,53 @@ def test_stack_size_changes_no_bit(monkeypatch, mode):
     assert (runs[0].stats.gather_calls, runs[0].stats.tile_units) == (54, 108)
 
 
+@pytest.mark.parametrize("per_stack", [1, 2, 27])
+def test_stacks_are_views_of_the_tile_array(monkeypatch, per_stack):
+    # 27 tiles (3 temporal x 9 spatial); under sag every forward but the
+    # blurred branch's (the one after the attention-map forward) reads its
+    # stack straight out of split's array
+    y = np.random.default_rng(10).standard_normal((4, 1, 16, 16))
+    tiles = split(y, plan_tiles((4, 16, 16), (2, 8, 8)))
+    assert tiles.shape[:2] == (3, 9)
+    monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * tiles[0, 0].nbytes)
+    calls = []
+    real = ToyAttentionDenoiser.denoise
+
+    def spy(self, x, *args, **kw):
+        calls.append((x, kw.get("collect_attention", False), kw.get("kv_only", False)))
+        return real(self, x, *args, **kw)
+
+    monkeypatch.setattr(ToyAttentionDenoiser, "denoise", spy)
+    toy = small_toy()
+    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, guidance=GuidanceConfig(mode="sag"))
+    passes = {
+        "plain": lambda: denoise_pass_plain(tiles, toy, cfg, 1.0, 0.3, RunStats()),
+        "sap": lambda: denoise_pass_sap(tiles, toy, cfg, 1.0, 0.3, RunStats()),
+        "tap forward": lambda: denoise_pass_tap(tiles, toy, cfg, 1.0, 0.3, "forward", RunStats()),
+        "tap backward": lambda: denoise_pass_tap(tiles, toy, cfg, 1.0, 0.3, "backward", RunStats()),
+    }
+    # the largest stack: every tile, a SAP group or the TAP columns side by side
+    largest = {"plain": 27, "gather": 27, "sap": 9, "tap forward": 9, "tap backward": 9}
+    for name, run in passes.items():
+        calls.clear()
+        run()
+        sizes: dict[str, list[int]] = {}
+        blurred = False
+        for x, collect_attention, kv_only in calls:
+            kind = "gather" if kv_only else name
+            if blurred:
+                assert not np.shares_memory(x, tiles), kind
+            else:
+                assert np.shares_memory(x, tiles), kind
+                sizes.setdefault(kind, []).append(len(x))
+            blurred = collect_attention
+        for kind, got in sizes.items():
+            assert max(got) == min(per_stack, largest[kind]), (kind, got)
+            # every tile once per gather and once per unblurred sag branch
+            assert sum(got) == 27 * (1 if kind == "gather" else 2), (kind, got)
+        assert set(sizes) == ({"gather", "sap"} if name == "sap" else {name})
+
+
 # --- propagation passes -----------------------------------------------------
 
 def test_injected_rows_match_token_major_selection():
@@ -475,7 +526,7 @@ def test_spatial_rate_one_single_frame_tile_matches_plain():
     cfg = pipe_cfg(tile_frames=1, tile_h=8, tile_w=8, sap_rate=1)
     sap_out = denoise_pass_sap(tiles, toy, cfg, 1.0, 0.4, RunStats())
     plain_out = denoise_pass_plain(tiles, toy, cfg, 1.0, 0.4, RunStats())
-    diff = np.max(np.abs(sap_out[0].data - plain_out[0].data))
+    diff = np.max(np.abs(sap_out - plain_out))
     assert diff <= 1e-5
 
 
@@ -489,8 +540,8 @@ def test_spatial_pass_identical_tiles_get_identical_eps():
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=2, tile_h=4, tile_w=4)
     out = denoise_pass_sap(tiles, toy, cfg, 1.0, 0.2, RunStats())
-    assert np.array_equal(out[0].data, out[1].data)
-    assert np.array_equal(out[0].data, out[2].data)
+    assert np.array_equal(out[0, 0], out[0, 1])
+    assert np.array_equal(out[0, 0], out[0, 2])
 
 
 def test_temporal_pass_time_reversal_symmetry():
@@ -520,4 +571,4 @@ def test_temporal_pass_single_tile_is_plain():
     cfg = pipe_cfg(tile_frames=4, tile_h=8, tile_w=8)
     tap_out = denoise_pass_tap(tiles, toy, cfg, 1.0, 0.3, "forward", RunStats())
     plain_out = denoise_pass_plain(tiles, toy, cfg, 1.0, 0.3, RunStats())
-    assert np.array_equal(tap_out[0].data, plain_out[0].data)
+    assert np.array_equal(tap_out, plain_out)

@@ -11,7 +11,6 @@ from tilevsr.models import AnalyticGaussianDenoiser, ToyAttentionDenoiser
 from tilevsr.quality import bicubic_resize, block_match_flow, gaussian_blur, quantize
 from tilevsr.sampler import build_sigma_schedule, ode_step, precondition
 from tilevsr.tiles import (
-    Tile,
     axis_offsets,
     deinterleave,
     gaussian_mask,
@@ -95,14 +94,13 @@ def test_split_order_and_copies():
     video = make_video(rng, 6, 2, 8, 8)
     grid = plan_tiles((6, 8, 8), (4, 4, 4))
     tiles = split(video, grid)
-    assert len(tiles) == grid.n_spatial * grid.n_temporal
-    indices = [(t.n, t.m) for t in tiles]
-    assert indices == sorted(indices)
-    for t in tiles:
-        sl = grid.slices(t.n, t.m)
-        assert np.array_equal(t.data, video[sl[0], :, sl[1], sl[2]])
+    assert tiles.shape == (grid.n_temporal, grid.n_spatial, 4, 2, 4, 4)
+    for n in range(grid.n_temporal):
+        for m in range(grid.n_spatial):
+            sl = grid.slices(n, m)
+            assert np.array_equal(tiles[n, m], video[sl[0], :, sl[1], sl[2]])
     # tiles are private copies
-    tiles[0].data[...] = 0.0
+    tiles[0, 0] = 0.0
     assert not np.allclose(video[0:4, :, 0:4, 0:4], 0.0)
 
 
@@ -134,6 +132,21 @@ def test_gaussian_mask_validation():
         gaussian_mask((1, 4, 4), 0.0)
 
 
+def test_gaussian_mask_rejects_an_underflowing_corner():
+    # at 0.01 of a 14x16x16 tile the corner weight is exp(-3275) = 0, so merge
+    # would divide 0 by 0 where the corner alone covers the video; at 0.0065
+    # of (1, 1, 2) it is exp(-740), subnormal, and (w * v) / w loses v there
+    with pytest.raises(ValueError, match=r"sigma_fraction 0.01 underflows .* \(14, 16, 16\)"):
+        gaussian_mask((14, 16, 16), 0.01)
+    with pytest.raises(ValueError, match="sigma_fraction 0.0065 underflows"):
+        gaussian_mask((1, 1, 2), 0.0065)
+    grid = plan_tiles((16, 32, 32), (14, 16, 16))
+    video = make_video(np.random.default_rng(2), 16, 1, 32, 32)
+    for fraction in (0.1, 0.25, 1.0):
+        out = merge(split(video, grid), grid, gaussian_mask((14, 16, 16), fraction))
+        assert np.max(np.abs(out - video)) <= 1e-12
+
+
 # --- merge ------------------------------------------------------------------
 
 def test_merge_partition_of_unity_on_ones():
@@ -158,10 +171,7 @@ def test_merge_two_tile_overlap_is_weighted_average():
     grid = plan_tiles((1, 1, 3), (1, 1, 2))
     mask = gaussian_mask((1, 1, 2), 0.25)
     a, b = 2.0, 5.0
-    tiles = [
-        Tile(0, 0, np.full((1, 1, 1, 2), a)),
-        Tile(0, 1, np.full((1, 1, 1, 2), b)),
-    ]
+    tiles = np.stack([np.full((1, 1, 1, 2), a), np.full((1, 1, 1, 2), b)])[None]
     out = merge(tiles, grid, mask)
     # symmetric mask weights cancel in the shared voxel
     assert abs(out[0, 0, 0, 0] - a) < 1e-12
@@ -169,33 +179,19 @@ def test_merge_two_tile_overlap_is_weighted_average():
     assert abs(out[0, 0, 0, 2] - b) < 1e-12
 
 
-def test_merge_order_invariance_is_bitwise():
-    rng = np.random.default_rng(3)
-    video = make_video(rng, 4, 1, 8, 8)
-    grid = plan_tiles((4, 8, 8), (2, 4, 4))
-    mask = gaussian_mask((2, 4, 4), 0.25)
-    tiles = split(video, grid)
-    ref = merge(tiles, grid, mask)
-    shuffled = list(tiles)
-    np.random.default_rng(9).shuffle(shuffled)
-    assert np.array_equal(merge(shuffled, grid, mask), ref)
-
-
 def test_merge_rejects_bad_tile_sets():
+    # the (n, m) layout's shape stands for coverage, order and channel count
     rng = np.random.default_rng(1)
     video = make_video(rng, 4, 1, 8, 8)
     grid = plan_tiles((4, 8, 8), (2, 4, 4))
     mask = gaussian_mask((2, 4, 4), 0.25)
     tiles = split(video, grid)
-    with pytest.raises(ValueError):
-        merge(tiles[:-1], grid, mask)
-    with pytest.raises(ValueError):
-        merge(tiles + [tiles[0]], grid, mask)
-    bad = list(tiles)
-    bad[0] = Tile(0, 0, np.zeros((2, 1, 4, 5)))
-    with pytest.raises(ValueError):
-        merge(bad, grid, mask)
-    with pytest.raises(ValueError):
+    assert tiles.shape == (3, 9, 2, 1, 4, 4)
+    for bad in (tiles[:-1], tiles[:, :-1], tiles[:, :, :1], tiles[..., :3], tiles[..., :3, :],
+                tiles[0], tiles[None]):
+        with pytest.raises(ValueError, match="tiles have shape"):
+            merge(bad, grid, mask)
+    with pytest.raises(ValueError, match="mask shape"):
         merge(tiles, grid, gaussian_mask((2, 4, 5), 0.25))
 
 
