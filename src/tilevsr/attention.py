@@ -293,20 +293,19 @@ def aggregate_frame_kv(parts: list[InjectedKV]) -> InjectedKV:
     )
 
 
-def select_tap_frames(keys: np.ndarray, count: int) -> list[int]:
-    """Indices of the `count` frames whose keys have the largest standard
-    deviation (population std over all entries of a frame). keys is one
-    (frames, ...) array. Ties go to the lower frame index; the result is
-    ascending."""
+def select_tap_frames(keys: np.ndarray, count: int) -> np.ndarray:
+    """Per tile, the indices of the `count` frames whose keys have the
+    largest standard deviation (population std over all entries of a
+    frame). keys is a stack (tiles, frames, ...); the result is
+    (tiles, count), each row ascending. Ties go to the lower frame index."""
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     keys = np.asarray(keys, dtype=np.float64)
-    if count > len(keys):
-        raise ValueError(f"count {count} exceeds frame count {len(keys)}")
-    stds = keys.reshape(len(keys), -1).std(axis=1)
+    if count > keys.shape[1]:
+        raise ValueError(f"count {count} exceeds frame count {keys.shape[1]}")
+    stds = keys.reshape(keys.shape[:2] + (-1,)).std(axis=2)
     if not np.all(np.isfinite(stds)):
         raise ValueError("non-finite key statistics")
     # stable sort on descending std keeps lower indices first among ties
-    order = np.argsort(-stds, kind="stable")[:count]
-    return sorted(int(i) for i in order)
+    return np.sort(np.argsort(-stds, axis=1, kind="stable")[:, :count], axis=1)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .config import RunConfig, echo_lines, parse_config_text, parse_extents, resolve_config
+from .config import KNOWN_KEYS, RunConfig, echo_lines, parse_config_text, parse_extents, resolve_config
 from .guidance import GUIDANCE_MODES
 from .quality import (
     block_match_flow, degrade, frame_flows, psnr, ssim, tlp, tof, warping_error,
@@ -75,19 +75,6 @@ def parse_shift(value: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-def _common_overrides(args: argparse.Namespace) -> dict:
-    return {
-        "seed": args.seed,
-        "steps": args.steps,
-        "tile": args.tile,
-        "guidance": args.guidance,
-        "scale": args.scale,
-        "rho": args.rho,
-        "sap_rate": args.sap_rate,
-        "tap_l": args.tap_l,
-    }
-
 
 def _write_lines(path: str, lines: list[str]) -> None:
     tio.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
@@ -385,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         # every verb echoes the resolved config before doing any work
-        cfg = resolve_config(args.config, _common_overrides(args))
+        # the common flags: the parser dests that are config keys
+        cfg = resolve_config(args.config, {k: v for k, v in vars(args).items() if k in KNOWN_KEYS})
         if args.command == "fixture":  # the fixture spec, too, is checked before the echo
             args.fixture_spec = _fixture_spec(args)
         print("\n".join(["# resolved config", *echo_lines(cfg)]))

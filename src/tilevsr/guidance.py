@@ -95,22 +95,23 @@ def sag_input(x_t: np.ndarray, eps: np.ndarray, attention: np.ndarray, sigma: fl
     """Self-attention guidance's input: x_t with its denoised estimate blurred
     where the attention map is high.
 
-    eps is the noise estimate of x_t and attention its (frames, h, w) map
-    aligned with x_t. Tokens above the map's sag_mask_quantile form the mask;
-    inside it the denoised estimate x0 = x_t - sigma * eps is blurred and
-    re-noised. Guidance then steers from the estimate of this degraded input
-    toward the target estimate.
+    x_t is one tile (frames, c, h, w) or a stack of them, eps its noise
+    estimate and attention its (frames, h, w) map (tile axis first for a
+    stack). Per tile, tokens above the map's sag_mask_quantile form the
+    mask; inside it the denoised estimate x0 = x_t - sigma * eps is blurred
+    and re-noised. Guidance then steers from the estimate of this degraded
+    input toward the target estimate.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     in_range("sigma", sigma, gt=0)
     eps = np.asarray(eps, dtype=np.float64)
     attention = np.asarray(attention, dtype=np.float64)
-    if attention.shape != (x_t.shape[0],) + x_t.shape[2:]:
+    if attention.shape != x_t.shape[:-3] + x_t.shape[-2:]:
         raise ValueError(
             f"attention map shape {attention.shape} does not match frames/space of {x_t.shape}"
         )
-    threshold = np.quantile(attention, cfg_.sag_mask_quantile)
-    mask = (attention > threshold)[:, None, :, :]
+    threshold = np.quantile(attention, cfg_.sag_mask_quantile, axis=(-3, -2, -1), keepdims=True)
+    mask = (attention > threshold)[..., None, :, :]
 
     x0 = x_t - sigma * eps
     # x_t + mask * (blur(x0) - x0): identical to blurring x0 under the mask

@@ -14,13 +14,34 @@ from .attention import attend
 # The step-by-step reference kernels stay importable from this module: the
 # benchmark's outside-in tracer (perfbench/tracer.py) wraps these names here.
 from .attention import extend_kv, scaled_scores, softmax_rows  # noqa: F401
-from .sampler import precondition
 from .tiles import in_range, int_in_range
+
+
+@dataclass(frozen=True)
+class Precondition:
+    c_skip: float
+    c_out: float
+    c_in: float
+    c_noise: float
+
+
+def precondition(sigma: float, sigma_data: float = 0.5) -> Precondition:
+    """Scaling coefficients tying the raw network to the denoiser output."""
+    in_range("sigma", sigma, gt=0)
+    in_range("sigma_data", sigma_data, gt=0)
+    s2 = sigma * sigma
+    d2 = sigma_data * sigma_data
+    return Precondition(
+        c_skip=d2 / (s2 + d2),
+        c_out=sigma * sigma_data / np.sqrt(s2 + d2),
+        c_in=1.0 / np.sqrt(s2 + d2),
+        c_noise=float(np.log(sigma)) / 4.0,
+    )
 
 
 @dataclass
 class DenoiseResult:
-    """A stacked forward's outputs; a one-tile forward's lack the tiles axis."""
+    """A stacked forward's outputs, each with the leading tile axis."""
 
     denoised: np.ndarray | None  # (tiles, frames, c, h, w); None after a kv_only forward
     keys: dict = field(default_factory=dict)     # hook layer -> (tiles, frames, gh, gw, d)
@@ -41,15 +62,15 @@ class AnalyticGaussianDenoiser:
     sigma_data: float = 0.5
 
     hook_layers = ()
-    cond_vector = None
 
     def __post_init__(self):
         in_range("sigma_data", self.sigma_data, gt=0)
 
-    def denoise(self, x, c=None, sigma: float = 1.0, injected=None, gamma: float = 0.0,
-                identity: bool = False, collect_kv: bool = False,
+    def denoise(self, x, conditional: bool = False, sigma: float = 1.0, injected=None,
+                gamma: float = 0.0, identity: bool = False, collect_kv: bool = False,
                 collect_attention: bool = False) -> DenoiseResult:
-        """gamma and identity act on no layer: the model has no hook layers."""
+        """Elementwise, on any shape. conditional, gamma and identity act on
+        nothing: the model has no conditioning and no hook layers."""
         x = np.asarray(x, dtype=np.float64)
         if injected:
             raise ValueError("analytic denoiser has no hookable layers")
@@ -172,35 +193,31 @@ class ToyAttentionDenoiser:
             .reshape(n, f, c, gh * p, gw * p)
         )
 
-    def denoise(self, x, c=None, sigma: float = 1.0, injected=None, gamma: float = 0.0,
-                identity: bool = False, collect_kv: bool = False,
+    def denoise(self, x, conditional: bool = False, sigma: float = 1.0, injected=None,
+                gamma: float = 0.0, identity: bool = False, collect_kv: bool = False,
                 collect_attention: bool = False, kv_only: bool = False) -> DenoiseResult:
-        """D(x; sigma), conditioned on c unless c is None.
-
-        x is one tile (frames, channels, h, w) or a stack of same-shape tiles
-        (tiles, frames, channels, h, w); every output then carries the same
-        leading tile axis, and each tile's bits are those of its own call.
-        The spatial layers run on (tiles, frames, tokens, d) and the temporal
-        block on (tiles, tokens, frames, d), one attend call each.
+        """D(x; sigma) on a stack of same-shape tiles (tiles, frames, channels,
+        h, w), conditioned on the model's own cond_vector when `conditional`.
+        Every output carries the tile axis, and each tile's bits are those of
+        a stack of it alone. The spatial layers run on (tiles, frames, tokens,
+        d) and the temporal block on (tiles, tokens, frames, d), one attend
+        call each.
 
         The hook settings act on the hook layers only: `injected` maps a hook
         layer to the K/V rows that extend its keys and values (shared by the
-        stack, or one set per tile, see InjectedKV), gamma > 0
-        tempers their score denominators, and identity replaces their
-        attention by the value rows (ignoring injections: it needs the tile's
-        own rows). collect_kv keeps each hook layer's K/V on the token grid,
-        (frames, gh, gw, d); collect_attention returns the weight each token
-        receives, averaged over the queries and the hook layers and repeated
-        to pixel resolution (frames, h, w). kv_only stops once the last hook
-        layer's K/V exist and returns those K/V alone (denoised is None).
+        stack, or one set per tile, see InjectedKV), gamma > 0 tempers their
+        score denominators, and identity replaces their attention by the value
+        rows (ignoring injections: it needs the tile's own rows). collect_kv
+        keeps each hook layer's K/V on the token grid, (tiles, frames, gh, gw,
+        d); collect_attention returns the weight each token receives, averaged
+        over the queries and the hook layers and repeated to pixel resolution
+        (tiles, frames, h, w). kv_only stops once the last hook layer's K/V
+        exist and returns those K/V alone (denoised is None).
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (4, 5):
-            raise ValueError(
-                f"expected (frames, channels, h, w) or a stack of them, got shape {x.shape}"
-            )
-        stack = x if x.ndim == 5 else x[None]
-        n, f, ch, h, w = stack.shape
+        if x.ndim != 5:
+            raise ValueError(f"expected a stack (tiles, frames, channels, h, w), got shape {x.shape}")
+        n, f, ch, h, w = x.shape
         if ch != self.channels:
             raise ValueError(f"denoiser built for {self.channels} channels, got {ch}")
         p = self.patch_size
@@ -216,17 +233,12 @@ class ToyAttentionDenoiser:
 
         pre = precondition(sigma, self.sigma_data)
         gh, gw = h // p, w // p
-        tok = self._patchify(pre.c_in * stack) @ self.w_embed  # (tiles, frames, tokens, d)
+        tok = self._patchify(pre.c_in * x) @ self.w_embed  # (tiles, frames, tokens, d)
         tok = tok + 0.1 * _positions(gh, gw, self.embed_dim)
         tok = tok + pre.c_noise * self.v_noise
-        if c is not None:
-            c = np.asarray(c, dtype=np.float64)
-            if c.shape != (self.cond_dim,):
-                raise ValueError(f"conditioning must have shape ({self.cond_dim},), got {c.shape}")
-            if np.any(c):
-                tok = tok + c @ self.w_cond
+        if conditional:
+            tok = tok + self.cond_vector @ self.w_cond
 
-        unstack = (lambda a: a) if x.ndim == 5 else (lambda a: a[0])
         keys_out: dict = {}
         values_out: dict = {}
         maps = []
@@ -235,23 +247,22 @@ class ToyAttentionDenoiser:
             v = tok @ wv
             hooked = idx in self.hook_layers
             if (collect_kv or kv_only) and hooked:  # attend never writes to k or v
-                keys_out[idx] = unstack(k.reshape(n, f, gh, gw, -1))
-                values_out[idx] = unstack(v.reshape(n, f, gh, gw, -1))
+                keys_out[idx] = k.reshape(n, f, gh, gw, -1)
+                values_out[idx] = v.reshape(n, f, gh, gw, -1)
                 if kv_only and idx == self.hook_layers[-1]:
                     return DenoiseResult(denoised=None, keys=keys_out, values=values_out)
-            q = tok @ wq
-            if not hooked:
-                out = attend(q, k, v)
-            elif identity:
-                out = v.copy()
-                if collect_attention:
+            means = collect_attention and hooked
+            if identity and hooked:
+                out = v
+                if means:
                     maps.append(np.full((n, f, gh, gw), 1.0 / (gh * gw)))
-            elif collect_attention:
-                # mean attention weight received by each of the tile's own tokens
-                out, received = attend(q, k, v, injected.get(idx), gamma, own_key_means=True)
-                maps.append(received.reshape(n, f, gh, gw))
             else:
-                out = attend(q, k, v, injected.get(idx), gamma)
+                # no injection and gamma 0 are plain attention, bit for bit
+                out = attend(tok @ wq, k, v, injected.get(idx), gamma if hooked else 0.0,
+                             own_key_means=means)
+                if means:  # the mean weight each of the tile's own tokens receives
+                    out, received = out
+                    maps.append(received.reshape(n, f, gh, gw))
             tok = tok + np.tanh(out @ wo) * 0.5
 
         twq, twk, twv, two = self.temporal
@@ -260,12 +271,11 @@ class ToyAttentionDenoiser:
         tok = tok + np.tanh(out_t @ two).transpose(0, 2, 1, 3) * 0.5
 
         raw = self._unpatchify(tok @ self.w_out, gh, gw)
-        denoised = pre.c_skip * stack + pre.c_out * raw
         attention = None
         if collect_attention:
-            attention = unstack(np.repeat(np.repeat(np.mean(maps, axis=0), p, axis=-2), p, axis=-1))
-        return DenoiseResult(denoised=unstack(denoised), keys=keys_out, values=values_out,
-                             attention=attention)
+            attention = np.repeat(np.repeat(np.mean(maps, axis=0), p, axis=-2), p, axis=-1)
+        return DenoiseResult(denoised=pre.c_skip * x + pre.c_out * raw, keys=keys_out,
+                             values=values_out, attention=attention)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Deterministic ODE sampler over spatio-temporal tiles.
 
-The schedule, preconditioning, and Euler step follow the variance-exploding
-ODE convention: a denoiser D(x; sigma) induces the probability-flow step
+The schedule and the Euler step follow the variance-exploding ODE
+convention: a denoiser D(x; sigma) induces the probability-flow step
 x_next = x + (sigma_next - sigma_cur) * (x - D) / sigma_cur.
 
 The video pipeline interleaves the noisy latent with the encoded low-res
@@ -35,7 +35,7 @@ class NumericError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# schedule / preconditioning / ODE step
+# schedule / ODE step
 
 def build_sigma_schedule(
     steps: int,
@@ -58,28 +58,6 @@ def build_sigma_schedule(
     if not np.all(np.diff(sigmas) < 0):
         raise ValueError("sigmas must be strictly descending")
     return sigmas
-
-
-@dataclass(frozen=True)
-class Precondition:
-    c_skip: float
-    c_out: float
-    c_in: float
-    c_noise: float
-
-
-def precondition(sigma: float, sigma_data: float = 0.5) -> Precondition:
-    """Scaling coefficients tying the raw network to the denoiser output."""
-    in_range("sigma", sigma, gt=0)
-    in_range("sigma_data", sigma_data, gt=0)
-    s2 = sigma * sigma
-    d2 = sigma_data * sigma_data
-    return Precondition(
-        c_skip=d2 / (s2 + d2),
-        c_out=sigma * sigma_data / np.sqrt(s2 + d2),
-        c_in=1.0 / np.sqrt(s2 + d2),
-        c_noise=float(np.log(sigma)) / 4.0,
-    )
 
 
 def ode_step(x: np.ndarray, denoised: np.ndarray, sigma_cur: float, sigma_next: float) -> np.ndarray:
@@ -125,6 +103,8 @@ class PipelineConfig:
         for name in ("sigma_min", "schedule_exponent", "mask_sigma_fraction"):
             in_range(name, getattr(self, name), gt=0)
         in_range("sigma_max", self.sigma_max, gt=self.sigma_min)
+        # a run's tile never exceeds this one, and a smaller tile has a larger mask corner
+        gaussian_mask((self.tile_frames, self.tile_h, self.tile_w), self.mask_sigma_fraction)
         if not isinstance(self.guidance, GuidanceConfig):
             raise ValueError("guidance must be a GuidanceConfig")
 
@@ -193,8 +173,8 @@ def _guided_eps(tiles: np.ndarray, stack: slice, injections, collect_kv: bool, d
     and its target branch's stacked result.
 
     The branches of the mode's GUIDANCE_BRANCHES row run in order, one
-    stacked forward each; a blurred branch's input is built tile by tile
-    from branch 0's estimate and attention map.
+    stacked forward each; a blurred branch's input is built from branch 0's
+    estimate and attention map.
     """
     x0 = _flat(tiles)[stack]
     stats.increment("tile_units", len(x0))
@@ -205,10 +185,9 @@ def _guided_eps(tiles: np.ndarray, stack: slice, injections, collect_kv: bool, d
     for i, branch in enumerate(branches):
         x = x0
         if branch.blurred:
-            x = np.stack([sag_input(tile, e, a, sigma, g)
-                          for tile, e, a in zip(x0, eps[0], attention)])
+            x = sag_input(x0, eps[0], attention, sigma, g)
         result = denoiser.denoise(
-            x, denoiser.cond_vector if branch.conditional else None, sigma, injected=injections,
+            x, branch.conditional, sigma, injected=injections,
             gamma=gamma_t if branch.tempered else 0.0, identity=branch.identity,
             collect_kv=collect_kv and i == len(branches) - 1,
             collect_attention=needs_map and i == 0,
@@ -284,7 +263,7 @@ def denoise_pass_sap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: fl
 
     def gather(stack: slice) -> list[dict[int, InjectedKV]]:
         # only the subsampled rows outlive the task, not the full K/V
-        result = denoiser.denoise(flat[stack], denoiser.cond_vector, sigma, kv_only=True)
+        result = denoiser.denoise(flat[stack], True, sigma, kv_only=True)
         stats.increment("gather_calls", stack.stop - stack.start)
         _require_finite([*result.keys.values(), *result.values.values()], stack, n_spatial, step,
                         "key/value rows", sigma)
@@ -313,10 +292,10 @@ def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]
     injections = {}
     for layer in hook_layers:
         keys, values = result.keys[layer], result.values[layer]  # (tiles, frames, gh, gw, d)
-        chosen = [select_tap_frames(tile_keys, min(l_frames, len(tile_keys))) for tile_keys in keys]
+        chosen = select_tap_frames(keys, min(l_frames, keys.shape[1]))[:, :, None, None, None]
         injections[layer] = InjectedKV(
-            keys=np.stack([k[c].reshape(-1, k.shape[-1]) for k, c in zip(keys, chosen)]),
-            values=np.stack([v[c].reshape(-1, v.shape[-1]) for v, c in zip(values, chosen)]),
+            keys=np.take_along_axis(keys, chosen, axis=1).reshape(len(keys), -1, keys.shape[-1]),
+            values=np.take_along_axis(values, chosen, axis=1).reshape(len(keys), -1, values.shape[-1]),
         )
     return injections
 

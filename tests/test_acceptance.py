@@ -243,7 +243,7 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
         frames = rng.standard_normal((n, int(rng.integers(1, 5)), 3))
         if trial % 3 == 0 and n >= 2:
             frames[-1] = frames[0]  # exact ties
-        assert select_tap_frames(frames, count) == brute_force(frames, count)
+        assert select_tap_frames(frames[None], count).tolist() == [brute_force(frames, count)]
 
     # 4 key/value frames handed over out of a 14-frame tile ~ 28% of tokens
     class InjectionCounter:
@@ -254,8 +254,8 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
         def __getattr__(self, name):
             return getattr(self.inner, name)
 
-        def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
-                    collect_kv=False, collect_attention=False):
+        def denoise(self, x, conditional=False, sigma=1.0, injected=None, gamma=0.0,
+                    identity=False, collect_kv=False, collect_attention=False):
             # x is a stack of tiles; TAP injects one set of rows per tile
             patch = self.inner.patch_size
             tiles, frames, _, h, w = x.shape
@@ -264,7 +264,7 @@ def test_07_temporal_handoff_selection_rule_and_injected_token_share():
                 assert inj.keys.shape[0] == tiles
                 self.rows.extend((int(inj.keys.shape[1]), own) for _ in range(tiles))
             return self.inner.denoise(
-                x, c, sigma, injected=injected, gamma=gamma, identity=identity,
+                x, conditional, sigma, injected=injected, gamma=gamma, identity=identity,
                 collect_kv=collect_kv, collect_attention=collect_attention,
             )
 

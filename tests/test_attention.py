@@ -306,29 +306,33 @@ def brute_force_selection(keys_by_frame, count):
 def test_select_single_spread_frame():
     frames = np.zeros((5, 2, 1))
     frames[2] = [[-3.0], [3.0]]
-    assert select_tap_frames(frames, 1) == [2]
+    assert select_tap_frames(frames[None], 1).tolist() == [[2]]
 
 
 def test_select_ties_break_to_lower_index():
     frames = np.full((6, 2, 2), 7.0)
-    assert select_tap_frames(frames, 3) == [0, 1, 2]
-    assert select_tap_frames(frames, 6) == [0, 1, 2, 3, 4, 5]
+    assert select_tap_frames(frames[None], 3).tolist() == [[0, 1, 2]]
+    assert select_tap_frames(frames[None], 6).tolist() == [[0, 1, 2, 3, 4, 5]]
 
 
 def test_select_matches_brute_force_on_random_instances():
+    # a stack of tiles: each row is its own tile's brute-force selection
     rng = np.random.default_rng(16)
     for trial in range(100):
         n = int(rng.integers(1, 9))
         count = int(rng.integers(1, n + 1))
-        frames = rng.standard_normal((n, int(rng.integers(1, 5)), 3))
+        tiles = int(rng.integers(1, 5))
+        stack = rng.standard_normal((tiles, n, int(rng.integers(1, 5)), 3))
         if trial % 3 == 0 and n >= 2:
             # force exact ties by duplicating a frame's keys
-            frames[n - 1] = frames[0]
-        assert select_tap_frames(frames, count) == brute_force_selection(frames, count)
+            stack[:, n - 1] = stack[:, 0]
+        got = select_tap_frames(stack, count)
+        assert got.shape == (tiles, count)
+        assert got.tolist() == [brute_force_selection(frames, count) for frames in stack]
 
 
 def test_select_count_validation():
-    frames = np.zeros((1, 2, 2))
+    frames = np.zeros((3, 1, 2, 2))  # three tiles of one frame
     with pytest.raises(ValueError):
         select_tap_frames(frames, 2)
     with pytest.raises(ValueError):
@@ -476,7 +480,7 @@ def test_own_key_means_keep_scores_to_one_block():
     x = rng.standard_normal((64, 1, 16, 16))
     injected = {layer: inj for layer in den.hook_layers}
     _, peak = peak_traced_bytes(
-        lambda: den.denoise(x, None, 1.0, injected=injected, collect_attention=True)
+        lambda: den.denoise(x[None], False, 1.0, injected=injected, collect_attention=True)
     )
     assert peak < 4 * SCORE_BLOCK_BYTES
 

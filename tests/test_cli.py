@@ -7,6 +7,7 @@ import pytest
 
 from tilevsr import cli
 from tilevsr import io as tio
+from tilevsr.config import KNOWN_KEYS
 from tilevsr.guidance import GUIDANCE_MODES
 from tilevsr.sampler import NumericError
 
@@ -42,6 +43,21 @@ def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# the parser and the config
+
+
+@pytest.mark.parametrize("argv", [
+    ["upscale", "in", "--out", "o"], ["degrade", "in", "--out", "o"], ["metrics", "a", "b"],
+    ["ablate", "in"], ["fixture", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_the_config_keys_among_the_parser_dests_are_the_common_flags(argv):
+    # main passes every parser dest that is a config key as an override
+    args = cli.build_parser().parse_args(argv)
+    assert {dest for dest in vars(args) if dest in KNOWN_KEYS} == {
+        "seed", "steps", "tile", "guidance", "scale", "rho", "sap_rate", "tap_l"}
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +606,7 @@ def test_trace_is_a_usage_error_on_verbs_that_write_no_trace(tmp_path, capsys, v
     "flow_block = 0", "flow_radius = -1",
     "blur_sigma = nan", "noise_sigma = nan", "rho = inf", "sag_blur_sigma = nan",
     "schedule_exponent = nan", "sigma_data = nan", "sigma_max = inf", "mask_sigma_fraction = inf",
+    "mask_sigma_fraction = 0.01",  # finite and > 0, but the default tile's mask underflows
 ])
 def test_invalid_denoiser_or_metric_setting_exits_2_before_the_echo(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
@@ -603,15 +620,18 @@ def test_invalid_denoiser_or_metric_setting_exits_2_before_the_echo(tmp_path, ca
 
 
 def test_blend_mask_that_underflows_exits_2_before_the_first_step(tmp_path, tiny_input, capsys):
-    # mask_sigma_fraction = 0.01 passes the config's range check, but the
-    # (4, 16, 16) tile's corner weight underflows to 0; merge would divide 0 by 0
+    # mask_sigma_fraction = 0.01 passes the range check, but the configured
+    # (8, 16, 16) tile's corner weight underflows to 0 (merge would divide 0
+    # by 0); the configured tile is the largest a run can use, so the config
+    # is refused before the echo, although this input clamps the tile to (4, 16, 16)
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(TINY_RUN_CFG + "mask_sigma_fraction = 0.01\n")
     out = tmp_path / "o.dcvt"
-    rc, _, err = run_cli(capsys, "upscale", tiny_input, "--out", str(out), "--config", str(cfg))
+    rc, stdout, err = run_cli(capsys, "upscale", tiny_input, "--out", str(out), "--config", str(cfg))
     assert rc == 2
+    assert "# resolved config" not in stdout
     assert err.splitlines() == [
-        "error: sigma_fraction 0.01 underflows the blend mask of tile dims (4, 16, 16): "
+        "error: sigma_fraction 0.01 underflows the blend mask of tile dims (8, 16, 16): "
         "corner weight 0"
     ]
     assert not out.exists()

@@ -203,3 +203,21 @@ def test_sag_input_rejects_a_misaligned_map_and_bad_sigma():
         sag_input(x, x, None, 1.0, conf)
     with pytest.raises(ValueError):
         sag_input(x, x, uniform_map(x), 0.0, conf)
+
+
+@pytest.mark.parametrize("quantile", [0.3, 0.5, 0.9])
+def test_sag_input_on_a_stack_is_sag_input_per_tile(quantile):
+    # each tile's mask comes from its own map's quantile: the tiles' maps sit
+    # on different levels, so one quantile over the whole stack would mask
+    # the hot tiles everywhere and the cold ones nowhere
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((4, 3, 2, 8, 8))
+    eps = rng.standard_normal(x.shape)
+    attention = rng.uniform(0.0, 1.0, (4, 3, 8, 8)) + np.arange(4)[:, None, None, None]
+    conf = GuidanceConfig(mode="sag", sag_blur_sigma=1.0, sag_mask_quantile=quantile)
+    stacked = sag_input(x, eps, attention, 0.7, conf)
+    assert stacked.shape == x.shape
+    for t in range(len(x)):
+        assert stacked[t].tobytes() == sag_input(x[t], eps[t], attention[t], 0.7, conf).tobytes()
+    with pytest.raises(ValueError):
+        sag_input(x, eps, attention[:3], 0.7, conf)  # one map short

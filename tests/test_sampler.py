@@ -17,6 +17,7 @@ from tilevsr.models import (
     DenoiseResult,
     ToyAttentionDenoiser,
     ToyCodec,
+    precondition,
 )
 from tilevsr.sampler import (
     NumericError,
@@ -28,7 +29,6 @@ from tilevsr.sampler import (
     denoise_pass_sap,
     denoise_pass_tap,
     ode_step,
-    precondition,
     sample_video,
 )
 from tilevsr.tiles import gaussian_mask, interleave, merge, plan_tiles, split
@@ -214,8 +214,8 @@ def test_single_tile_matches_untiled_reference():
     for i in range(5):
         sigma, sigma_next = float(sigmas[i]), float(sigmas[i + 1])
         y = interleave(x, l)
-        res = toy.denoise(y, toy.cond_vector, sigma)
-        eps = (y - res.denoised) / sigma
+        res = toy.denoise(y[None], True, sigma)
+        eps = (y - res.denoised[0]) / sigma
         x = ode_step(x, x - sigma * eps[0::2], sigma, sigma_next)
     ref = codec.decode(x)
     assert got.video.shape == ref.shape
@@ -229,7 +229,7 @@ def test_single_step_analytic_euler():
                    sap=False, tap=False, sigma_min=0.5, sigma_max=10.0)
     got = sample_video(lr, den, ToyCodec(1), cfg)
     x0 = np.random.default_rng(0).standard_normal((1, 1, 8, 8)) * 10.0
-    d0 = den.denoise(x0, None, 10.0).denoised
+    d0 = den.denoise(x0, False, 10.0).denoised
     ref = ode_step(x0, d0, 10.0, 0.5)
     assert np.max(np.abs(got.video - ref)) <= 1e-6
 
@@ -301,12 +301,12 @@ class ForwardSpy:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
+    def denoise(self, x, conditional=False, sigma=1.0, injected=None, gamma=0.0, identity=False,
                 collect_kv=False, collect_attention=False):
-        self.calls.extend((np.array(tile_x), c is not None, gamma, identity, collect_attention)
+        self.calls.extend((np.array(tile_x), conditional, gamma, identity, collect_attention)
                           for tile_x in x)
         return self.inner.denoise(
-            x, c, sigma, injected=injected, gamma=gamma, identity=identity,
+            x, conditional, sigma, injected=injected, gamma=gamma, identity=identity,
             collect_kv=collect_kv, collect_attention=collect_attention,
         )
 
@@ -381,9 +381,8 @@ def test_pass_counts_exact_under_thread_contention():
 def test_non_finite_denoiser_output_raises():
     class BrokenDenoiser:
         hook_layers = ()
-        cond_vector = None
 
-        def denoise(self, x, c=None, sigma=1.0, injected=None, gamma=0.0, identity=False,
+        def denoise(self, x, conditional=False, sigma=1.0, injected=None, gamma=0.0, identity=False,
                     collect_kv=False, collect_attention=False):
             bad = np.full_like(np.asarray(x, dtype=np.float64), np.nan)
             return DenoiseResult(bad, None, None, None)
@@ -404,8 +403,8 @@ def test_non_finite_gathered_kv_names_its_tile():
         def __getattr__(self, name):
             return getattr(self.inner, name)
 
-        def denoise(self, x, c=None, sigma=1.0, kv_only=False, **kw):
-            result = self.inner.denoise(x, c, sigma, kv_only=kv_only, **kw)
+        def denoise(self, x, conditional=False, sigma=1.0, kv_only=False, **kw):
+            result = self.inner.denoise(x, conditional, sigma, kv_only=kv_only, **kw)
             if kv_only:
                 result.keys[self.inner.hook_layers[0]][1, 0, 0, 0, 0] = np.nan
             return result
@@ -505,8 +504,8 @@ def test_injected_rows_match_token_major_selection():
 
         l_frames = int(rng.integers(1, 9))
         per_frame = gh * gw
-        chosen = select_tap_frames(flat_k.reshape(frames, per_frame, d), min(l_frames, frames))
-        rows = [f * per_frame + t for f in chosen for t in range(per_frame)]
+        chosen = select_tap_frames(flat_k.reshape(1, frames, per_frame, d), min(l_frames, frames))
+        rows = [f * per_frame + t for f in chosen[0] for t in range(per_frame)]
         # a stack of two tiles: the rows are chosen per tile
         result = DenoiseResult(None, keys={3: np.stack([keys, keys + 1.0])},
                                values={3: np.stack([values, values - 1.0])})

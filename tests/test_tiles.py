@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from tilevsr.attention import attend, scaled_scores
 from tilevsr.guidance import GuidanceConfig, gamma_schedule, sag_input
-from tilevsr.models import AnalyticGaussianDenoiser, ToyAttentionDenoiser
+from tilevsr.models import AnalyticGaussianDenoiser, ToyAttentionDenoiser, precondition
 from tilevsr.quality import bicubic_resize, block_match_flow, gaussian_blur, quantize
-from tilevsr.sampler import build_sigma_schedule, ode_step, precondition
+from tilevsr.sampler import build_sigma_schedule, ode_step
 from tilevsr.tiles import (
     axis_offsets,
     deinterleave,
@@ -314,8 +314,8 @@ _TOY = ToyAttentionDenoiser(channels=1, embed_dim=8, cond_dim=4)
     pytest.param(lambda: AnalyticGaussianDenoiser().denoise(_X, sigma=NAN), id="analytic-sigma"),
     pytest.param(lambda: AnalyticGaussianDenoiser().denoise(_X, gamma=NAN), id="analytic-gamma"),
     pytest.param(lambda: ToyAttentionDenoiser(channels=1, sigma_data=NAN), id="toy-sigma_data"),
-    pytest.param(lambda: _TOY.denoise(_X, sigma=NAN), id="toy-sigma"),
-    pytest.param(lambda: _TOY.denoise(_X, gamma=NAN), id="toy-gamma"),
+    pytest.param(lambda: _TOY.denoise(_X[None], sigma=NAN), id="toy-sigma"),
+    pytest.param(lambda: _TOY.denoise(_X[None], gamma=NAN), id="toy-gamma"),
 ])
 def test_public_functions_reject_nan_settings(call):
     with pytest.raises(ValueError, match="must be finite"):
