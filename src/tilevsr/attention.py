@@ -302,6 +302,8 @@ def select_tap_frames(keys: np.ndarray, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     keys = np.asarray(keys, dtype=np.float64)
+    if keys.ndim < 3:
+        raise ValueError(f"keys must be a stack (tiles, frames, ...), got shape {keys.shape}")
     if count > keys.shape[1]:
         raise ValueError(f"count {count} exceeds frame count {keys.shape[1]}")
     stds = keys.reshape(keys.shape[:2] + (-1,)).std(axis=2)

@@ -25,8 +25,8 @@ from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsam
 from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
 from .tiles import (
-    deinterleave, gaussian_mask, in_range, int_in_range, interleave, merge, plan_tiles, split,
-    validate_video,
+    check_mask_corner, deinterleave, gaussian_mask, in_range, int_in_range, interleave, merge, plan_tiles,
+    split, validate_video,
 )
 
 
@@ -103,8 +103,7 @@ class PipelineConfig:
         for name in ("sigma_min", "schedule_exponent", "mask_sigma_fraction"):
             in_range(name, getattr(self, name), gt=0)
         in_range("sigma_max", self.sigma_max, gt=self.sigma_min)
-        # a run's tile never exceeds this one, and a smaller tile has a larger mask corner
-        gaussian_mask((self.tile_frames, self.tile_h, self.tile_w), self.mask_sigma_fraction)
+        check_mask_corner((self.tile_frames, self.tile_h, self.tile_w), self.mask_sigma_fraction)
         if not isinstance(self.guidance, GuidanceConfig):
             raise ValueError("guidance must be a GuidanceConfig")
 

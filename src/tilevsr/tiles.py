@@ -132,28 +132,36 @@ def split(video: np.ndarray, grid: TileGrid) -> np.ndarray:
     return tiles
 
 
-def gaussian_mask(tile_dims: tuple[int, ...], sigma_fraction: float) -> np.ndarray:
-    """Separable Gaussian blend weights over a tile.
+def _axis_weights(idx: np.ndarray, e: int, sigma_fraction: float) -> np.ndarray:
+    sigma = sigma_fraction * e
+    return np.exp(-((idx - (e - 1) / 2.0) ** 2) / (2.0 * sigma * sigma))
 
-    Per axis of extent e the weight at index i is
-    exp(-(i - c)^2 / (2 * (sigma_fraction * e)^2)) with c = (e - 1) / 2,
-    so the mask is symmetric and peaks at the tile center. A corner weight
-    that underflows (0 or subnormal) raises ValueError: merge divides by it.
-    """
+
+def check_mask_corner(tile_dims: tuple[int, ...], sigma_fraction: float) -> None:
+    """ValueError unless gaussian_mask(tile_dims, sigma_fraction) is usable:
+    sigma_fraction > 0, positive dims, and a corner weight (the mask's least,
+    the product of each axis's end weight, so it falls as any extent grows)
+    that is neither 0 nor subnormal, since merge divides by it."""
     in_range("sigma_fraction", sigma_fraction, gt=0)
     if any(int(e) < 1 for e in tile_dims):
         raise ValueError(f"tile dims must be positive, got {tile_dims}")
-    mask = np.ones((), dtype=np.float64)
-    for e in tile_dims:
-        e = int(e)
-        idx = np.arange(e, dtype=np.float64)
-        center = (e - 1) / 2.0
-        sigma = sigma_fraction * e
-        axis = np.exp(-((idx - center) ** 2) / (2.0 * sigma * sigma))
-        mask = mask[..., None] * axis
-    if mask.flat[0] < np.finfo(np.float64).tiny:
+    corner = math.prod(_axis_weights(np.zeros(1), int(e), sigma_fraction)[0] for e in tile_dims)
+    if corner < np.finfo(np.float64).tiny:
         raise ValueError(f"sigma_fraction {sigma_fraction} underflows the blend mask of tile dims "
-                         f"{tuple(int(e) for e in tile_dims)}: corner weight {mask.flat[0]:g}")
+                         f"{tuple(int(e) for e in tile_dims)}: corner weight {corner:g}")
+
+
+def gaussian_mask(tile_dims: tuple[int, ...], sigma_fraction: float) -> np.ndarray:
+    """Separable Gaussian blend weights over a tile, checked by check_mask_corner.
+
+    Per axis of extent e the weight at index i is
+    exp(-(i - c)^2 / (2 * (sigma_fraction * e)^2)) with c = (e - 1) / 2,
+    so the mask is symmetric and peaks at the tile center.
+    """
+    check_mask_corner(tile_dims, sigma_fraction)
+    mask = np.ones((), dtype=np.float64)
+    for e in map(int, tile_dims):
+        mask = mask[..., None] * _axis_weights(np.arange(e, dtype=np.float64), e, sigma_fraction)
     return mask
 
 

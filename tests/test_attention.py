@@ -337,6 +337,9 @@ def test_select_count_validation():
         select_tap_frames(frames, 2)
     with pytest.raises(ValueError):
         select_tap_frames(frames, 0)
+    for unstacked in (np.zeros((4, 3)), np.zeros(4)):  # one tile's (frames, d) keys, or less
+        with pytest.raises(ValueError, match="must be a stack"):
+            select_tap_frames(unstacked, 1)
 
 
 # --- batched property -------------------------------------------------------

@@ -637,6 +637,20 @@ def test_blend_mask_that_underflows_exits_2_before_the_first_step(tmp_path, tiny
     assert not out.exists()
 
 
+def test_oversized_tile_still_means_one_tile(tmp_path, tiny_cfg, tiny_input, capsys):
+    # the blend-mask check reads three per-axis weights, not a mask of the
+    # configured tile, so a tile far larger than any video costs nothing
+    huge = "100000x100000x1000"
+    rc, stdout, _ = run_cli(capsys, "metrics", tiny_input, tiny_input, "--tile", huge)
+    assert rc == 0
+    assert "tile_h=100000" in stdout.splitlines() and "psnr=99" in stdout.splitlines()
+    out = tmp_path / "o.dcvt"
+    rc, _, _ = run_cli(capsys, "upscale", tiny_input, "--out", str(out), "--config", tiny_cfg,
+                       "--tile", huge)
+    assert rc == 0
+    assert tio.read_tensor(str(out)).shape == (2, 1, 32, 32)
+
+
 def test_unknown_guidance_mode_exits_2(tmp_path, tiny_input, capsys):
     rc, _, err = run_cli(
         capsys, "upscale", tiny_input, "--out", str(tmp_path / "o.dcvt"),

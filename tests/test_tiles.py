@@ -12,6 +12,7 @@ from tilevsr.quality import bicubic_resize, block_match_flow, gaussian_blur, qua
 from tilevsr.sampler import build_sigma_schedule, ode_step
 from tilevsr.tiles import (
     axis_offsets,
+    check_mask_corner,
     deinterleave,
     gaussian_mask,
     in_range,
@@ -145,6 +146,16 @@ def test_gaussian_mask_rejects_an_underflowing_corner():
     for fraction in (0.1, 0.25, 1.0):
         out = merge(split(video, grid), grid, gaussian_mask((14, 16, 16), fraction))
         assert np.max(np.abs(out - video)) <= 1e-12
+
+
+def test_check_mask_corner_needs_no_mask():
+    # a (1000, 100000, 100000) mask would be 8e13 float64 entries; the check
+    # multiplies three per-axis end weights, exp(-2) each at 0.25
+    check_mask_corner((1000, 100000, 100000), 0.25)
+    with pytest.raises(ValueError, match=r"sigma_fraction 0.01 underflows .* \(1000, 100000, 100000\)"):
+        check_mask_corner((1000, 100000, 100000), 0.01)
+    with pytest.raises(ValueError, match="tile dims must be positive"):
+        check_mask_corner((0, 4, 4), 0.25)
 
 
 # --- merge ------------------------------------------------------------------
