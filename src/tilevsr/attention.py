@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiles import in_range
+from .tiles import in_range, int_in_range
 
 
 # Live score memory of one `attend` block: whole (queries x keys) matrices
@@ -260,37 +260,33 @@ def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tupl
 def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray, rate: int) -> InjectedKV:
     """Keep tokens on a stride-`rate` grid in both spatial axes of every frame.
 
-    keys/values are (frames, grid_h, grid_w, d); the kept rows come out
-    frame-major in ascending token order. The (0, 0) corner anchors the
-    stride grid.
+    keys/values are stacks (tiles, frames, grid_h, grid_w, d); the kept rows
+    come out (tiles, rows, d), each tile's frame-major in ascending token
+    order. The (0, 0) corner anchors the stride grid.
     """
-    rate = int(rate)
-    if rate < 1:
-        raise ValueError(f"subsample rate must be >= 1, got {rate}")
+    rate = int_in_range("rate", rate, ge=1)
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if keys.ndim != 4 or values.ndim != 4 or keys.shape[:3] != values.shape[:3]:
+    if keys.ndim != 5 or values.ndim != 5 or keys.shape[:4] != values.shape[:4]:
         raise ValueError(
-            f"keys/values must be (frames, grid_h, grid_w, d) with equal leading shape, "
-            f"got {keys.shape} and {values.shape}"
+            f"keys/values must be stacks (tiles, frames, grid_h, grid_w, d) with equal leading "
+            f"shape, got {keys.shape} and {values.shape}"
         )
-    return InjectedKV(keys=keys[:, ::rate, ::rate].reshape(-1, keys.shape[-1]),
-                      values=values[:, ::rate, ::rate].reshape(-1, values.shape[-1]))
+    tiles = len(keys)
+    return InjectedKV(keys=keys[:, :, ::rate, ::rate].reshape(tiles, -1, keys.shape[-1]),
+                      values=values[:, :, ::rate, ::rate].reshape(tiles, -1, values.shape[-1]))
 
 
-def aggregate_frame_kv(parts: list[InjectedKV]) -> InjectedKV:
-    """Concatenate per-tile contributions, in the order given (ascending m)."""
-    if not parts:
-        raise ValueError("nothing to aggregate")
-    d_k = parts[0].keys.shape[1]
-    d_v = parts[0].values.shape[1]
-    for p in parts:
-        if p.keys.shape[1] != d_k or p.values.shape[1] != d_v:
-            raise ValueError("aggregated parts disagree on feature dims")
-    return InjectedKV(
-        keys=np.concatenate([p.keys for p in parts], axis=0),
-        values=np.concatenate([p.values for p in parts], axis=0),
-    )
+def aggregate_frame_kv(parts: list[InjectedKV], groups: int) -> list[InjectedKV]:
+    """One shared (rows, d) aggregate per group: the stacks' (tiles, rows, d)
+    rows, in flat tile order, are concatenated once along the tile axis, and
+    group n is a C-contiguous view of the n-th of `groups` equal runs of
+    tiles (np.split raises ValueError when they do not divide evenly)."""
+    groups = int_in_range("groups", groups, ge=1)
+    keys = np.concatenate([p.keys for p in parts])
+    values = np.concatenate([p.values for p in parts])
+    return [InjectedKV(k.reshape(-1, k.shape[-1]), v.reshape(-1, v.shape[-1]))
+            for k, v in zip(np.split(keys, groups), np.split(values, groups))]
 
 
 def select_tap_frames(keys: np.ndarray, count: int) -> np.ndarray:

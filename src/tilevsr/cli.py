@@ -98,6 +98,14 @@ def _write_video(out: str, video: np.ndarray, pfm: bool) -> None:
     tio.write_tensor(os.path.join(out, "video.dcvt"), video)
 
 
+def _check_frame_channels(out: str, channels: int) -> None:
+    """Refuse, before any work, a video that an `--out` frame directory
+    cannot hold; a .dcvt container holds any channel count."""
+    if not out.endswith(".dcvt") and channels not in tio.FRAME_CHANNELS:
+        raise ValueError(f"frame directory {out} holds 1 or 3 channels, the input has {channels}; "
+                         f"write a .dcvt instead")
+
+
 def _print_stats(stats) -> None:
     print(f"eps_calls={stats.eps_calls}")
     print(f"gather_calls={stats.gather_calls}")
@@ -110,6 +118,7 @@ def _print_stats(stats) -> None:
 
 def cmd_upscale(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
+    _check_frame_channels(args.out, video.shape[1])
     denoiser = cfg.build_denoiser(channels=video.shape[1])
     result = sample_video(video, denoiser, cfg.codec, cfg.pipeline)
     _write_video(args.out, result.video, args.pfm)
@@ -125,6 +134,7 @@ def cmd_upscale(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_degrade(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
+    _check_frame_channels(args.out, video.shape[1])
     lr = degrade(video, cfg.degradation, cfg.pipeline.seed)
     _write_video(args.out, lr, args.pfm)
     print(f"frames={lr.shape[0]} height={lr.shape[2]} width={lr.shape[3]}")
@@ -261,7 +271,8 @@ def _fixture_spec(args: argparse.Namespace) -> dict:
     if spec["kind"] not in FIXTURE_KINDS:
         raise ValueError(f"unknown fixture kind {spec['kind']!r}, expected one of {FIXTURE_KINDS}")
     in_range("frames", spec["frames"], ge=1)
-    in_range("channels", spec["channels"], ge=1)
+    if spec["channels"] not in tio.FRAME_CHANNELS:  # hr/ and lr/ are frame directories
+        raise ValueError(f"channels must be 1 or 3, got {spec['channels']}")
     in_range("value", spec["value"])
     return spec
 

@@ -61,6 +61,10 @@ class RunConfig:
     def __post_init__(self):
         self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim = check_toy_settings(
             self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim)
+        for name in ("tile_h", "tile_w"):  # the denoiser patchifies every tile
+            extent = getattr(self.pipeline, name)
+            if extent % self.patch_size:
+                raise ValueError(f"{name} {extent} must be a multiple of patch_size {self.patch_size}")
         self.flow_block, self.flow_radius = check_flow_window(self.flow_block, self.flow_radius)
         self.denoiser_seed = int_in_range("denoiser_seed", self.denoiser_seed, ge=0)
         in_range("sigma_data", self.sigma_data, gt=0)

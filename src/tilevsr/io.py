@@ -75,6 +75,9 @@ def read_tensor(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PPM (8-bit) and PFM (float32) frames. Frames are (channels, h, w).
 
+FRAME_CHANNELS = (1, 3)  # the channel counts a PPM/PGM or PFM frame holds
+
+
 def _quantize_u8(frame: np.ndarray) -> np.ndarray:
     # round half away from zero; values clamp to [0, 1] first
     v = np.clip(np.asarray(frame, dtype=np.float64), 0.0, 1.0)
@@ -83,7 +86,7 @@ def _quantize_u8(frame: np.ndarray) -> np.ndarray:
 
 def write_ppm(path: str, frame: np.ndarray) -> None:
     frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.shape[0] not in (1, 3):
+    if frame.ndim != 3 or frame.shape[0] not in FRAME_CHANNELS:
         raise ValueError(f"expected (1|3, h, w) frame, got shape {frame.shape}")
     c, h, w = frame.shape
     tag = b"P6" if c == 3 else b"P5"
@@ -146,7 +149,7 @@ def read_ppm(path: str) -> np.ndarray:
 
 def write_pfm(path: str, frame: np.ndarray) -> None:
     frame = np.asarray(frame, dtype="<f4")
-    if frame.ndim != 3 or frame.shape[0] not in (1, 3):
+    if frame.ndim != 3 or frame.shape[0] not in FRAME_CHANNELS:
         raise ValueError(f"expected (1|3, h, w) frame, got shape {frame.shape}")
     c, h, w = frame.shape
     tag = b"PF" if c == 3 else b"Pf"

@@ -260,28 +260,26 @@ def denoise_pass_sap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: fl
     flat = _flat(tiles)
     tile_bytes = flat[0].nbytes
 
-    def gather(stack: slice) -> list[dict[int, InjectedKV]]:
+    def gather(stack: slice) -> dict[int, InjectedKV]:
         # only the subsampled rows outlive the task, not the full K/V
         result = denoiser.denoise(flat[stack], True, sigma, kv_only=True)
         stats.increment("gather_calls", stack.stop - stack.start)
         _require_finite([*result.keys.values(), *result.values.values()], stack, n_spatial, step,
                         "key/value rows", sigma)
-        return [
-            {layer: subsample_spatial_kv(result.keys[layer][i], result.values[layer][i], cfg.sap_rate)
-             for layer in layers}
-            for i in range(stack.stop - stack.start)
-        ]
+        return {layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
+                for layer in layers}
 
-    parts = [p for ps in _map_tiles(_stacks(0, len(flat), tile_bytes), gather, cfg.workers)
-             for p in ps]
-    aggregate = [
-        {layer: aggregate_frame_kv([p[layer] for p in parts[n * n_spatial:(n + 1) * n_spatial]])
-         for layer in layers}
-        for n in range(n_temporal)
-    ]
+    parts = _map_tiles(_stacks(0, len(flat), tile_bytes), gather, cfg.workers)
+    aggregate = {layer: aggregate_frame_kv([p[layer] for p in parts], n_temporal)
+                 for layer in layers}
+    # phase 2 holds the rows once, in the aggregates. The stacks' rows go all
+    # at once: freed between the concatenations, they fragment the heap
+    del parts
     chains = [[stack] for n in range(n_temporal)
               for stack in _stacks(n * n_spatial, (n + 1) * n_spatial, tile_bytes)]
-    return _run_pass(tiles, chains, lambda stack, _prev: aggregate[stack.start // n_spatial],
+    return _run_pass(tiles, chains,
+                     lambda stack, _prev: {layer: groups[stack.start // n_spatial]
+                                           for layer, groups in aggregate.items()},
                      denoiser, cfg, sigma, gamma_t, stats, step)
 
 

@@ -237,62 +237,106 @@ def test_subsample_rate_two_on_4x4_grid():
     n = 2 * 4 * 4
     keys = np.arange(n * d, dtype=np.float64).reshape(n, d)
     values = keys + 1000.0
-    inj = subsample_spatial_kv(keys.reshape(2, 4, 4, d), values.reshape(2, 4, 4, d), 2)
+    inj = subsample_spatial_kv(keys.reshape(1, 2, 4, 4, d), values.reshape(1, 2, 4, 4, d), 2)
     kept = [0, 2, 8, 10, 16, 18, 24, 26]
     assert inj.rows == 8
-    assert np.array_equal(inj.keys, keys[kept])
-    assert np.array_equal(inj.values, values[kept])
+    assert np.array_equal(inj.keys, keys[kept][None])
+    assert np.array_equal(inj.values, values[kept][None])
 
 
 def test_subsample_rate_one_keeps_everything():
     rng = np.random.default_rng(14)
     keys = rng.standard_normal((12, 2))
     values = rng.standard_normal((12, 2))
-    inj = subsample_spatial_kv(keys.reshape(3, 2, 2, 2), values.reshape(3, 2, 2, 2), 1)
-    assert np.array_equal(inj.keys, keys)
-    assert np.array_equal(inj.values, values)
+    inj = subsample_spatial_kv(keys.reshape(1, 3, 2, 2, 2), values.reshape(1, 3, 2, 2, 2), 1)
+    assert np.array_equal(inj.keys, keys[None])
+    assert np.array_equal(inj.values, values[None])
 
 
 def test_subsample_rate_beyond_extent_keeps_anchor():
     rng = np.random.default_rng(15)
     keys = rng.standard_normal((8, 2))
     values = rng.standard_normal((8, 2))
-    inj = subsample_spatial_kv(keys.reshape(2, 2, 2, 2), values.reshape(2, 2, 2, 2), 5)
+    inj = subsample_spatial_kv(keys.reshape(1, 2, 2, 2, 2), values.reshape(1, 2, 2, 2, 2), 5)
     assert inj.rows == 2
-    assert np.array_equal(inj.keys, keys[[0, 4]])
+    assert np.array_equal(inj.keys, keys[[0, 4]][None])
+
+
+def test_subsample_stack_matches_each_tiles_own_rows():
+    # a stack of tiles: each tile's rows are its own brute-force selection
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        tiles, frames, gh, gw = (int(n) for n in rng.integers(1, 5, size=4))
+        d, dv, rate = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        keys = rng.standard_normal((tiles, frames, gh, gw, d))
+        values = rng.standard_normal((tiles, frames, gh, gw, dv))
+        inj = subsample_spatial_kv(keys, values, rate)
+        assert inj.keys.shape[:2] == inj.values.shape[:2] == (tiles, inj.rows)
+        want = [(f, y, x) for f in range(frames)
+                for y in range(0, gh, rate) for x in range(0, gw, rate)]
+        for t in range(tiles):
+            assert np.array_equal(inj.keys[t], np.array([keys[t][i] for i in want]))
+            assert np.array_equal(inj.values[t], np.array([values[t][i] for i in want]))
 
 
 def test_subsample_grid_mismatch():
-    grid = np.zeros((2, 2, 2, 2))
-    for keys, values in ((np.zeros((8, 2)), np.zeros((8, 2))),  # token-major rows
-                         (grid, grid[:, :1]), (grid[:1], grid), (grid, grid[..., None])):
+    grid = np.zeros((1, 2, 2, 2, 2))
+    for keys, values in ((np.zeros((1, 8, 2)), np.zeros((1, 8, 2))),  # token-major rows
+                         (grid[0], grid[0]),  # one tile's (frames, gh, gw, d), unstacked
+                         (grid, grid[:, :, :1]), (grid[:, :1], grid), (grid, grid[..., None])):
         with pytest.raises(ValueError, match="equal leading shape"):
             subsample_spatial_kv(keys, values, 2)
-    with pytest.raises(ValueError, match="rate"):
-        subsample_spatial_kv(grid, grid, 0)
-    assert subsample_spatial_kv(grid, np.zeros((2, 2, 2, 5)), 2).values.shape == (2, 5)
+    for rate in (0, 2.5):  # int(2.5) would quietly subsample at 2
+        with pytest.raises(ValueError, match="rate"):
+            subsample_spatial_kv(grid, grid, rate)
+    assert subsample_spatial_kv(grid, np.zeros((1, 2, 2, 2, 5)), 2).values.shape == (1, 2, 5)
 
 
 # --- aggregation ------------------------------------------------------------
 
 def test_aggregate_orders_rows_by_tile():
-    a = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)))
-    b = InjectedKV(np.ones((3, 3)), np.ones((3, 2)))
-    agg = aggregate_frame_kv([a, b])
-    assert agg.rows == 5
-    assert np.array_equal(agg.keys[:2], a.keys)
-    assert np.array_equal(agg.keys[2:], b.keys)
-    single = aggregate_frame_kv([a])
-    assert np.array_equal(single.keys, a.keys)
+    # two stacks of 3 and 1 tiles, 2 rows each, in two groups of 2 tiles
+    rows = np.arange(4 * 2 * 3, dtype=np.float64).reshape(4, 2, 3)
+    a = InjectedKV(rows[:3], -rows[:3, :, :2])
+    b = InjectedKV(rows[3:], -rows[3:, :, :2])
+    groups = aggregate_frame_kv([a, b], 2)
+    assert len(groups) == 2
+    for n, agg in enumerate(groups):
+        assert agg.rows == 4
+        assert np.array_equal(agg.keys, rows[2 * n:2 * n + 2].reshape(4, 3))
+        assert np.array_equal(agg.values, -rows[2 * n:2 * n + 2, :, :2].reshape(4, 2))
+    (single,) = aggregate_frame_kv([a, b], 1)
+    assert np.array_equal(single.keys, rows.reshape(8, 3))
+
+
+def test_aggregate_groups_are_views_of_one_array():
+    rng = np.random.default_rng(23)
+    parts = [InjectedKV(rng.standard_normal((t, 5, 3)), rng.standard_normal((t, 5, 2)))
+             for t in (2, 1, 3)]
+    groups = aggregate_frame_kv(parts, 3)
+    keys, values = groups[0].keys.base, groups[0].values.base
+    assert keys.shape == (6, 5, 3) and values.shape == (6, 5, 2)
+    for agg in groups:
+        assert agg.keys.flags.c_contiguous and agg.values.flags.c_contiguous
+        assert agg.keys.shape == (10, 3) and agg.values.shape == (10, 2)
+        assert agg.keys.base is keys and agg.values.base is values
+        assert not any(np.shares_memory(agg.keys, p.keys) for p in parts)
+    assert np.array_equal(np.concatenate([agg.keys for agg in groups]),
+                          np.concatenate([p.keys for p in parts]).reshape(-1, 3))
 
 
 def test_aggregate_rejects_mismatches():
-    a = InjectedKV(np.zeros((2, 3)), np.zeros((2, 2)))
-    bad_dim = InjectedKV(np.zeros((2, 4)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        aggregate_frame_kv([a, bad_dim])
-    with pytest.raises(ValueError):
-        aggregate_frame_kv([])
+    a = InjectedKV(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
+    for parts, groups in (
+        ([a, InjectedKV(np.zeros((2, 2, 4)), np.zeros((2, 2, 2)))], 1),  # key dims differ
+        ([a, InjectedKV(np.zeros((2, 3, 3)), np.zeros((2, 3, 2)))], 1),  # row counts differ
+        ([], 1),
+        ([a], 3),  # 2 tiles in 3 groups
+        ([a], 0),
+        ([a], 1.5),
+    ):
+        with pytest.raises(ValueError):
+            aggregate_frame_kv(parts, groups)
 
 
 # --- frame selection --------------------------------------------------------

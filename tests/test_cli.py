@@ -152,6 +152,7 @@ def test_fixture_rejects_unknown_kind(tmp_path, capsys):
     pytest.param(["--value", "inf"], None, id="value-inf"),
     pytest.param(["--frames", "0"], None, id="frames-0"),
     pytest.param(["--channels", "0"], None, id="channels-0"),
+    pytest.param(["--channels", "2"], None, id="channels-2"),  # no PPM frame holds 2
     pytest.param(["--size", "0x8"], None, id="size-0x8"),
     pytest.param([], "kind = constant\nvalue = nan\n", id="spec-value-nan"),
     pytest.param([], "kind = foo\n", id="spec-kind-foo"),
@@ -262,6 +263,38 @@ def test_upscale_numeric_failure_exits_3(
     )
     assert rc == code
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["upscale", "degrade"])
+@pytest.mark.parametrize("out_name", ["frames", "v.dcvt"])
+def test_two_channel_input_needs_a_container_out(
+    tmp_path, tiny_cfg, capsys, monkeypatch, verb, out_name
+):
+    # PPM/PFM frames hold 1 or 3 channels: a frame directory --out is refused
+    # before any sampling or degrading; a .dcvt takes any channel count
+    src = tmp_path / "two.dcvt"
+    tio.write_tensor(str(src), np.random.default_rng(12).uniform(0.0, 1.0, size=(2, 2, 8, 8)))
+    work = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            work.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sample_video", "degrade"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    out = tmp_path / out_name
+    rc, _, err = run_cli(capsys, verb, str(src), "--out", str(out), "--config", tiny_cfg)
+    if out_name == "frames":
+        assert rc == 2
+        assert err.splitlines() == [f"error: frame directory {out} holds 1 or 3 channels, "
+                                    f"the input has 2; write a .dcvt instead"]
+        assert (work, out.exists()) == ([], False)
+    else:
+        assert rc == 0
+        assert work == [{"upscale": "sample_video", "degrade": "degrade"}[verb]]
+        assert tio.read_tensor(str(out)).shape[:2] == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +640,7 @@ def test_trace_is_a_usage_error_on_verbs_that_write_no_trace(tmp_path, capsys, v
     "blur_sigma = nan", "noise_sigma = nan", "rho = inf", "sag_blur_sigma = nan",
     "schedule_exponent = nan", "sigma_data = nan", "sigma_max = inf", "mask_sigma_fraction = inf",
     "mask_sigma_fraction = 0.01",  # finite and > 0, but the default tile's mask underflows
+    "tile = 6x6x4", "patch_size = 5",  # the tile is not a multiple of the patch size
 ])
 def test_invalid_denoiser_or_metric_setting_exits_2_before_the_echo(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"

@@ -241,15 +241,16 @@ def test_workspace_keeps_no_buffer_over_one_score_block():
 def test_wide_sap_pass_peak_grows_only_by_what_it_must_hold():
     """The sap_wide geometry (8-frame 32x32 tiles of 192 KiB, one to a stack)
     with 9 and with 25 spatial tiles: the pass must hold each tile's noise
-    estimate and, while it aggregates, the subsampled K/V twice (the
-    per-tile parts and their concatenation). Past that, its traced peak
-    grows by less than one stack's budget. Measured: 7.06 MiB growth against
-    7.0 MiB held; with the whole pass in one stack, 23 MiB."""
+    estimate and each tile's subsampled K/V, once (every layer's rows are
+    one array, and the stacks' rows are dropped once all are concatenated).
+    Past that, its traced peak grows by less than one stack's budget.
+    Measured: 5.00 MiB growth against 5.0 MiB held; with the K/V held twice,
+    7.05 MiB; with the whole pass in one stack, 23 MiB."""
     den = ToyAttentionDenoiser(seed=1234, channels=3, patch_size=4, embed_dim=16, cond_dim=8)
     cfg = PipelineConfig(tile_frames=8, tile_h=32, tile_w=32, sap_rate=2,
                          guidance=GuidanceConfig(mode="none"))
     kv_bytes = 8 * 4 * 4 * 16 * 8  # one layer's subsampled keys of one tile: 8 frames x 4x4 rows x d 16
-    per_tile = 8 * 3 * 32 * 32 * 8 + 2 * len(den.hook_layers) * 2 * kv_bytes
+    per_tile = 8 * 3 * 32 * 32 * 8 + len(den.hook_layers) * 2 * kv_bytes
     assert 8 * 3 * 32 * 32 * 8 * 2 > STACK_BYTES  # one tile a stack
 
     def pass_tiles(side):

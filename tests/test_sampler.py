@@ -480,6 +480,29 @@ def test_stacks_are_views_of_the_tile_array(monkeypatch, per_stack):
 
 # --- propagation passes -----------------------------------------------------
 
+@pytest.mark.parametrize("per_stack", [1, 4, 27])
+def test_sap_subsamples_once_per_hook_layer_per_gather_stack(monkeypatch, per_stack):
+    # 27 tiles (3 temporal x 9 spatial) in gather stacks of per_stack tiles:
+    # each stack's K/V are subsampled whole, layer by layer, never tile by tile
+    y = np.random.default_rng(12).standard_normal((4, 1, 16, 16))
+    tiles = split(y, plan_tiles((4, 16, 16), (2, 8, 8)))
+    monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * tiles[0, 0].nbytes)
+    calls = []
+    real = sampler.subsample_spatial_kv
+
+    def spy(keys, values, rate):
+        calls.append(len(keys))
+        return real(keys, values, rate)
+
+    monkeypatch.setattr(sampler, "subsample_spatial_kv", spy)
+    toy = small_toy()
+    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8)
+    denoise_pass_sap(tiles, toy, cfg, 1.0, 0.3, RunStats())
+    stacks = -(-27 // per_stack)
+    assert len(calls) == len(toy.hook_layers) * stacks
+    assert sum(calls) == len(toy.hook_layers) * 27
+
+
 def test_injected_rows_match_token_major_selection():
     # hook-layer K/V are (frames, gh, gw, d); the rows SAP and TAP inject must
     # be those of the flat token-major layout, token (f, y, x) at row
@@ -498,9 +521,11 @@ def test_injected_rows_match_token_major_selection():
         rate = int(rng.integers(1, 8))
         kept = [f * gh * gw + y * gw + x
                 for f in range(frames) for y in range(0, gh, rate) for x in range(0, gw, rate)]
-        sap = subsample_spatial_kv(keys, values, rate)
-        assert np.array_equal(sap.keys, flat_k[kept])
-        assert np.array_equal(sap.values, flat_v[kept])
+        # a stack of two tiles: each tile's rows are its own
+        sap = subsample_spatial_kv(np.stack([keys, keys + 1.0]), np.stack([values, values - 1.0]),
+                                   rate)
+        assert np.array_equal(sap.keys, np.stack([flat_k[kept], flat_k[kept] + 1.0]))
+        assert np.array_equal(sap.values, np.stack([flat_v[kept], flat_v[kept] - 1.0]))
 
         l_frames = int(rng.integers(1, 9))
         per_frame = gh * gw
