@@ -80,32 +80,6 @@ def _write_lines(path: str, lines: list[str]) -> None:
     tio.atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _write_frames(directory: str, video: np.ndarray, pfm: bool) -> None:
-    """A frame directory: 8-bit PPM frames (clamped to [0, 1]), float PFM
-    frames on request."""
-    tio.save_frames(directory, video, fmt="ppm")
-    if pfm:
-        tio.save_frames(directory, video, fmt="pfm")
-
-
-def _write_video(out: str, video: np.ndarray, pfm: bool) -> None:
-    """Container if `out` names a .dcvt file, otherwise a frame directory
-    with a lossless .dcvt alongside."""
-    if out.endswith(".dcvt"):
-        tio.write_tensor(out, video)
-        return
-    _write_frames(out, video, pfm)
-    tio.write_tensor(os.path.join(out, "video.dcvt"), video)
-
-
-def _check_frame_channels(out: str, channels: int) -> None:
-    """Refuse, before any work, a video that an `--out` frame directory
-    cannot hold; a .dcvt container holds any channel count."""
-    if not out.endswith(".dcvt") and channels not in tio.FRAME_CHANNELS:
-        raise ValueError(f"frame directory {out} holds 1 or 3 channels, the input has {channels}; "
-                         f"write a .dcvt instead")
-
-
 def _print_stats(stats) -> None:
     print(f"eps_calls={stats.eps_calls}")
     print(f"gather_calls={stats.gather_calls}")
@@ -118,10 +92,10 @@ def _print_stats(stats) -> None:
 
 def cmd_upscale(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
-    _check_frame_channels(args.out, video.shape[1])
+    tio.check_frame_channels(args.out, video.shape[1])
     denoiser = cfg.build_denoiser(channels=video.shape[1])
     result = sample_video(video, denoiser, cfg.codec, cfg.pipeline)
-    _write_video(args.out, result.video, args.pfm)
+    tio.save_video(args.out, result.video, args.pfm)
     trace_path = args.trace
     if trace_path is None:
         trace_path = (args.out[: -len(".dcvt")] + ".trace" if args.out.endswith(".dcvt")
@@ -134,9 +108,9 @@ def cmd_upscale(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_degrade(args: argparse.Namespace, cfg: RunConfig) -> int:
     video = tio.load_video(args.input)
-    _check_frame_channels(args.out, video.shape[1])
+    tio.check_frame_channels(args.out, video.shape[1])
     lr = degrade(video, cfg.degradation, cfg.pipeline.seed)
-    _write_video(args.out, lr, args.pfm)
+    tio.save_video(args.out, lr, args.pfm)
     print(f"frames={lr.shape[0]} height={lr.shape[2]} width={lr.shape[3]}")
     return 0
 
@@ -285,10 +259,9 @@ def cmd_fixture(args: argparse.Namespace, cfg: RunConfig) -> int:
         shift=spec["shift"], value=spec["value"], seed=cfg.pipeline.seed,
     )
     lr = degrade(hr, cfg.degradation, cfg.pipeline.seed)
-    tio.write_tensor(os.path.join(args.out, "hr.dcvt"), hr)
-    tio.write_tensor(os.path.join(args.out, "lr.dcvt"), lr)
-    for sub, vid in (("hr", hr), ("lr", lr)):
-        _write_frames(os.path.join(args.out, sub), vid, args.pfm)
+    for name, vid in (("hr", hr), ("lr", lr)):
+        for out in (name + ".dcvt", name):
+            tio.save_video(os.path.join(args.out, out), vid, args.pfm)
     spec_lines = [
         f"kind={spec['kind']}",
         f"size={height}x{width}",

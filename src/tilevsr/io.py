@@ -177,6 +177,9 @@ def read_pfm(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # whole-video helpers
 
+VIDEO_NAME = "video.dcvt"  # the lossless container inside a frame directory
+
+
 def save_frames(directory: str, video: np.ndarray, fmt: str = "ppm") -> list[str]:
     if fmt not in ("ppm", "pfm"):
         raise ValueError(f"fmt must be ppm or pfm, got {fmt!r}")
@@ -190,16 +193,37 @@ def save_frames(directory: str, video: np.ndarray, fmt: str = "ppm") -> list[str
     return paths
 
 
+def check_frame_channels(out: str, channels: int) -> None:
+    """Refuse, before any work, a video that the frame directory `out`
+    cannot hold; a .dcvt container holds any channel count."""
+    if not out.endswith(".dcvt") and channels not in FRAME_CHANNELS:
+        raise ValueError(f"frame directory {out} holds 1 or 3 channels, the input has {channels}; "
+                         f"write a .dcvt instead")
+
+
+def save_video(out: str, video: np.ndarray, pfm: bool = False) -> None:
+    """A container if `out` names a .dcvt file, otherwise a frame directory:
+    8-bit PPM frames (clipped to [0, 1]), float PFM frames with `pfm`, and
+    the lossless VIDEO_NAME container."""
+    if out.endswith(".dcvt"):
+        write_tensor(out, video)
+        return
+    save_frames(out, video, fmt="ppm")
+    if pfm:
+        save_frames(out, video, fmt="pfm")
+    write_tensor(os.path.join(out, VIDEO_NAME), video)
+
+
 def load_video(path: str) -> np.ndarray:
     """Load a video from a rank-4 container file or a directory of frames.
 
-    A directory holding a `video.dcvt` container (as `--out DIR` writes)
-    loads that lossless copy. Otherwise a directory holding .pfm frames
-    loads only those (the lossless copy of the 8-bit frames written beside
-    them); otherwise its .ppm/.pgm frames.
+    A directory holding a VIDEO_NAME container (as save_video writes) loads
+    that lossless copy. Otherwise a directory holding .pfm frames loads only
+    those (the lossless copy of the 8-bit frames written beside them);
+    otherwise its .ppm/.pgm frames.
     """
-    if os.path.isdir(path) and os.path.isfile(os.path.join(path, "video.dcvt")):
-        path = os.path.join(path, "video.dcvt")
+    if os.path.isdir(path) and os.path.isfile(os.path.join(path, VIDEO_NAME)):
+        path = os.path.join(path, VIDEO_NAME)
     if os.path.isfile(path):
         arr = read_tensor(path)
         if arr.ndim != 4:

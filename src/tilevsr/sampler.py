@@ -229,8 +229,10 @@ def _run_pass(tiles: np.ndarray, chains: list[list[slice]], inject, denoiser, cf
     def run_chain(chain: list[slice]) -> None:
         prev = None
         for rank, stack in enumerate(chain):
+            injections = inject(stack, prev)
+            del prev  # its full K/V: the next stack reads only the injections
             eps, prev = _guided_eps(
-                tiles, stack, inject(stack, prev), rank + 1 < len(chain), denoiser, cfg, sigma,
+                tiles, stack, injections, rank + 1 < len(chain), denoiser, cfg, sigma,
                 gamma_t, stats, step,
             )
             _flat(out)[stack] = eps
@@ -358,11 +360,15 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
     l = _condition_latent(lr, codec, cfg.upscale_factor)
     n_frames, channels, lat_h, lat_w = l.shape
 
+    # the denoiser patchifies every tile: spatial extents clamp down to whole patches
+    patch = getattr(denoiser, "patch_size", 1)
     eff_tile = (
         min(cfg.tile_frames, 2 * n_frames),
-        min(cfg.tile_h, lat_h),
-        min(cfg.tile_w, lat_w),
+        min(cfg.tile_h, lat_h) // patch * patch,
+        min(cfg.tile_w, lat_w) // patch * patch,
     )
+    if min(eff_tile[1:]) < 1:
+        raise ValueError(f"latent {lat_h}x{lat_w} is smaller than one {patch}x{patch} patch")
     grid = plan_tiles((2 * n_frames, lat_h, lat_w), eff_tile)
     mask = gaussian_mask(eff_tile, cfg.mask_sigma_fraction)
     sigmas = build_sigma_schedule(cfg.steps, cfg.sigma_min, cfg.sigma_max, cfg.schedule_exponent)
@@ -372,30 +378,26 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
 
     stats = RunStats()
     trace: list[str] = []
-    tap_forward = True
     for step in range(cfg.steps):
         sigma = float(sigmas[step])
         sigma_next = float(sigmas[step + 1])
         gamma_t = gamma_schedule(sigma, float(sigmas[0]), float(sigmas[-1]), cfg.guidance.rho)
-        slot = "sap" if step % 2 == 0 else "tap"
-        direction = "-"
-        y = interleave(x, l)
-        tiles = split(y, grid)
-        if slot == "sap" and cfg.sap:
-            scheme = "sap"
-            eps_tiles = denoise_pass_sap(tiles, denoiser, cfg, sigma, gamma_t, stats, step)
-        elif slot == "tap" and cfg.tap:
-            scheme = "tap"
-            direction = "forward" if tap_forward else "backward"
-            eps_tiles = denoise_pass_tap(tiles, denoiser, cfg, sigma, gamma_t, direction, stats, step)
-            tap_forward = not tap_forward
-        else:
+        # SAP on even steps, TAP on odd ones, alternating forward and backward
+        scheme = "sap" if step % 2 == 0 else "tap"
+        if not getattr(cfg, scheme):
             scheme = "none"
+        direction = ("forward" if step // 2 % 2 == 0 else "backward") if scheme == "tap" else "-"
+        tiles = split(interleave(x, l), grid)
+        if scheme == "sap":
+            eps_tiles = denoise_pass_sap(tiles, denoiser, cfg, sigma, gamma_t, stats, step)
+        elif scheme == "tap":
+            eps_tiles = denoise_pass_tap(tiles, denoiser, cfg, sigma, gamma_t, direction, stats, step)
+        else:
             eps_tiles = denoise_pass_plain(tiles, denoiser, cfg, sigma, gamma_t, stats, step)
-        eps = merge(eps_tiles, grid, mask)
-        eps_x, _ = deinterleave(eps)
-        denoised = x - sigma * eps_x
-        x = ode_step(x, denoised, sigma, sigma_next)
+        eps_x = deinterleave(merge(eps_tiles, grid, mask))[0]
+        x = ode_step(x, x - sigma * eps_x, sigma, sigma_next)
+        # a step's arrays go before the next step's pass and the decode
+        del tiles, eps_tiles, eps_x
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite latent after step {step} (sigma {sigma:g} -> {sigma_next:g})")
         trace.append(

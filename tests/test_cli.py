@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from tilevsr import cli
+from tilevsr import cli, sampler
 from tilevsr import io as tio
 from tilevsr.config import KNOWN_KEYS
 from tilevsr.guidance import GUIDANCE_MODES
+from tilevsr.models import ToyAttentionDenoiser
 from tilevsr.sampler import NumericError
 
 # small-but-real sampling setup shared by the upscale/ablate tests: a couple
@@ -81,7 +82,7 @@ def test_fixture_constant_writes_expected_artifacts(tmp_path, capsys):
     assert lr.shape == (3, 1, 2, 2)  # default down_factor=4
     for sub in ("hr", "lr"):
         names = os.listdir(out / sub)
-        assert sorted(names) == [f"frame_{i:04d}.ppm" for i in range(3)]
+        assert sorted(names) == [f"frame_{i:04d}.ppm" for i in range(3)] + ["video.dcvt"]
     spec = (out / "fixture.cfg").read_text()
     assert "kind=constant" in spec and "size=8x8" in spec
     run = (out / "run.cfg").read_text()
@@ -248,6 +249,36 @@ def test_frame_header_with_huge_dims_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "truncated raster" in err
 
 
+def test_upscale_clamps_a_tile_to_whole_patches_of_a_small_latent(tmp_path, capsys, monkeypatch):
+    # 12x12 at x4 through codec 8 is a 6x6 latent: the 64x64 tile clamps to
+    # 4x4, a multiple of the default patch size 4, not to 6x6
+    src = _write_video(tmp_path / "v.dcvt", np.random.default_rng(13).uniform(0.0, 1.0, (2, 1, 12, 12)))
+    tile_dims = []
+    real = sampler.plan_tiles
+    monkeypatch.setattr(sampler, "plan_tiles", lambda dims, tile: tile_dims.append(tile) or real(dims, tile))
+    out = tmp_path / "up.dcvt"
+    rc, _, err = run_cli(capsys, "upscale", src, "--out", str(out), "--steps", "2")
+    assert (rc, err) == (0, "")
+    assert tile_dims == [(4, 4, 4)]
+    assert tio.read_tensor(str(out)).shape == (2, 1, 48, 48)
+
+
+def test_upscale_of_a_latent_smaller_than_one_patch_exits_2_before_any_forward(
+    tmp_path, capsys, monkeypatch
+):
+    # 6x6 at x4 through codec 8 is a 3x3 latent, under one 4x4 patch
+    src = _write_video(tmp_path / "v.dcvt", np.random.default_rng(14).uniform(0.0, 1.0, (2, 1, 6, 6)))
+    forwards = []
+    real = ToyAttentionDenoiser.denoise
+    monkeypatch.setattr(ToyAttentionDenoiser, "denoise",
+                        lambda self, *a, **k: forwards.append(1) or real(self, *a, **k))
+    out = tmp_path / "up.dcvt"
+    rc, _, err = run_cli(capsys, "upscale", src, "--out", str(out))
+    assert rc == 2
+    assert err.splitlines() == ["error: latent 3x3 is smaller than one 4x4 patch"]
+    assert (forwards, out.exists()) == ([], False)
+
+
 @pytest.mark.parametrize("error, code", [(NumericError, 3), (MemoryError, 2)])
 def test_upscale_numeric_failure_exits_3(
     tmp_path, tiny_cfg, tiny_input, capsys, monkeypatch, error, code
@@ -365,11 +396,24 @@ def test_metrics_shape_mismatch_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_metrics_compares_a_pfm_frame_directory_with_its_container(tmp_path, capsys):
+@pytest.mark.parametrize("pfm", [False, True], ids=["ppm", "pfm"])
+def test_fixture_frame_directories_load_as_their_containers(tmp_path, capsys, pfm):
     fx = tmp_path / "fx"
-    rc, _, _ = run_cli(capsys, "fixture", "--out", str(fx), "--size", "16x16", "--frames", "3", "--pfm")
+    rc, _, _ = run_cli(capsys, "fixture", "--out", str(fx), "--size", "16x16", "--frames", "3",
+                       *(["--pfm"] if pfm else []))
     assert rc == 0
-    assert tio.load_video(str(fx / "hr")).shape == tio.load_video(str(fx / "hr.dcvt")).shape
+    for name in ("hr", "lr"):
+        names = os.listdir(fx / name)
+        assert ("frame_0000.pfm" in names) == pfm
+        assert (fx / name / "video.dcvt").read_bytes() == (fx / f"{name}.dcvt").read_bytes()
+        assert np.array_equal(tio.load_video(str(fx / name)), tio.load_video(str(fx / f"{name}.dcvt")))
+
+
+def test_metrics_of_a_fixture_container_and_its_frame_directory_is_exact(tmp_path, capsys):
+    # without --pfm the 8-bit frames alone would score psnr=58.9
+    fx = tmp_path / "fx"
+    rc, _, _ = run_cli(capsys, "fixture", "--out", str(fx), "--size", "32x32", "--frames", "2")
+    assert rc == 0
     rc, stdout, _ = run_cli(capsys, "metrics", str(fx / "hr.dcvt"), str(fx / "hr"))
     assert rc == 0
     assert "psnr=99" in stdout

@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilevsr.io import (
+    VIDEO_NAME,
     atomic_write_bytes,
+    check_frame_channels,
     load_video,
     read_pfm,
     read_ppm,
     read_tensor,
     save_frames,
+    save_video,
     write_pfm,
     write_ppm,
     write_tensor,
@@ -302,6 +305,32 @@ def test_load_video_errors(tmp_path):
     write_ppm(str(mixed / "b.ppm"), np.zeros((3, 5, 4)))
     with pytest.raises(ValueError):
         load_video(str(mixed))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("out, pfm", [("v.dcvt", False), ("frames", False), ("frames", True)],
+                         ids=["container", "ppm-dir", "pfm-dir"])
+def test_save_video_roundtrips_through_load_video(tmp_path, out, pfm, channels):
+    # values outside [0, 1] show whether the 8-bit frames' clip leaks into the load
+    video = np.random.default_rng(9).uniform(-0.5, 1.5, size=(3, channels, 4, 5))
+    path = str(tmp_path / out)
+    save_video(path, video, pfm=pfm)
+    assert np.array_equal(load_video(path), video.astype(np.float32).astype(np.float64))
+    if out == "frames":
+        exts = ("ppm", "pfm") if pfm else ("ppm",)
+        assert sorted(os.listdir(path)) == sorted(
+            [f"frame_{i:04d}.{ext}" for ext in exts for i in range(3)] + [VIDEO_NAME])
+
+
+def test_check_frame_channels_refuses_only_what_a_frame_directory_cannot_hold(tmp_path):
+    for channels in (1, 3):
+        check_frame_channels(str(tmp_path / "frames"), channels)
+    for channels in (1, 2, 4):
+        check_frame_channels(str(tmp_path / "v.dcvt"), channels)
+    for channels in (2, 4):
+        with pytest.raises(ValueError, match="holds 1 or 3 channels"):
+            check_frame_channels(str(tmp_path / "frames"), channels)
+    assert os.listdir(tmp_path) == []
 
 
 def test_container_dims_whose_product_overflows_are_rejected(tmp_path):

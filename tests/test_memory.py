@@ -263,3 +263,26 @@ def test_wide_sap_pass_peak_grows_only_by_what_it_must_hold():
     _, small_peak = traced_peak(lambda: denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats()))
     _, wide_peak = traced_peak(lambda: denoise_pass_sap(wide, den, cfg, 2.0, 0.5, RunStats()))
     assert wide_peak - small_peak <= (25 - 9) * per_tile + STACK_BYTES
+
+
+@pytest.mark.parametrize("lr_shape, tile, guidance, tap", [
+    ((4, 3, 48, 48), (32, 32, 8), "none", False),
+    ((14, 3, 16, 16), (16, 16, 14), "dssag", True),
+], ids=["sap_wide", "sap_tap_dssag"])
+def test_a_sampling_step_holds_no_array_of_the_step_before(lr_shape, tile, guidance, tap):
+    """The two sampler benchmark geometries, 3 steps against 1: a step's
+    tiles, estimates and merged estimate are released before the next
+    step's pass, and a chain's stack keeps only the injections built from
+    its predecessor, not that stack's whole result. Measured: 0.001 MiB
+    growth on sap_wide and 0.002 on sap_tap_dssag; holding the step before
+    through the next pass, 3.88 and 4.06."""
+    lr = np.random.default_rng(0).uniform(0.0, 1.0, lr_shape)
+    den = ToyAttentionDenoiser(seed=1234, channels=3, patch_size=4, embed_dim=16, cond_dim=8)
+
+    def peak(steps):
+        cfg = PipelineConfig(steps=steps, tile_h=tile[0], tile_w=tile[1], tile_frames=tile[2],
+                             tap=tap, guidance=GuidanceConfig(mode=guidance))
+        return traced_peak(lambda: sample_video(lr, den, ToyCodec(2), cfg))[1]
+
+    peak(1)  # warm the attention workspace
+    assert peak(3) <= peak(1) + 0.5 * 2 ** 20
