@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,21 +97,19 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     SCORE_BLOCK_BYTES of scores, in a per-thread buffer reused from block to
     block and from call to call.
     The temper (kmax over own and injected keys) and sqrt(d) divide Q, a
-    per-matrix scalar. Own keys are scored one GEMM per matrix; the injected
-    rows, shared by every matrix, are scored for the whole block in one
-    (block * nq x d)(d x n_inj) GEMM into the same buffer. exp runs in
-    place, the unnormalised weights meet V as S_own V + S_inj V_inj, and
-    the row sums, one GEMV of the block's weights with a ones vector,
-    divide that output.
+    per-matrix scalar. Own keys are scored one GEMM per matrix, the tile's
+    injected rows for the whole block in one (block * nq x d)(d x n_inj)
+    GEMM into the same buffer. exp runs in place, the unnormalised weights
+    meet V as S_own V + S_inj V_inj, and the row sums, one GEMV of the
+    block's weights with a ones vector, divide that output.
     gamma = 0, or a temper clamped to 1, gives plain attention bit for bit.
 
     Every leading axis but the last indexes tiles (a stack of tiles, see
     ToyAttentionDenoiser.denoise), and each tile gets the bits a call of
     its own would give: its blocks, temper, shift decisions, injected GEMMs
     and row-sum GEMVs are that call's. A call with at most one leading axis
-    is one tile. Injected rows are shared by every tile (keys (n, d)) or
-    given one set per tile (keys (tiles, n, d)). The maxima behind temper
-    and shift are taken once per call, per matrix, and read per block.
+    is one tile. `injected.per_tile` gives each tile its rows and their
+    maxima, taken once per InjectedKV; those of q, k and v once per call.
 
     The row-max shift cancels in the quotient; it exists only to keep exp
     finite, and is decided block by block. Every score obeys
@@ -149,13 +147,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     n_inj = injected.rows if injected is not None else 0
     inj_kmax = inj_vmax = np.zeros(tiles)
     if n_inj:
-        _check_injected_dims(injected, k, v)
-        if injected.keys.ndim == 3 and injected.keys.shape[0] != tiles:
-            raise ValueError(f"injected rows for {injected.keys.shape[0]} tiles need a call "
-                             f"of as many tiles, got {tiles}")
-        # the rows' maxima (per tile for per-tile rows), read afresh each call
-        inj_kmax = np.broadcast_to(np.abs(injected.keys).max(axis=(-2, -1)), (tiles,))
-        inj_vmax = np.broadcast_to(np.abs(injected.values).max(axis=(-2, -1)), (tiles,))
+        inj_keys, inj_values, inj_kmax, inj_vmax = injected.per_tile(tiles, d, dv)
     n_keys = nk + n_inj
     qs = q.reshape(-1, nq, d)
     ks = k.reshape(-1, nk, d)
@@ -178,10 +170,6 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
         weights = _scratch((min(per_block, n_mat), nq, n_keys))
         ones = np.ones(n_keys)
         for t in range(tiles):
-            if n_inj:
-                inj_keys, inj_values = injected.keys, injected.values
-                if inj_keys.ndim == 3:
-                    inj_keys, inj_values = inj_keys[t], inj_values[t]
             # blocks: runs of per_block matrices, never across tiles
             for start in range(t * per_tile, (t + 1) * per_tile, per_block):
                 stop = min(start + per_block, (t + 1) * per_tile)
@@ -194,7 +182,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
                 flat = s.reshape(-1, n_keys)  # a view: the buffer is C-contiguous
                 np.matmul(qb, np.swapaxes(ks[start:stop], -1, -2), out=s[..., :nk])
                 if n_inj:
-                    np.matmul(qb.reshape(-1, d), inj_keys.T, out=flat[:, nk:])
+                    np.matmul(qb.reshape(-1, d), inj_keys[t].T, out=flat[:, nk:])
                 if not shift_free:
                     np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
                 np.exp(s, out=s)
@@ -202,7 +190,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
                 ob = out[start:stop]
                 np.matmul(s[..., :nk], vs[start:stop], out=ob)
                 if n_inj:
-                    ob += (flat[:, nk:] @ inj_values).reshape(ob.shape)
+                    ob += (flat[:, nk:] @ inj_values[t]).reshape(ob.shape)
                 np.divide(ob, total, out=ob)
                 if own_key_means:
                     means[start:stop] = (s[..., :nk] / total).mean(axis=-2)
@@ -212,49 +200,61 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InjectedKV:
     """Key/value rows gathered from other tiles: (rows, d) shared by every
-    tile of an attend call, or (tiles, rows, d) one set per tile."""
+    tile of an attend call, or (tiles, rows, d) one set per tile. keys and
+    values are read-only views of the arrays given, which their owner must
+    not write to afterwards: kmax/vmax, each row set's largest |key| and
+    |value| (0 for no rows), are taken once, here."""
 
     keys: np.ndarray
     values: np.ndarray
+    kmax: np.ndarray = field(init=False, repr=False)
+    vmax: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.keys = np.asarray(self.keys, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.keys.ndim not in (2, 3) or self.values.ndim not in (2, 3):
-            raise ValueError("injected keys/values must be (rows, d) or (tiles, rows, d)")
-        if self.keys.shape[:-1] != self.values.shape[:-1]:
-            raise ValueError(
-                f"injected keys have {self.keys.shape[:-1]} rows, values {self.values.shape[:-1]}"
-            )
+        keys, values = (np.asarray(a, dtype=np.float64).view() for a in (self.keys, self.values))
+        if keys.ndim not in (2, 3) or keys.shape[:-1] != values.shape[:-1]:
+            raise ValueError(f"injected keys {keys.shape} and values {values.shape} must be "
+                             "(rows, d) or (tiles, rows, d) with equal rows")
+        keys.flags.writeable = values.flags.writeable = False  # the given arrays stay writable
+        for name, value in (("keys", keys), ("values", values),
+                            ("kmax", np.abs(keys).max(axis=(-2, -1), initial=0.0)),
+                            ("vmax", np.abs(values).max(axis=(-2, -1), initial=0.0))):
+            object.__setattr__(self, name, value)
 
     @property
     def rows(self) -> int:
         return self.keys.shape[-2]
 
-
-def _check_injected_dims(injected: InjectedKV, k: np.ndarray, v: np.ndarray) -> None:
-    if injected.keys.shape[-1] != k.shape[-1]:
-        raise ValueError(
-            f"injected key dim {injected.keys.shape[-1]} does not match {k.shape[-1]}"
-        )
-    if injected.values.shape[-1] != v.shape[-1]:
-        raise ValueError(
-            f"injected value dim {injected.values.shape[-1]} does not match {v.shape[-1]}"
-        )
+    def per_tile(self, tiles: int, d: int, dv: int):
+        """Views of keys (tiles, rows, d), values (tiles, rows, dv), kmax and
+        vmax (tiles,) for a call of `tiles` tiles, key dim d and value dim
+        dv (a ValueError where they do not match)."""
+        if (self.keys.shape[-1], self.values.shape[-1]) != (d, dv):
+            raise ValueError(f"injected key/value dims {self.keys.shape[-1]}/"
+                             f"{self.values.shape[-1]} do not match {d}/{dv}")
+        if self.keys.shape[:-2] not in ((), (tiles,)):
+            raise ValueError(f"injected rows for {self.keys.shape[0]} tiles need a call "
+                             f"of as many tiles, got {tiles}")
+        return (np.broadcast_to(self.keys, (tiles,) + self.keys.shape[-2:]),
+                np.broadcast_to(self.values, (tiles,) + self.values.shape[-2:]),
+                np.broadcast_to(self.kmax, (tiles,)), np.broadcast_to(self.vmax, (tiles,)))
 
 
 def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tuple[np.ndarray, np.ndarray]:
-    """Append injected rows to k and v, broadcasting over batch axes."""
+    """Append to each matrix of k and v its tile's injected rows (every
+    leading axis but the last indexes tiles, see attend)."""
     if injected is None or injected.rows == 0:
         return k, v
-    _check_injected_dims(injected, k, v)
     batch = k.shape[:-2]
-    inj_k = np.broadcast_to(injected.keys, batch + injected.keys.shape)
-    inj_v = np.broadcast_to(injected.values, batch + injected.values.shape)
-    return np.concatenate([k, inj_k], axis=-2), np.concatenate([v, inj_v], axis=-2)
+    mats = (math.prod(batch[:-1]), batch[-1] if batch else 1)  # (tiles, matrices a tile)
+    inj_k, inj_v, _, _ = injected.per_tile(mats[0], k.shape[-1], v.shape[-1])
+    k2, v2 = (np.concatenate([own.reshape(mats + own.shape[-2:]),
+                              np.broadcast_to(rows[:, None], mats + rows.shape[1:])], axis=-2)
+              for own, rows in ((k, inj_k), (v, inj_v)))
+    return k2.reshape(batch + k2.shape[-2:]), v2.reshape(batch + v2.shape[-2:])
 
 
 def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray, rate: int) -> InjectedKV:

@@ -204,8 +204,8 @@ class ToyAttentionDenoiser:
         call each.
 
         The hook settings act on the hook layers only: `injected` maps a hook
-        layer to the K/V rows that extend its keys and values (shared by the
-        stack, or one set per tile, see InjectedKV), gamma > 0 tempers their
+        layer to the read-only InjectedKV rows that extend its keys and values
+        (shared by the stack or one set per tile), gamma > 0 tempers their
         score denominators, and identity replaces their attention by the value
         rows (ignoring injections: it needs the tile's own rows). collect_kv
         keeps each hook layer's K/V on the token grid, (tiles, frames, gh, gw,

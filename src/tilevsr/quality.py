@@ -117,7 +117,7 @@ class DegradationConfig:
 
 def quantize(arr: np.ndarray, levels: int) -> np.ndarray:
     """Uniform quantization of [0, 1] values; halves round away from zero."""
-    steps = in_range("quant_levels", levels, ge=2) - 1
+    steps = int_in_range("quant_levels", levels, ge=2) - 1
     return np.floor(np.asarray(arr, dtype=np.float64) * steps + 0.5) / steps
 
 

@@ -200,10 +200,10 @@ def interleave(x: np.ndarray, l: np.ndarray) -> np.ndarray:
 
 
 def deinterleave(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of interleave: even frames and odd frames."""
+    """Inverse of interleave: even frames and odd frames, views of y."""
     y = np.asarray(y)
     if y.ndim != 4:
         raise ValueError(f"expected 4-D video, got shape {y.shape}")
     if y.shape[0] % 2 != 0:
         raise ValueError(f"frame count {y.shape[0]} is not even")
-    return y[0::2].copy(), y[1::2].copy()
+    return y[0::2], y[1::2]

@@ -1,5 +1,6 @@
 """Attention kernel, tempered/injected/identity variants, and K/V selection."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -226,8 +227,57 @@ def test_attend_rejects_unequal_batch_shapes():
 
 
 def test_injected_kv_validation():
-    with pytest.raises(ValueError):
-        InjectedKV(np.zeros((2, 4)), np.zeros((3, 4)))
+    for keys, values in (((2, 4), (3, 4)), ((2, 2, 4), (3, 2, 4)), ((4,), (4,)),
+                         ((1, 1, 2, 4), (1, 1, 2, 4))):
+        with pytest.raises(ValueError, match="must be"):
+            InjectedKV(np.zeros(keys), np.zeros(values))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_injected_kv_holds_read_only_views_and_their_maxima(lead):
+    rng = np.random.default_rng(15)
+    keys, values = rng.standard_normal(lead + (5, 4)), rng.standard_normal(lead + (5, 2)) * 7.0
+    inj = InjectedKV(keys, values)
+    for held, given in ((inj.keys, keys), (inj.values, values)):
+        assert np.shares_memory(held, given) and np.array_equal(held, given)  # no copy
+        with pytest.raises(ValueError, match="read-only"):
+            held *= 2.0
+        assert given.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inj.keys = keys
+    assert np.array_equal(inj.kmax, np.abs(keys).max(axis=(-2, -1)))
+    assert np.array_equal(inj.vmax, np.abs(values).max(axis=(-2, -1)))
+    empty = InjectedKV(np.zeros(lead + (0, 4)), np.zeros(lead + (0, 2)))
+    assert np.all(empty.kmax == 0.0) and np.all(empty.vmax == 0.0)
+    assert np.shape(empty.kmax) == lead
+
+
+def test_injected_kv_per_tile_broadcasts_views_and_checks_the_call():
+    rng = np.random.default_rng(16)
+    shared = InjectedKV(rng.standard_normal((5, 4)), rng.standard_normal((5, 2)))
+    keys, values, kmax, vmax = shared.per_tile(3, 4, 2)
+    assert keys.shape == (3, 5, 4) and values.shape == (3, 5, 2)
+    assert kmax.shape == vmax.shape == (3,)
+    assert all(np.shares_memory(keys[t], shared.keys) for t in range(3))
+    assert np.all(kmax == shared.kmax) and np.all(vmax == shared.vmax)
+    per_tile = InjectedKV(rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 5, 2)))
+    keys, _, kmax, _ = per_tile.per_tile(3, 4, 2)
+    assert np.shares_memory(keys, per_tile.keys) and np.array_equal(kmax, per_tile.kmax)
+    q, k, v = np.zeros((2, 3, 4)), np.zeros((2, 1, 4)), np.zeros((2, 1, 2))
+    for inj, dims, match in ((shared, (5, 2), "dims 4/2 do not match 5/2"),
+                             (shared, (4, 3), "dims 4/2 do not match 4/3"),
+                             (per_tile, (4, 2), "injected rows for 3 tiles")):
+        with pytest.raises(ValueError, match=match):
+            inj.per_tile(2, *dims)
+    # attend and the reference check the call through the same method
+    for fn in (lambda inj: attend(q[None], k[None], v[None], inj),
+               lambda inj: extend_kv(k[None], v[None], inj)):
+        with pytest.raises(ValueError, match="rows for 3 tiles need a call of as many tiles, got 1"):
+            fn(per_tile)
+    with pytest.raises(ValueError, match="do not match"):
+        attend(np.zeros((2, 3, 5)), np.zeros((2, 1, 5)), v, shared)
+    with pytest.raises(ValueError, match="do not match"):
+        extend_kv(k, np.zeros((2, 1, 3)), shared)
 
 
 # --- spatial subsampling ----------------------------------------------------
@@ -431,10 +481,13 @@ def assert_attend_matches_reference(q, k, v, injected, gamma):
     assert np.array_equal(attend(q, k, v, injected, gamma), out)
 
 
-def random_injection(rng, rows, d, dv):
+def random_injection(rng, rows, d, dv, tiles=None):
+    """Random rows, (rows, d) shared by every tile, or with `tiles` one set
+    per tile."""
     if rows is None:
         return None
-    return InjectedKV(rng.standard_normal((rows, d)), rng.standard_normal((rows, dv)))
+    lead = () if tiles is None else (tiles,)
+    return InjectedKV(rng.standard_normal(lead + (rows, d)), rng.standard_normal(lead + (rows, dv)))
 
 
 @settings(deadline=None, max_examples=150)
@@ -445,17 +498,23 @@ def random_injection(rng, rows, d, dv):
     d=st.integers(1, 12),
     dv=st.integers(1, 12),
     inj_rows=st.none() | st.integers(0, 40),
+    per_tile=st.booleans(),
     gamma=st.just(0.0) | st.floats(0.01, 4.0),
     scale=st.sampled_from([0.1, 1.0, 5.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(batch=(3,), nq=1, nk=1, d=1, dv=1, inj_rows=3, gamma=0.0, scale=0.1, seed=0)
-def test_attend_matches_the_reference(batch, nq, nk, d, dv, inj_rows, gamma, scale, seed):
+@example(batch=(3,), nq=1, nk=1, d=1, dv=1, inj_rows=3, per_tile=False, gamma=0.0, scale=0.1,
+         seed=0)
+@example(batch=(2, 3), nq=4, nk=5, d=3, dv=2, inj_rows=6, per_tile=True, gamma=1.5, scale=5.0,
+         seed=0)
+def test_attend_matches_the_reference(batch, nq, nk, d, dv, inj_rows, per_tile, gamma, scale, seed):
+    # per_tile: one set of rows per tile, every leading axis but the last
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(batch + (nq, d)) * scale
     k = rng.standard_normal(batch + (nk, d)) * scale
     v = rng.standard_normal(batch + (nk, dv))
-    assert_attend_matches_reference(q, k, v, random_injection(rng, inj_rows, d, dv), gamma)
+    tiles = math.prod(batch[:-1]) if per_tile else None
+    assert_attend_matches_reference(q, k, v, random_injection(rng, inj_rows, d, dv, tiles), gamma)
 
 
 @pytest.mark.parametrize("nq", [1, 4])
@@ -554,7 +613,7 @@ def test_scores_past_the_bound_are_shifted(gamma):
     q, k, v = (rng.standard_normal((2, 5, 4)) * 100.0 for _ in range(3))
     v /= 100.0
     inj = random_injection(rng, 7, 4, 4)
-    inj.keys *= 100.0
+    inj = InjectedKV(inj.keys * 100.0, inj.values)
     assert score_bound(q, k, inj, gamma) > SHIFT_FREE_BOUND
     k2, _ = extend_kv(k, v, inj)
     assert np.max(np.abs(scaled_scores(q, k2, gamma))) > 710.0
@@ -681,8 +740,8 @@ def test_stacked_attend_shifts_only_the_tiles_that_need_it():
     bounds = [score_bound(q[t], k[t], None, 0.0) for t in range(3)]
     assert bounds[1] > SHIFT_FREE_BOUND >= max(bounds[0], bounds[2])
     assert_stacked_is_per_tile(q, k, v, None, 0.0)
-    injected = InjectedKV(rng.standard_normal((3, 7, 4)), rng.standard_normal((3, 7, 3)))
-    injected.keys *= np.array([1.0, 100.0, 1.0])[:, None, None]
+    scale = np.array([1.0, 100.0, 1.0])[:, None, None]
+    injected = InjectedKV(rng.standard_normal((3, 7, 4)) * scale, rng.standard_normal((3, 7, 3)))
     assert_stacked_is_per_tile(q, k, v, injected, 0.0)
 
 

@@ -94,6 +94,14 @@ def test_quantize_rounds_half_away_from_zero():
     assert quantize(x, levels)[0] == 11.0 / (levels - 1)
 
 
+def test_quantize_rejects_a_fractional_level_count():
+    # 2.5 levels would put 0.6 and 1.0 on 0.667 and 1.333, off the grid and
+    # outside [0, 1]
+    with pytest.raises(ValueError, match="quant_levels must be an integer"):
+        quantize(np.array([0.3, 0.6, 1.0]), 2.5)
+    assert np.array_equal(quantize(np.array([0.3, 0.6, 1.0]), 2.0), [0.0, 1.0, 1.0])
+
+
 def test_quantize_is_idempotent_on_grid_values():
     rng = np.random.default_rng(2)
     x = grid_video(rng)

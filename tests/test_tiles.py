@@ -235,6 +235,7 @@ def test_interleave_pattern_and_roundtrip():
     back_x, back_l = deinterleave(y)
     assert np.array_equal(back_x, x)
     assert np.array_equal(back_l, l)
+    assert np.shares_memory(back_x, y) and np.shares_memory(back_l, y)  # views, no copies
 
 
 def test_interleave_validation():
