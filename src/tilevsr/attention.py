@@ -257,12 +257,13 @@ def extend_kv(k: np.ndarray, v: np.ndarray, injected: InjectedKV | None) -> tupl
     return k2.reshape(batch + k2.shape[-2:]), v2.reshape(batch + v2.shape[-2:])
 
 
-def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray, rate: int) -> InjectedKV:
+def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray,
+                         rate: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep tokens on a stride-`rate` grid in both spatial axes of every frame.
 
-    keys/values are stacks (tiles, frames, grid_h, grid_w, d); the kept rows
-    come out (tiles, rows, d), each tile's frame-major in ascending token
-    order. The (0, 0) corner anchors the stride grid.
+    keys/values are stacks (tiles, frames, grid_h, grid_w, d); the kept key
+    and value rows come out (tiles, rows, d), each tile's frame-major in
+    ascending token order. The (0, 0) corner anchors the stride grid.
     """
     rate = int_in_range("rate", rate, ge=1)
     keys = np.asarray(keys, dtype=np.float64)
@@ -273,18 +274,19 @@ def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray, rate: int) -> Inj
             f"shape, got {keys.shape} and {values.shape}"
         )
     tiles = len(keys)
-    return InjectedKV(keys=keys[:, :, ::rate, ::rate].reshape(tiles, -1, keys.shape[-1]),
-                      values=values[:, :, ::rate, ::rate].reshape(tiles, -1, values.shape[-1]))
+    return (keys[:, :, ::rate, ::rate].reshape(tiles, -1, keys.shape[-1]),
+            values[:, :, ::rate, ::rate].reshape(tiles, -1, values.shape[-1]))
 
 
-def aggregate_frame_kv(parts: list[InjectedKV], groups: int) -> list[InjectedKV]:
+def aggregate_frame_kv(parts: list[tuple[np.ndarray, np.ndarray]], groups: int) -> list[InjectedKV]:
     """One shared (rows, d) aggregate per group: the stacks' (tiles, rows, d)
-    rows, in flat tile order, are concatenated once along the tile axis, and
-    group n is a C-contiguous view of the n-th of `groups` equal runs of
-    tiles (np.split raises ValueError when they do not divide evenly)."""
+    key and value rows, (keys, values) a stack in flat tile order, are
+    concatenated once along the tile axis, and group n is a C-contiguous
+    view of the n-th of `groups` equal runs of tiles (np.split raises
+    ValueError when they do not divide evenly)."""
     groups = int_in_range("groups", groups, ge=1)
-    keys = np.concatenate([p.keys for p in parts])
-    values = np.concatenate([p.values for p in parts])
+    keys = np.concatenate([k for k, _ in parts])
+    values = np.concatenate([v for _, v in parts])
     return [InjectedKV(k.reshape(-1, k.shape[-1]), v.reshape(-1, v.shape[-1]))
             for k, v in zip(np.split(keys, groups), np.split(values, groups))]
 

@@ -5,16 +5,19 @@ convention: a denoiser D(x; sigma) induces the probability-flow step
 x_next = x + (sigma_next - sigma_cur) * (x - D) / sigma_cur.
 
 The video pipeline interleaves the noisy latent with the encoded low-res
-latent frame by frame, splits the result into overlapping tiles, and runs
+latent frame by frame, covers the result with overlapping tiles, and runs
 one of two cross-tile attention schemes per step: spatial propagation on
 even steps (global subsampled key/value aggregation across all tiles of a
 temporal index) and temporal propagation on odd steps (neighbor tiles hand
 selected frames' key/values along the time axis, direction alternating).
-Per-tile noise estimates are guidance-combined, merged with a Gaussian
-blend mask, and advanced with one Euler step.
+Tiles run in stacks, each split out of the latent when it runs; its
+guidance-combined noise estimate is merged into a Gaussian blend of the
+noise frames as soon as every stack before it is, so memory follows the
+latent, not the tile count. The blend is advanced with one Euler step.
 """
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,8 +28,8 @@ from .attention import InjectedKV, aggregate_frame_kv, select_tap_frames, subsam
 from .guidance import GUIDANCE_BRANCHES, GuidanceConfig, combine, gamma_schedule, sag_input
 from .quality import bicubic_resize
 from .tiles import (
-    check_mask_corner, deinterleave, gaussian_mask, in_range, int_in_range, interleave, merge, plan_tiles,
-    split, validate_video,
+    Blend, TileGrid, check_mask_corner, deinterleave, gaussian_mask, in_range, int_in_range, interleave,
+    merge, plan_tiles, split, validate_video,
 )
 
 
@@ -133,18 +136,14 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the pass engine: guided noise estimates over stacks of tiles. A pass maps
-# split's (n, m) tile array to estimates in the same layout; a stack is a
-# slice of the flat tile index n * n_spatial + m, so its input is a view.
+# the pass engine: guided noise estimates over stacks of tiles. A stack is a
+# slice of the flat tile index n * n_spatial + m; split copies its tiles out
+# of the step's interleaved latent when it runs, and merge adds its estimate
+# into the step's blend, so no array of every tile exists.
 
 # Tile input of one stacked denoiser forward (one tile when it alone is larger),
 # so a forward's activations stay bounded however many tiles a pass has.
 STACK_BYTES = 256 * 1024
-
-
-def _flat(tiles: np.ndarray) -> np.ndarray:
-    """The tile array with (n, m) folded into the flat tile index."""
-    return tiles.reshape((-1,) + tiles.shape[2:])
 
 
 def _stacks(start: int, stop: int, tile_bytes: int) -> list[slice]:
@@ -152,6 +151,10 @@ def _stacks(start: int, stop: int, tile_bytes: int) -> list[slice]:
     STACK_BYTES of tile input (one index a slice when a tile alone is larger)."""
     size = max(1, STACK_BYTES // max(1, tile_bytes))
     return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
+
+
+def _tile_bytes(y: np.ndarray, grid: TileGrid) -> int:
+    return math.prod(grid.tile_dims) * y.shape[1] * y.itemsize
 
 
 def _require_finite(arrays, stack: slice, n_spatial: int, step: int, what: str,
@@ -166,16 +169,48 @@ def _require_finite(arrays, stack: slice, n_spatial: int, step: int, what: str,
                                f"{divmod(stack.start + i, n_spatial)}, sigma={sigma:g}")
 
 
-def _guided_eps(tiles: np.ndarray, stack: slice, injections, collect_kv: bool, denoiser,
-                cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats, step: int):
-    """Guided noise estimates of a stack of the tile array (tile axis first),
-    and its target branch's stacked result.
+class _StepBlend:
+    """One pass's blend: merge adds each stack's estimate into num in
+    ascending flat order. A stack that arrives before all stacks below it
+    (a TAP chain, a worker thread, a reversed schedule) waits in `held`, so
+    the arrival order cannot change a bit. The instance stores no closure or
+    bound method of its own, so it sits in no reference cycle and num is
+    freed when the pass returns, not by the cycle collector."""
+
+    def __init__(self, blend: Blend, channels: int):
+        self.blend = blend
+        self.num = np.zeros(blend.weights.shape[:1] + (channels,) + blend.weights.shape[2:])
+        self.held: dict[int, tuple[slice, np.ndarray]] = {}  # stack.start -> (stack, estimate)
+        self.merged = 0  # flat index of the first tile not merged yet
+        self._lock = threading.Lock()
+
+    def add(self, stack: slice, estimate: np.ndarray) -> None:
+        with self._lock:
+            self.held[stack.start] = (stack, estimate)
+            while self.merged in self.held:
+                stack, estimate = self.held.pop(self.merged)
+                merge(self.num, estimate, self.blend, stack)
+                self.merged = stack.stop
+
+    def result(self) -> np.ndarray:
+        """The blended noise estimate, num / weights, once every tile is in."""
+        if self.merged != self.blend.grid.n_tiles or self.held:
+            raise RuntimeError(f"blend merged {self.merged} of {self.blend.grid.n_tiles} tiles, "
+                               f"{len(self.held)} stacks held")
+        return self.num / self.blend.weights
+
+
+def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect_kv: bool,
+                denoiser, cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats,
+                step: int):
+    """Guided noise estimates of a stack of tiles (tile axis first), and its
+    target branch's stacked result.
 
     The branches of the mode's GUIDANCE_BRANCHES row run in order, one
-    stacked forward each; a blurred branch's input is built from branch 0's
-    estimate and attention map.
+    stacked forward each, on the stack split out once; a blurred branch's
+    input is built from branch 0's estimate and attention map.
     """
-    x0 = _flat(tiles)[stack]
+    x0 = split(y, grid, stack)
     stats.increment("tile_units", len(x0))
     g = cfg.guidance
     branches = GUIDANCE_BRANCHES[g.mode]
@@ -193,7 +228,7 @@ def _guided_eps(tiles: np.ndarray, stack: slice, injections, collect_kv: bool, d
         )
         stats.increment("eps_calls", len(x0))
         e = (x - result.denoised) / sigma
-        _require_finite([e], stack, tiles.shape[1], step, "noise estimate", sigma)
+        _require_finite([e], stack, grid.n_spatial, step, "noise estimate", sigma)
         if i == 0:
             attention = result.attention
         eps.append(e)
@@ -214,17 +249,18 @@ def _map_tiles(items: list, fn, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _run_pass(tiles: np.ndarray, chains: list[list[slice]], inject, denoiser, cfg: PipelineConfig,
-              sigma: float, gamma_t: float, stats: RunStats, step: int) -> np.ndarray:
-    """Guided noise estimates of every tile, in the tile array's layout.
+def _run_pass(y: np.ndarray, blend: Blend, chains: list[list[slice]], inject, denoiser,
+              cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats,
+              step: int) -> np.ndarray:
+    """The blended guided noise estimate of the noise frames of y.
 
     A chain is a list of stacks that run in order, one forward per branch
     each, with the per-layer K/V inject(stack, result) gives them: result is
     the previous stack's target-branch DenoiseResult (None for the first),
-    kept for it. Chains run independently through _map_tiles; each writes
-    only its own tiles, so the order chains run in cannot change a bit.
+    kept for it. Chains run independently through _map_tiles, and each
+    stack's estimate goes to the step's blend as soon as it exists.
     """
-    out = np.empty(tiles.shape)
+    step_blend = _StepBlend(blend, y.shape[1])
 
     def run_chain(chain: list[slice]) -> None:
         prev = None
@@ -232,13 +268,14 @@ def _run_pass(tiles: np.ndarray, chains: list[list[slice]], inject, denoiser, cf
             injections = inject(stack, prev)
             del prev  # its full K/V: the next stack reads only the injections
             eps, prev = _guided_eps(
-                tiles, stack, injections, rank + 1 < len(chain), denoiser, cfg, sigma,
+                y, blend.grid, stack, injections, rank + 1 < len(chain), denoiser, cfg, sigma,
                 gamma_t, stats, step,
             )
-            _flat(out)[stack] = eps
+            step_blend.add(stack, eps)
+            del eps
 
     _map_tiles(chains, run_chain, cfg.workers)
-    return out
+    return step_blend.result()
 
 
 def _require_hooks(denoiser, scheme: str):
@@ -246,7 +283,7 @@ def _require_hooks(denoiser, scheme: str):
         raise ValueError(f"{scheme} propagation needs a denoiser with hook layers")
 
 
-def denoise_pass_sap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: float,
+def denoise_pass_sap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig, sigma: float,
                      gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """Two-phase spatial propagation over every temporal group.
 
@@ -258,29 +295,28 @@ def denoise_pass_sap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: fl
     """
     _require_hooks(denoiser, "spatial")
     layers = denoiser.hook_layers
-    n_temporal, n_spatial = tiles.shape[:2]
-    flat = _flat(tiles)
-    tile_bytes = flat[0].nbytes
+    grid = blend.grid
+    tile_bytes = _tile_bytes(y, grid)
 
-    def gather(stack: slice) -> dict[int, InjectedKV]:
+    def gather(stack: slice) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         # only the subsampled rows outlive the task, not the full K/V
-        result = denoiser.denoise(flat[stack], True, sigma, kv_only=True)
+        result = denoiser.denoise(split(y, grid, stack), True, sigma, kv_only=True)
         stats.increment("gather_calls", stack.stop - stack.start)
-        _require_finite([*result.keys.values(), *result.values.values()], stack, n_spatial, step,
-                        "key/value rows", sigma)
+        _require_finite([*result.keys.values(), *result.values.values()], stack, grid.n_spatial,
+                        step, "key/value rows", sigma)
         return {layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
                 for layer in layers}
 
-    parts = _map_tiles(_stacks(0, len(flat), tile_bytes), gather, cfg.workers)
-    aggregate = {layer: aggregate_frame_kv([p[layer] for p in parts], n_temporal)
+    parts = _map_tiles(_stacks(0, grid.n_tiles, tile_bytes), gather, cfg.workers)
+    # phase 2 holds the rows once, in the aggregates: each layer's stack rows
+    # go as soon as that layer's are concatenated
+    aggregate = {layer: aggregate_frame_kv([p.pop(layer) for p in parts], grid.n_temporal)
                  for layer in layers}
-    # phase 2 holds the rows once, in the aggregates. The stacks' rows go all
-    # at once: freed between the concatenations, they fragment the heap
     del parts
-    chains = [[stack] for n in range(n_temporal)
-              for stack in _stacks(n * n_spatial, (n + 1) * n_spatial, tile_bytes)]
-    return _run_pass(tiles, chains,
-                     lambda stack, _prev: {layer: groups[stack.start // n_spatial]
+    chains = [[stack] for n in range(grid.n_temporal)
+              for stack in _stacks(n * grid.n_spatial, (n + 1) * grid.n_spatial, tile_bytes)]
+    return _run_pass(y, blend, chains,
+                     lambda stack, _prev: {layer: groups[stack.start // grid.n_spatial]
                                            for layer, groups in aggregate.items()},
                      denoiser, cfg, sigma, gamma_t, stats, step)
 
@@ -299,34 +335,34 @@ def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]
     return injections
 
 
-def denoise_pass_tap(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: float,
+def denoise_pass_tap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig, sigma: float,
                      gamma_t: float, direction: str, stats: RunStats, step: int = 0) -> np.ndarray:
     """Sequential temporal propagation along each spatial tile column.
 
     A chain is a run of columns m that advance in lockstep through time
-    (reversed when direction is backward), one stack tiles[n, run] per n;
-    each tile receives the selected key/value frames tapped from its
-    immediate predecessor's target-branch pass.
+    (reversed when direction is backward), one stack [n, run] per n; each
+    tile receives the selected key/value frames tapped from its immediate
+    predecessor's target-branch pass.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     _require_hooks(denoiser, "temporal")
-    n_temporal, n_spatial = tiles.shape[:2]
+    n_temporal, n_spatial = blend.grid.n_temporal, blend.grid.n_spatial
     order = range(n_temporal) if direction == "forward" else range(n_temporal)[::-1]
     chains = [[slice(n * n_spatial + run.start, n * n_spatial + run.stop) for n in order]
-              for run in _stacks(0, n_spatial, tiles[0, 0].nbytes)]
+              for run in _stacks(0, n_spatial, _tile_bytes(y, blend.grid))]
 
     def inject(_stack: slice, prev):
         return None if prev is None else _tap_injections(prev, cfg.tap_frames, denoiser.hook_layers)
 
-    return _run_pass(tiles, chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
+    return _run_pass(y, blend, chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
-def denoise_pass_plain(tiles: np.ndarray, denoiser, cfg: PipelineConfig, sigma: float,
+def denoise_pass_plain(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig, sigma: float,
                        gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """No cross-tile propagation; guidance branches still run per stack."""
-    chains = [[stack] for stack in _stacks(0, len(_flat(tiles)), tiles[0, 0].nbytes)]
-    return _run_pass(tiles, chains, lambda *_: None, denoiser, cfg, sigma, gamma_t, stats, step)
+    chains = [[stack] for stack in _stacks(0, blend.grid.n_tiles, _tile_bytes(y, blend.grid))]
+    return _run_pass(y, blend, chains, lambda *_: None, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +386,13 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
 
     Steps: bicubic-upsample the input and encode it to the conditioning
     latent, frame by frame, then run cfg.steps Euler steps from seeded noise.
-    Every step interleaves the noisy and conditioning latents frame by frame,
-    splits into half-overlapping tiles, applies the step's propagation scheme
-    (spatial on even steps, temporal on odd, when enabled), guidance-combines
-    the per-tile noise estimates, merges them with a Gaussian blend, and
-    steps the noisy latent. The final latent is decoded at sigma_min.
+    The noisy and conditioning latents are interleaved frame by frame once;
+    every step writes its noisy latent into the even frames, runs the step's
+    propagation scheme (spatial on even steps, temporal on odd, when
+    enabled) over half-overlapping tiles, stack by stack, blends the
+    guidance-combined noise estimates of the noise frames with a Gaussian
+    mask, and steps the noisy latent. The final latent is decoded at
+    sigma_min.
     """
     lr = validate_video(lr_video, "lr_video").astype(np.float64)
     l = _condition_latent(lr, codec, cfg.upscale_factor)
@@ -369,13 +407,17 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
     )
     if min(eff_tile[1:]) < 1:
         raise ValueError(f"latent {lat_h}x{lat_w} is smaller than one {patch}x{patch} patch")
-    grid = plan_tiles((2 * n_frames, lat_h, lat_w), eff_tile)
-    mask = gaussian_mask(eff_tile, cfg.mask_sigma_fraction)
+    blend = Blend(plan_tiles((2 * n_frames, lat_h, lat_w), eff_tile),
+                  gaussian_mask(eff_tile, cfg.mask_sigma_fraction))
     sigmas = build_sigma_schedule(cfg.steps, cfg.sigma_min, cfg.sigma_max, cfg.schedule_exponent)
 
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((n_frames, channels, lat_h, lat_w)) * float(sigmas[0])
 
+    # one interleaved latent for the run: the conditioning frames never
+    # change, and each step writes x, checked finite, into the noise frames
+    y = interleave(x, l)
+    del l
     stats = RunStats()
     trace: list[str] = []
     for step in range(cfg.steps):
@@ -387,22 +429,21 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
         if not getattr(cfg, scheme):
             scheme = "none"
         direction = ("forward" if step // 2 % 2 == 0 else "backward") if scheme == "tap" else "-"
-        tiles = split(interleave(x, l), grid)
+        deinterleave(y)[0][...] = x
         if scheme == "sap":
-            eps_tiles = denoise_pass_sap(tiles, denoiser, cfg, sigma, gamma_t, stats, step)
+            eps_x = denoise_pass_sap(y, blend, denoiser, cfg, sigma, gamma_t, stats, step)
         elif scheme == "tap":
-            eps_tiles = denoise_pass_tap(tiles, denoiser, cfg, sigma, gamma_t, direction, stats, step)
+            eps_x = denoise_pass_tap(y, blend, denoiser, cfg, sigma, gamma_t, direction, stats, step)
         else:
-            eps_tiles = denoise_pass_plain(tiles, denoiser, cfg, sigma, gamma_t, stats, step)
-        eps_x = deinterleave(merge(eps_tiles, grid, mask))[0]
+            eps_x = denoise_pass_plain(y, blend, denoiser, cfg, sigma, gamma_t, stats, step)
         x = ode_step(x, x - sigma * eps_x, sigma, sigma_next)
-        # a step's arrays go before the next step's pass and the decode
-        del tiles, eps_tiles, eps_x
+        del eps_x  # before the next step's pass
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite latent after step {step} (sigma {sigma:g} -> {sigma_next:g})")
         trace.append(
             f"step={step:02d} sigma={sigma:.6g} gamma={gamma_t:.6f} "
             f"scheme={scheme} direction={direction} guidance={cfg.guidance.mode}"
         )
+    del y
     hr = codec.decode(x)
     return RunResult(video=hr, trace=trace, stats=stats)

@@ -2,13 +2,17 @@
 
 Videos are numpy arrays of shape (frames, channels, height, width) with finite
 values. Tiles overlap by half their extent along every tiled axis and are
-merged with a separable Gaussian weight mask, so overlapping regions blend
-smoothly and a full round trip (split then merge) reproduces the input.
+numbered by the flat index n * n_spatial + m (n temporal, m spatial). `split`
+copies out a slice of that index at a time, and `merge` adds a slice's
+estimates into the blend of the video's noise frames, the even frames of an
+interleaved video, with a separable Gaussian weight mask. So overlapping
+regions blend smoothly, no array of every tile need exist, and a full round
+trip (split, then merge every tile) reproduces the noise frames.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +93,10 @@ class TileGrid:
     def n_temporal(self) -> int:
         return len(self.offsets_t)
 
+    @property
+    def n_tiles(self) -> int:
+        return self.n_temporal * self.n_spatial
+
     def spatial_offset(self, m: int) -> tuple[int, int]:
         ny, nx = len(self.offsets_y), len(self.offsets_x)
         if not 0 <= m < ny * nx:
@@ -116,19 +124,20 @@ def plan_tiles(video_dims: tuple[int, int, int], tile_dims: tuple[int, int, int]
     )
 
 
-def split(video: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Copy out every tile into one (n_temporal, n_spatial, frames, channels,
-    h, w) array: [n, m] is the tile at temporal index n, spatial index m."""
-    video = validate_video(video)
-    dims = (video.shape[0], video.shape[2], video.shape[3])
-    if dims != grid.video_dims:
-        raise ValueError(f"video dims {dims} do not match grid {grid.video_dims}")
+def split(video: np.ndarray, grid: TileGrid, stack: slice) -> np.ndarray:
+    """Copy out the tiles of `stack`, a slice of the flat tile index, into one
+    (tiles, frames, channels, h, w) array in index order. Only the video's
+    shape is checked: its caller validates its values once (interleave does),
+    not once a stack."""
+    video = np.asarray(video)
+    if video.ndim != 4 or (video.shape[0], *video.shape[2:]) != grid.video_dims:
+        raise ValueError(f"video shape {video.shape} does not match grid {grid.video_dims}")
+    index = range(grid.n_tiles)[stack]
     tf, th, tw = grid.tile_dims
-    tiles = np.empty((grid.n_temporal, grid.n_spatial, tf, video.shape[1], th, tw), video.dtype)
-    for n in range(grid.n_temporal):
-        for m in range(grid.n_spatial):
-            st, sy, sx = grid.slices(n, m)
-            tiles[n, m] = video[st, :, sy, sx]
+    tiles = np.empty((len(index), tf, video.shape[1], th, tw), video.dtype)
+    for i, flat in enumerate(index):
+        st, sy, sx = grid.slices(*divmod(flat, grid.n_spatial))
+        tiles[i] = video[st, :, sy, sx]
     return tiles
 
 
@@ -141,7 +150,7 @@ def check_mask_corner(tile_dims: tuple[int, ...], sigma_fraction: float) -> None
     """ValueError unless gaussian_mask(tile_dims, sigma_fraction) is usable:
     sigma_fraction > 0, positive dims, and a corner weight (the mask's least,
     the product of each axis's end weight, so it falls as any extent grows)
-    that is neither 0 nor subnormal, since merge divides by it."""
+    that is neither 0 nor subnormal, since the blend divides by it."""
     in_range("sigma_fraction", sigma_fraction, gt=0)
     if any(int(e) < 1 for e in tile_dims):
         raise ValueError(f"tile dims must be positive, got {tile_dims}")
@@ -165,26 +174,62 @@ def gaussian_mask(tile_dims: tuple[int, ...], sigma_fraction: float) -> np.ndarr
     return mask
 
 
-def merge(tiles: np.ndarray, grid: TileGrid, mask: np.ndarray) -> np.ndarray:
-    """Weighted-average recomposition of split's layout, sum(mask * tile) /
-    sum(mask), accumulated in fixed ascending (n, m) order."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != grid.tile_dims:
-        raise ValueError(f"mask shape {mask.shape} does not match tile dims {grid.tile_dims}")
-    tiles = np.asarray(tiles, dtype=np.float64)
-    layout = (grid.n_temporal, grid.n_spatial, *grid.tile_dims)
-    if tiles.ndim != 6 or tiles.shape[:3] + tiles.shape[4:] != layout:
-        raise ValueError("tiles have shape %s, expected (%d, %d, %d, C, %d, %d)" % (tiles.shape, *layout))
-    frames, height, width = grid.video_dims
-    mask4 = mask[:, None, :, :]
-    num = np.zeros((frames, tiles.shape[3], height, width), dtype=np.float64)
-    den = np.zeros((frames, 1, height, width), dtype=np.float64)
-    for n in range(grid.n_temporal):
-        for m in range(grid.n_spatial):
-            st, sy, sx = grid.slices(n, m)
-            num[st, :, sy, sx] += mask4 * tiles[n, m]
-            den[st, :, sy, sx] += mask4
-    return num / den
+def _noise_half(grid: TileGrid, flat: int) -> tuple[tuple[slice, ...], int]:
+    """Where tile `flat`'s noise frames (the even frames of the video) sit
+    among the video's noise frames, and which half of deinterleave(tile)
+    holds them: the even one when the tile starts on an even frame."""
+    st, sy, sx = grid.slices(*divmod(flat, grid.n_spatial))
+    return (slice((st.start + 1) // 2, (st.stop + 1) // 2), slice(None), sy, sx), st.start % 2
+
+
+@dataclass(frozen=True, eq=False)
+class Blend:
+    """A grid's Gaussian blend over the noise frames of an interleaved video.
+
+    weights, (ceil(frames / 2), 1, h, w), is the mask summed over every tile
+    on those frames, in ascending flat order. Neither grid nor mask changes
+    during a run, so a run builds its Blend once: each step's estimate is
+    num / weights, where merge has added every tile into num.
+    """
+
+    grid: TileGrid
+    mask: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mask = np.asarray(self.mask, dtype=np.float64)
+        if mask.shape != self.grid.tile_dims:
+            raise ValueError(f"mask shape {mask.shape} does not match tile dims {self.grid.tile_dims}")
+        frames, height, width = self.grid.video_dims
+        weights = np.zeros(((frames + 1) // 2, 1, height, width))
+        halves = deinterleave(mask[:, None])
+        for flat in range(self.grid.n_tiles):
+            region, half = _noise_half(self.grid, flat)
+            weights[region] += halves[half]
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "weights", weights)
+
+
+def merge(num: np.ndarray, estimates: np.ndarray, blend: Blend, stack: slice) -> None:
+    """Add mask * estimate over the noise frames of the tiles of `stack` (a
+    slice of the flat tile index, in split's order) into num, the blend's
+    numerator of shape (ceil(frames / 2), C, h, w). Each tile's noise half is
+    chosen with deinterleave. Merging the slices in ascending order gives
+    every pixel one summation order however the tiles were computed."""
+    grid = blend.grid
+    index = range(grid.n_tiles)[stack]
+    estimates = np.asarray(estimates, dtype=np.float64)
+    tf, th, tw = grid.tile_dims
+    if estimates.ndim != 5 or estimates.shape[:2] + estimates.shape[3:] != (len(index), tf, th, tw):
+        raise ValueError("estimates have shape %s, expected (%d, %d, C, %d, %d)"
+                         % (estimates.shape, len(index), tf, th, tw))
+    if num.shape != blend.weights.shape[:1] + estimates.shape[2:3] + blend.weights.shape[2:]:
+        raise ValueError(f"numerator shape {num.shape} does not fit weights {blend.weights.shape} "
+                         f"and {estimates.shape[2]} channels")
+    halves = deinterleave(blend.mask[:, None])
+    for flat, tile in zip(index, estimates):
+        region, half = _noise_half(grid, flat)
+        num[region] += halves[half] * deinterleave(tile)[half]
 
 
 def interleave(x: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -200,10 +245,10 @@ def interleave(x: np.ndarray, l: np.ndarray) -> np.ndarray:
 
 
 def deinterleave(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of interleave: even frames and odd frames, views of y."""
+    """Inverse of interleave: even frames and odd frames, views of y. An odd
+    frame count (a tile that starts or ends inside a pair) leaves the even
+    half one frame longer."""
     y = np.asarray(y)
     if y.ndim != 4:
         raise ValueError(f"expected 4-D video, got shape {y.shape}")
-    if y.shape[0] % 2 != 0:
-        raise ValueError(f"frame count {y.shape[0]} is not even")
     return y[0::2], y[1::2]

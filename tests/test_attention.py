@@ -287,29 +287,29 @@ def test_subsample_rate_two_on_4x4_grid():
     n = 2 * 4 * 4
     keys = np.arange(n * d, dtype=np.float64).reshape(n, d)
     values = keys + 1000.0
-    inj = subsample_spatial_kv(keys.reshape(1, 2, 4, 4, d), values.reshape(1, 2, 4, 4, d), 2)
+    got_k, got_v = subsample_spatial_kv(keys.reshape(1, 2, 4, 4, d), values.reshape(1, 2, 4, 4, d), 2)
     kept = [0, 2, 8, 10, 16, 18, 24, 26]
-    assert inj.rows == 8
-    assert np.array_equal(inj.keys, keys[kept][None])
-    assert np.array_equal(inj.values, values[kept][None])
+    assert got_k.shape == (1, 8, d)
+    assert np.array_equal(got_k, keys[kept][None])
+    assert np.array_equal(got_v, values[kept][None])
 
 
 def test_subsample_rate_one_keeps_everything():
     rng = np.random.default_rng(14)
     keys = rng.standard_normal((12, 2))
     values = rng.standard_normal((12, 2))
-    inj = subsample_spatial_kv(keys.reshape(1, 3, 2, 2, 2), values.reshape(1, 3, 2, 2, 2), 1)
-    assert np.array_equal(inj.keys, keys[None])
-    assert np.array_equal(inj.values, values[None])
+    got_k, got_v = subsample_spatial_kv(keys.reshape(1, 3, 2, 2, 2), values.reshape(1, 3, 2, 2, 2), 1)
+    assert np.array_equal(got_k, keys[None])
+    assert np.array_equal(got_v, values[None])
 
 
 def test_subsample_rate_beyond_extent_keeps_anchor():
     rng = np.random.default_rng(15)
     keys = rng.standard_normal((8, 2))
     values = rng.standard_normal((8, 2))
-    inj = subsample_spatial_kv(keys.reshape(1, 2, 2, 2, 2), values.reshape(1, 2, 2, 2, 2), 5)
-    assert inj.rows == 2
-    assert np.array_equal(inj.keys, keys[[0, 4]][None])
+    got_k, _ = subsample_spatial_kv(keys.reshape(1, 2, 2, 2, 2), values.reshape(1, 2, 2, 2, 2), 5)
+    assert got_k.shape == (1, 2, 2)
+    assert np.array_equal(got_k, keys[[0, 4]][None])
 
 
 def test_subsample_stack_matches_each_tiles_own_rows():
@@ -320,13 +320,13 @@ def test_subsample_stack_matches_each_tiles_own_rows():
         d, dv, rate = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
         keys = rng.standard_normal((tiles, frames, gh, gw, d))
         values = rng.standard_normal((tiles, frames, gh, gw, dv))
-        inj = subsample_spatial_kv(keys, values, rate)
-        assert inj.keys.shape[:2] == inj.values.shape[:2] == (tiles, inj.rows)
+        got_k, got_v = subsample_spatial_kv(keys, values, rate)
         want = [(f, y, x) for f in range(frames)
                 for y in range(0, gh, rate) for x in range(0, gw, rate)]
+        assert got_k.shape == (tiles, len(want), d) and got_v.shape == (tiles, len(want), dv)
         for t in range(tiles):
-            assert np.array_equal(inj.keys[t], np.array([keys[t][i] for i in want]))
-            assert np.array_equal(inj.values[t], np.array([values[t][i] for i in want]))
+            assert np.array_equal(got_k[t], np.array([keys[t][i] for i in want]))
+            assert np.array_equal(got_v[t], np.array([values[t][i] for i in want]))
 
 
 def test_subsample_grid_mismatch():
@@ -339,7 +339,7 @@ def test_subsample_grid_mismatch():
     for rate in (0, 2.5):  # int(2.5) would quietly subsample at 2
         with pytest.raises(ValueError, match="rate"):
             subsample_spatial_kv(grid, grid, rate)
-    assert subsample_spatial_kv(grid, np.zeros((1, 2, 2, 2, 5)), 2).values.shape == (1, 2, 5)
+    assert subsample_spatial_kv(grid, np.zeros((1, 2, 2, 2, 5)), 2)[1].shape == (1, 2, 5)
 
 
 # --- aggregation ------------------------------------------------------------
@@ -347,8 +347,8 @@ def test_subsample_grid_mismatch():
 def test_aggregate_orders_rows_by_tile():
     # two stacks of 3 and 1 tiles, 2 rows each, in two groups of 2 tiles
     rows = np.arange(4 * 2 * 3, dtype=np.float64).reshape(4, 2, 3)
-    a = InjectedKV(rows[:3], -rows[:3, :, :2])
-    b = InjectedKV(rows[3:], -rows[3:, :, :2])
+    a = (rows[:3], -rows[:3, :, :2])
+    b = (rows[3:], -rows[3:, :, :2])
     groups = aggregate_frame_kv([a, b], 2)
     assert len(groups) == 2
     for n, agg in enumerate(groups):
@@ -361,8 +361,7 @@ def test_aggregate_orders_rows_by_tile():
 
 def test_aggregate_groups_are_views_of_one_array():
     rng = np.random.default_rng(23)
-    parts = [InjectedKV(rng.standard_normal((t, 5, 3)), rng.standard_normal((t, 5, 2)))
-             for t in (2, 1, 3)]
+    parts = [(rng.standard_normal((t, 5, 3)), rng.standard_normal((t, 5, 2))) for t in (2, 1, 3)]
     groups = aggregate_frame_kv(parts, 3)
     keys, values = groups[0].keys.base, groups[0].values.base
     assert keys.shape == (6, 5, 3) and values.shape == (6, 5, 2)
@@ -370,16 +369,16 @@ def test_aggregate_groups_are_views_of_one_array():
         assert agg.keys.flags.c_contiguous and agg.values.flags.c_contiguous
         assert agg.keys.shape == (10, 3) and agg.values.shape == (10, 2)
         assert agg.keys.base is keys and agg.values.base is values
-        assert not any(np.shares_memory(agg.keys, p.keys) for p in parts)
+        assert not any(np.shares_memory(agg.keys, k) for k, _ in parts)
     assert np.array_equal(np.concatenate([agg.keys for agg in groups]),
-                          np.concatenate([p.keys for p in parts]).reshape(-1, 3))
+                          np.concatenate([k for k, _ in parts]).reshape(-1, 3))
 
 
 def test_aggregate_rejects_mismatches():
-    a = InjectedKV(np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
+    a = (np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
     for parts, groups in (
-        ([a, InjectedKV(np.zeros((2, 2, 4)), np.zeros((2, 2, 2)))], 1),  # key dims differ
-        ([a, InjectedKV(np.zeros((2, 3, 3)), np.zeros((2, 3, 2)))], 1),  # row counts differ
+        ([a, (np.zeros((2, 2, 4)), np.zeros((2, 2, 2)))], 1),  # key dims differ
+        ([a, (np.zeros((2, 3, 3)), np.zeros((2, 3, 2)))], 1),  # row counts differ
         ([], 1),
         ([a], 3),  # 2 tiles in 3 groups
         ([a], 0),

@@ -3,8 +3,10 @@
 Resampling works one leading plane at a time, `degrade` blurs one frame at
 a time, the conditioning latent is built one frame at a time, and `attend`
 reuses a per-thread workspace for its score buffer and never copies the
-injected rows. A pass runs its tiles in stacks of bounded bytes, so its
-working memory does not grow with the tile count. SSIM works one plane at a time, with plane-sized temporaries.
+injected rows. A pass runs its tiles in stacks of bounded bytes, each split
+out of the latent when it runs and merged into the blend as it finishes, so
+its working memory does not grow with the tile count. SSIM works one plane at
+a time, with plane-sized temporaries.
 Peaks are measured with tracemalloc, which sees NumPy's array allocations;
 page faults with `resource.getrusage`.
 """
@@ -27,7 +29,7 @@ from tilevsr.quality import DegradationConfig, _ssim_frame, bicubic_resize, degr
 from tilevsr.sampler import (
     STACK_BYTES, PipelineConfig, RunStats, _condition_latent, denoise_pass_sap, sample_video,
 )
-from tilevsr.tiles import plan_tiles, split
+from tilevsr.tiles import Blend, gaussian_mask, plan_tiles
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -238,31 +240,58 @@ def test_workspace_keeps_no_buffer_over_one_score_block():
     assert np.array_equal(want, attend(*big, 0.5))
 
 
+SAP_WIDE_DENOISER = dict(seed=1234, channels=3, patch_size=4, embed_dim=16, cond_dim=8)
+KV_ROW_BYTES = 4 * 2 * 16 * 8  # one subsampled row: keys and values of 4 hook layers, d 16
+
+
 def test_wide_sap_pass_peak_grows_only_by_what_it_must_hold():
     """The sap_wide geometry (8-frame 32x32 tiles of 192 KiB, one to a stack)
-    with 9 and with 25 spatial tiles: the pass must hold each tile's noise
-    estimate and each tile's subsampled K/V, once (every layer's rows are
-    one array, and the stacks' rows are dropped once all are concatenated).
-    Past that, its traced peak grows by less than one stack's budget.
-    Measured: 5.00 MiB growth against 5.0 MiB held; with the K/V held twice,
-    7.05 MiB; with the whole pass in one stack, 23 MiB."""
-    den = ToyAttentionDenoiser(seed=1234, channels=3, patch_size=4, embed_dim=16, cond_dim=8)
+    with 9 and with 25 spatial tiles. Stacks are split out of the latent
+    when they run and merged as they finish, so the pass holds no input or
+    estimate per tile: past one stack, its peak grows only by each tile's
+    subsampled K/V, held once, and by the blend's numerator, which follows
+    the latent (its noise frames), not the tile count.
+    Measured: 2.47 MiB growth against 2.72 MiB allowed; with every tile's
+    input or estimate held (one tile-layout array), 3 MiB more."""
+    den = ToyAttentionDenoiser(**SAP_WIDE_DENOISER)
     cfg = PipelineConfig(tile_frames=8, tile_h=32, tile_w=32, sap_rate=2,
                          guidance=GuidanceConfig(mode="none"))
-    kv_bytes = 8 * 4 * 4 * 16 * 8  # one layer's subsampled keys of one tile: 8 frames x 4x4 rows x d 16
-    per_tile = 8 * 3 * 32 * 32 * 8 + len(den.hook_layers) * 2 * kv_bytes
-    assert 8 * 3 * 32 * 32 * 8 * 2 > STACK_BYTES  # one tile a stack
+    tile_bytes = 8 * 3 * 32 * 32 * 8
+    kv_per_tile = 8 * 4 * 4 * KV_ROW_BYTES  # 8 frames x 4x4 subsampled rows
+    assert 2 * tile_bytes > STACK_BYTES  # one tile a stack
 
-    def pass_tiles(side):
+    def pass_peak(side):
         y = np.random.default_rng(side).standard_normal((8, 3, side, side))
-        return split(y, plan_tiles((8, side, side), (8, 32, 32)))
+        blend = Blend(plan_tiles((8, side, side), (8, 32, 32)), gaussian_mask((8, 32, 32), 0.25))
+        denoise_pass_sap(y, blend, den, cfg, 2.0, 0.5, RunStats())  # warm the attention workspace
+        eps, peak = traced_peak(lambda: denoise_pass_sap(y, blend, den, cfg, 2.0, 0.5, RunStats()))
+        return blend.grid.n_tiles, eps.nbytes, peak
 
-    small, wide = pass_tiles(64), pass_tiles(96)
-    assert (small.shape[:2], wide.shape[:2]) == ((1, 9), (1, 25))
-    denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats())  # warm the attention workspace
-    _, small_peak = traced_peak(lambda: denoise_pass_sap(small, den, cfg, 2.0, 0.5, RunStats()))
-    _, wide_peak = traced_peak(lambda: denoise_pass_sap(wide, den, cfg, 2.0, 0.5, RunStats()))
-    assert wide_peak - small_peak <= (25 - 9) * per_tile + STACK_BYTES
+    (small_tiles, small_num, small_peak), (wide_tiles, wide_num, wide_peak) = pass_peak(64), pass_peak(96)
+    assert (small_tiles, wide_tiles) == (9, 25)
+    bound = (25 - 9) * kv_per_tile + (wide_num - small_num) + STACK_BYTES
+    assert bound < (25 - 9) * (kv_per_tile + tile_bytes)
+    assert wide_peak - small_peak <= bound
+
+
+def test_smaller_tiles_raise_the_step_peak_by_their_extra_kv_rows():
+    """One sap_wide step on a fixed 96x96 latent, in 32x32 tiles (25 of them,
+    3200 SAP rows) and in 24x24 tiles (49 of them, 3528 rows). More tiles
+    and more overlap cost their extra subsampled K/V rows and, at most, one
+    stack; the latent's arrays stay the same size. Measured: 0.457 MiB
+    growth against 0.570 MiB allowed; a tile-layout array of every tile's
+    input (or estimate) would grow by 0.48 MiB."""
+    lr = np.random.default_rng(0).uniform(0.0, 1.0, (4, 3, 48, 48))
+    den = ToyAttentionDenoiser(**SAP_WIDE_DENOISER)
+
+    def step_peak(tile):
+        cfg = PipelineConfig(steps=1, tile_h=tile, tile_w=tile, tile_frames=8, tap=False,
+                             guidance=GuidanceConfig(mode="none"))
+        sample_video(lr, den, ToyCodec(2), cfg)  # warm the attention workspace
+        return traced_peak(lambda: sample_video(lr, den, ToyCodec(2), cfg))[1]
+
+    rows = {32: 25 * 8 * 4 * 4, 24: 49 * 8 * 3 * 3}  # tiles x frames x subsampled rows a frame
+    assert step_peak(24) - step_peak(32) <= (rows[24] - rows[32]) * KV_ROW_BYTES + STACK_BYTES
 
 
 @pytest.mark.parametrize("lr_shape, tile, guidance, tap", [
@@ -271,11 +300,11 @@ def test_wide_sap_pass_peak_grows_only_by_what_it_must_hold():
 ], ids=["sap_wide", "sap_tap_dssag"])
 def test_a_sampling_step_holds_no_array_of_the_step_before(lr_shape, tile, guidance, tap):
     """The two sampler benchmark geometries, 3 steps against 1: a step's
-    tiles, estimates and merged estimate are released before the next
-    step's pass, and a chain's stack keeps only the injections built from
-    its predecessor, not that stack's whole result. Measured: 0.001 MiB
-    growth on sap_wide and 0.002 on sap_tap_dssag; holding the step before
-    through the next pass, 3.88 and 4.06."""
+    stacks, blend and estimate are released before the next step's pass,
+    and a chain's stack keeps only the injections built from its
+    predecessor, not that stack's whole result. Measured: 0.001 MiB
+    growth on sap_wide and 0.004 on sap_tap_dssag; holding the step before
+    through the next pass read 3.88 and 4.06 when tiles were one array."""
     lr = np.random.default_rng(0).uniform(0.0, 1.0, lr_shape)
     den = ToyAttentionDenoiser(seed=1234, channels=3, patch_size=4, embed_dim=16, cond_dim=8)
 

@@ -1,6 +1,7 @@
 """Sigma schedule, preconditioning, Euler stepping, and the tiled pipeline."""
 
 import dataclasses
+import gc
 import os
 import sys
 import threading
@@ -23,6 +24,7 @@ from tilevsr.sampler import (
     NumericError,
     PipelineConfig,
     RunStats,
+    _StepBlend,
     _tap_injections,
     build_sigma_schedule,
     denoise_pass_plain,
@@ -31,7 +33,7 @@ from tilevsr.sampler import (
     ode_step,
     sample_video,
 )
-from tilevsr.tiles import gaussian_mask, interleave, merge, plan_tiles, split
+from tilevsr.tiles import Blend, gaussian_mask, interleave, plan_tiles, split
 
 
 def small_toy(channels=1):
@@ -354,7 +356,7 @@ def test_hook_layers_and_cond_vector_are_not_constructor_options():
 def test_pass_counts_exact_under_thread_contention():
     # 27 tiles per step (3x3 spatial x 3 temporal), cfg = 2 passes per tile;
     # step 0 runs SAP (plus one gather per tile), step 1 TAP. The threads
-    # write their stacks' estimates into one shared array, so a lost write
+    # hand their stacks' estimates to one blend, so a lost or doubled merge
     # would show in the bytes.
     lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
     cfg = pipe_cfg(steps=2, tile_frames=2, guidance=GuidanceConfig(mode="cfg"),
@@ -390,6 +392,24 @@ def test_non_finite_denoiser_output_raises():
     lr = np.full((2, 1, 8, 8), 0.5)
     with pytest.raises(NumericError, match=r"noise estimate at step 0, tile \(0, 0\)"):
         sample_video(lr, BrokenDenoiser(), ToyCodec(2), pipe_cfg(steps=2, sap=False, tap=False))
+
+
+def test_non_finite_conditioning_frame_estimate_raises():
+    # only the noise frames are blended, but every frame of a stack's
+    # estimate is checked: a NaN on a conditioning frame (frame 1 of a tile
+    # that starts on frame 0) still stops the run
+    class ConditioningNaN:
+        hook_layers = ()
+
+        def denoise(self, x, conditional=False, sigma=1.0, **kw):
+            out = np.zeros_like(np.asarray(x, dtype=np.float64))
+            out[0, 1, 0, 0, 0] = np.nan
+            return DenoiseResult(out, None, None, None)
+
+    lr = np.full((2, 1, 8, 8), 0.5)
+    cfg = pipe_cfg(steps=2, sap=False, tap=False)
+    with pytest.raises(NumericError, match=r"noise estimate at step 0, tile \(0, 0\)"):
+        sample_video(lr, ConditioningNaN(), ToyCodec(2), cfg)
 
 
 def test_non_finite_gathered_kv_names_its_tile():
@@ -431,44 +451,72 @@ def test_stack_size_changes_no_bit(monkeypatch, mode):
     assert (runs[0].stats.gather_calls, runs[0].stats.tile_units) == (54, 108)
 
 
+def blend_of(grid: tuple, tile: tuple) -> Blend:
+    return Blend(plan_tiles(grid, tile), gaussian_mask(tile, 0.25))
+
+
+def merge_spy(monkeypatch) -> list:
+    """(stack, estimates) of every merge the sampler makes, in call order."""
+    merged = []
+    real = sampler.merge
+
+    def spy(num, estimates, blend, stack):
+        merged.append((stack, np.array(estimates)))
+        return real(num, estimates, blend, stack)
+
+    monkeypatch.setattr(sampler, "merge", spy)
+    return merged
+
+
 @pytest.mark.parametrize("per_stack", [1, 2, 27])
-def test_stacks_are_views_of_the_tile_array(monkeypatch, per_stack):
+def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
     # 27 tiles (3 temporal x 9 spatial); under sag every forward but the
-    # blurred branch's (the one after the attention-map forward) reads its
-    # stack straight out of split's array
+    # blurred branch's (the one after the attention-map forward) reads the
+    # array split copied out for its stack, and split copies no more than
+    # the largest stack
     y = np.random.default_rng(10).standard_normal((4, 1, 16, 16))
-    tiles = split(y, plan_tiles((4, 16, 16), (2, 8, 8)))
-    assert tiles.shape[:2] == (3, 9)
-    monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * tiles[0, 0].nbytes)
-    calls = []
+    blend = blend_of((4, 16, 16), (2, 8, 8))
+    assert (blend.grid.n_temporal, blend.grid.n_spatial) == (3, 9)
+    monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * split(y, blend.grid, slice(0, 1)).nbytes)
+    calls, splits = [], []
     real = ToyAttentionDenoiser.denoise
+    real_split = sampler.split
 
     def spy(self, x, *args, **kw):
         calls.append((x, kw.get("collect_attention", False), kw.get("kv_only", False)))
         return real(self, x, *args, **kw)
 
+    def split_spy(video, grid, stack):
+        assert video is y
+        splits.append(real_split(video, grid, stack))
+        return splits[-1]
+
     monkeypatch.setattr(ToyAttentionDenoiser, "denoise", spy)
+    monkeypatch.setattr(sampler, "split", split_spy)
+    merged = merge_spy(monkeypatch)
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, guidance=GuidanceConfig(mode="sag"))
     passes = {
-        "plain": lambda: denoise_pass_plain(tiles, toy, cfg, 1.0, 0.3, RunStats()),
-        "sap": lambda: denoise_pass_sap(tiles, toy, cfg, 1.0, 0.3, RunStats()),
-        "tap forward": lambda: denoise_pass_tap(tiles, toy, cfg, 1.0, 0.3, "forward", RunStats()),
-        "tap backward": lambda: denoise_pass_tap(tiles, toy, cfg, 1.0, 0.3, "backward", RunStats()),
+        "plain": lambda: denoise_pass_plain(y, blend, toy, cfg, 1.0, 0.3, RunStats()),
+        "sap": lambda: denoise_pass_sap(y, blend, toy, cfg, 1.0, 0.3, RunStats()),
+        "tap forward": lambda: denoise_pass_tap(y, blend, toy, cfg, 1.0, 0.3, "forward", RunStats()),
+        "tap backward": lambda: denoise_pass_tap(y, blend, toy, cfg, 1.0, 0.3, "backward", RunStats()),
     }
     # the largest stack: every tile, a SAP group or the TAP columns side by side
     largest = {"plain": 27, "gather": 27, "sap": 9, "tap forward": 9, "tap backward": 9}
     for name, run in passes.items():
         calls.clear()
+        splits.clear()
+        merged.clear()
         run()
         sizes: dict[str, list[int]] = {}
         blurred = False
         for x, collect_attention, kv_only in calls:
             kind = "gather" if kv_only else name
             if blurred:
-                assert not np.shares_memory(x, tiles), kind
+                assert not any(np.shares_memory(x, part) for part in splits), kind
             else:
-                assert np.shares_memory(x, tiles), kind
+                assert any(x is part for part in splits), kind
                 sizes.setdefault(kind, []).append(len(x))
             blurred = collect_attention
         for kind, got in sizes.items():
@@ -476,6 +524,69 @@ def test_stacks_are_views_of_the_tile_array(monkeypatch, per_stack):
             # every tile once per gather and once per unblurred sag branch
             assert sum(got) == 27 * (1 if kind == "gather" else 2), (kind, got)
         assert set(sizes) == ({"gather", "sap"} if name == "sap" else {name})
+        # one split a stack (the gather's and phase 2's for SAP), each merged once
+        assert sum(map(len, splits)) == 27 * (2 if name == "sap" else 1)
+        assert [stack.start for stack, _ in merged] == sorted(stack.start for stack, _ in merged)
+        assert sum(len(e) for _, e in merged) == 27
+
+
+def test_blend_order_cannot_change_a_bit():
+    # stacks handed to the blend ascending, reversed or shuffled merge in
+    # ascending flat order, so every order gives the same bytes, and
+    # nothing is left waiting
+    rng = np.random.default_rng(13)
+    blend = blend_of((6, 12, 12), (3, 8, 8))
+    estimates = rng.standard_normal((blend.grid.n_tiles, 3, 2, 8, 8))
+    stacks = [slice(i, min(i + 2, blend.grid.n_tiles)) for i in range(0, blend.grid.n_tiles, 2)]
+    orders = [stacks, stacks[::-1]] + [list(rng.permutation(stacks)) for _ in range(4)]
+    results = []
+    for order in orders:
+        step_blend = _StepBlend(blend, 2)
+        for stack in order:
+            step_blend.add(stack, estimates[stack])
+        assert step_blend.held == {} and step_blend.merged == blend.grid.n_tiles
+        results.append(step_blend.result())
+    for got in results[1:]:
+        assert got.tobytes() == results[0].tobytes()
+    # a blend missing a stack holds its successors and refuses to finish
+    step_blend = _StepBlend(blend, 2)
+    for stack in stacks[1:]:
+        step_blend.add(stack, estimates[stack])
+    assert step_blend.merged == 0 and len(step_blend.held) == len(stacks) - 1
+    with pytest.raises(RuntimeError, match="merged 0 of 16 tiles"):
+        step_blend.result()
+
+
+def test_a_pass_leaves_no_blend_behind():
+    # the step blend sits in no reference cycle: with the cycle collector
+    # off, none outlives its pass, so no step's numerator waits for it
+    y = np.random.default_rng(11).standard_normal((4, 1, 16, 16))
+    blend = blend_of((4, 16, 16), (2, 8, 8))
+    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, tap_frames=1)
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (lambda: denoise_pass_sap(y, blend, small_toy(), cfg, 1.0, 0.3, RunStats()),
+                    lambda: denoise_pass_tap(y, blend, small_toy(), cfg, 1.0, 0.3, "backward",
+                                             RunStats())):
+            run()
+            assert not any(isinstance(obj, _StepBlend) for obj in gc.get_objects())
+    finally:
+        gc.enable()
+
+
+def test_blend_weights_are_built_once_per_run(monkeypatch):
+    built = []
+    real = sampler.Blend
+
+    def counting(grid, mask):
+        built.append(grid)
+        return real(grid, mask)
+
+    monkeypatch.setattr(sampler, "Blend", counting)
+    lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
+    res = sample_video(lr, small_toy(), ToyCodec(2), pipe_cfg(steps=3))
+    assert len(built) == 1 and len(res.trace) == 3
 
 
 # --- propagation passes -----------------------------------------------------
@@ -485,8 +596,8 @@ def test_sap_subsamples_once_per_hook_layer_per_gather_stack(monkeypatch, per_st
     # 27 tiles (3 temporal x 9 spatial) in gather stacks of per_stack tiles:
     # each stack's K/V are subsampled whole, layer by layer, never tile by tile
     y = np.random.default_rng(12).standard_normal((4, 1, 16, 16))
-    tiles = split(y, plan_tiles((4, 16, 16), (2, 8, 8)))
-    monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * tiles[0, 0].nbytes)
+    blend = blend_of((4, 16, 16), (2, 8, 8))
+    monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * split(y, blend.grid, slice(0, 1)).nbytes)
     calls = []
     real = sampler.subsample_spatial_kv
 
@@ -497,7 +608,7 @@ def test_sap_subsamples_once_per_hook_layer_per_gather_stack(monkeypatch, per_st
     monkeypatch.setattr(sampler, "subsample_spatial_kv", spy)
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8)
-    denoise_pass_sap(tiles, toy, cfg, 1.0, 0.3, RunStats())
+    denoise_pass_sap(y, blend, toy, cfg, 1.0, 0.3, RunStats())
     stacks = -(-27 // per_stack)
     assert len(calls) == len(toy.hook_layers) * stacks
     assert sum(calls) == len(toy.hook_layers) * 27
@@ -522,10 +633,10 @@ def test_injected_rows_match_token_major_selection():
         kept = [f * gh * gw + y * gw + x
                 for f in range(frames) for y in range(0, gh, rate) for x in range(0, gw, rate)]
         # a stack of two tiles: each tile's rows are its own
-        sap = subsample_spatial_kv(np.stack([keys, keys + 1.0]), np.stack([values, values - 1.0]),
-                                   rate)
-        assert np.array_equal(sap.keys, np.stack([flat_k[kept], flat_k[kept] + 1.0]))
-        assert np.array_equal(sap.values, np.stack([flat_v[kept], flat_v[kept] - 1.0]))
+        sap_k, sap_v = subsample_spatial_kv(np.stack([keys, keys + 1.0]),
+                                            np.stack([values, values - 1.0]), rate)
+        assert np.array_equal(sap_k, np.stack([flat_k[kept], flat_k[kept] + 1.0]))
+        assert np.array_equal(sap_v, np.stack([flat_v[kept], flat_v[kept] - 1.0]))
 
         l_frames = int(rng.integers(1, 9))
         per_frame = gh * gw
@@ -544,55 +655,55 @@ def test_spatial_rate_one_single_frame_tile_matches_plain():
     # tile's own rows, and duplicate keys reweight without changing the output
     rng = np.random.default_rng(6)
     y = rng.standard_normal((1, 1, 8, 8))
-    grid = plan_tiles((1, 8, 8), (1, 8, 8))
-    tiles = split(y, grid)
+    blend = blend_of((1, 8, 8), (1, 8, 8))
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=1, tile_h=8, tile_w=8, sap_rate=1)
-    sap_out = denoise_pass_sap(tiles, toy, cfg, 1.0, 0.4, RunStats())
-    plain_out = denoise_pass_plain(tiles, toy, cfg, 1.0, 0.4, RunStats())
+    sap_out = denoise_pass_sap(y, blend, toy, cfg, 1.0, 0.4, RunStats())
+    plain_out = denoise_pass_plain(y, blend, toy, cfg, 1.0, 0.4, RunStats())
+    assert sap_out.shape == (1, 1, 8, 8)
     diff = np.max(np.abs(sap_out - plain_out))
     assert diff <= 1e-5
 
 
-def test_spatial_pass_identical_tiles_get_identical_eps():
+def test_spatial_pass_identical_tiles_get_identical_eps(monkeypatch):
     rng = np.random.default_rng(7)
     base = rng.standard_normal((2, 1, 4, 2))
     y = np.tile(base, (1, 1, 1, 4))  # x-periodic: every tile sees the same data
-    grid = plan_tiles((2, 4, 8), (2, 4, 4))
-    tiles = split(y, grid)
-    assert grid.n_spatial == 3
+    blend = blend_of((2, 4, 8), (2, 4, 4))
+    assert blend.grid.n_spatial == 3
+    merged = merge_spy(monkeypatch)
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=2, tile_h=4, tile_w=4)
-    out = denoise_pass_sap(tiles, toy, cfg, 1.0, 0.2, RunStats())
-    assert np.array_equal(out[0, 0], out[0, 1])
-    assert np.array_equal(out[0, 0], out[0, 2])
+    denoise_pass_sap(y, blend, toy, cfg, 1.0, 0.2, RunStats())
+    out = np.concatenate([e for _, e in merged])
+    assert len(out) == 3
+    assert np.array_equal(out[0], out[1])
+    assert np.array_equal(out[0], out[2])
 
 
 def test_temporal_pass_time_reversal_symmetry():
+    # 9 frames in tiles of 5 start at 0, 2 and 4, so reversing time maps the
+    # tiles onto each other and the noise (even) frames onto noise frames
     rng = np.random.default_rng(8)
-    y = rng.standard_normal((8, 1, 8, 8))
-    grid = plan_tiles((8, 8, 8), (4, 8, 8))
-    assert grid.offsets_t == (0, 2, 4)
-    mask = gaussian_mask((4, 8, 8), 0.25)
+    y = rng.standard_normal((9, 1, 8, 8))
+    blend = blend_of((9, 8, 8), (5, 8, 8))
+    assert blend.grid.offsets_t == (0, 2, 4)
     toy = small_toy()
-    cfg = pipe_cfg(tile_frames=4, tile_h=8, tile_w=8, tap_frames=2)
+    cfg = pipe_cfg(tile_frames=5, tile_h=8, tile_w=8, tap_frames=2)
 
-    fwd = denoise_pass_tap(split(y, grid), toy, cfg, 1.0, 0.3, "forward", RunStats())
+    eps_fwd = denoise_pass_tap(y, blend, toy, cfg, 1.0, 0.3, "forward", RunStats())
     rev_in = y[::-1].copy()
-    bwd = denoise_pass_tap(split(rev_in, grid), toy, cfg, 1.0, 0.3, "backward", RunStats())
-
-    eps_fwd = merge(fwd, grid, mask)
-    eps_bwd = merge(bwd, grid, mask)
+    eps_bwd = denoise_pass_tap(rev_in, blend, toy, cfg, 1.0, 0.3, "backward", RunStats())
+    assert eps_fwd.shape == (5, 1, 8, 8)
     assert np.max(np.abs(eps_fwd - eps_bwd[::-1])) <= 1e-5
 
 
 def test_temporal_pass_single_tile_is_plain():
     rng = np.random.default_rng(9)
     y = rng.standard_normal((4, 1, 8, 8))
-    grid = plan_tiles((4, 8, 8), (4, 8, 8))
-    tiles = split(y, grid)
+    blend = blend_of((4, 8, 8), (4, 8, 8))
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=4, tile_h=8, tile_w=8)
-    tap_out = denoise_pass_tap(tiles, toy, cfg, 1.0, 0.3, "forward", RunStats())
-    plain_out = denoise_pass_plain(tiles, toy, cfg, 1.0, 0.3, RunStats())
+    tap_out = denoise_pass_tap(y, blend, toy, cfg, 1.0, 0.3, "forward", RunStats())
+    plain_out = denoise_pass_plain(y, blend, toy, cfg, 1.0, 0.3, RunStats())
     assert np.array_equal(tap_out, plain_out)

@@ -16,6 +16,7 @@ from tilevsr.tiles import (
     deinterleave,
     gaussian_mask,
     in_range,
+    Blend,
     interleave,
     merge,
     plan_tiles,
@@ -26,6 +27,18 @@ from tilevsr.tiles import (
 
 def make_video(rng, frames, channels, h, w):
     return rng.standard_normal((frames, channels, h, w))
+
+
+def blended(tiles, blend):
+    """Every tile of split's order merged in one slice, over the blend's weights."""
+    num = np.zeros(blend.weights.shape[:1] + tiles.shape[2:3] + blend.weights.shape[2:])
+    merge(num, tiles, blend, slice(None))
+    return num / blend.weights
+
+
+def round_trip(video, grid, mask):
+    """split then merge of every tile: the blend of video's noise (even) frames."""
+    return blended(split(video, grid, slice(None)), Blend(grid, mask))
 
 
 # --- axis offsets -----------------------------------------------------------
@@ -94,15 +107,21 @@ def test_split_order_and_copies():
     rng = np.random.default_rng(0)
     video = make_video(rng, 6, 2, 8, 8)
     grid = plan_tiles((6, 8, 8), (4, 4, 4))
-    tiles = split(video, grid)
-    assert tiles.shape == (grid.n_temporal, grid.n_spatial, 4, 2, 4, 4)
+    tiles = split(video, grid, slice(None))
+    assert grid.n_tiles == grid.n_temporal * grid.n_spatial
+    assert tiles.shape == (grid.n_tiles, 4, 2, 4, 4)
     for n in range(grid.n_temporal):
         for m in range(grid.n_spatial):
             sl = grid.slices(n, m)
-            assert np.array_equal(tiles[n, m], video[sl[0], :, sl[1], sl[2]])
+            assert np.array_equal(tiles[n * grid.n_spatial + m], video[sl[0], :, sl[1], sl[2]])
+    # a stack is a run of the flat index (n * n_spatial + m), copied alone
+    assert np.array_equal(split(video, grid, slice(5, 12)), tiles[5:12])
+    assert split(video, grid, slice(3, 3)).shape == (0, 4, 2, 4, 4)
     # tiles are private copies
-    tiles[0, 0] = 0.0
+    tiles[0] = 0.0
     assert not np.allclose(video[0:4, :, 0:4, 0:4], 0.0)
+    with pytest.raises(ValueError, match="does not match grid"):
+        split(video[:, :, :7], grid, slice(None))
 
 
 # --- gaussian mask ----------------------------------------------------------
@@ -144,8 +163,8 @@ def test_gaussian_mask_rejects_an_underflowing_corner():
     grid = plan_tiles((16, 32, 32), (14, 16, 16))
     video = make_video(np.random.default_rng(2), 16, 1, 32, 32)
     for fraction in (0.1, 0.25, 1.0):
-        out = merge(split(video, grid), grid, gaussian_mask((14, 16, 16), fraction))
-        assert np.max(np.abs(out - video)) <= 1e-12
+        out = round_trip(video, grid, gaussian_mask((14, 16, 16), fraction))
+        assert np.max(np.abs(out - video[0::2])) <= 1e-12
 
 
 def test_check_mask_corner_needs_no_mask():
@@ -164,7 +183,8 @@ def test_merge_partition_of_unity_on_ones():
     grid = plan_tiles((6, 12, 10), (4, 6, 4))
     mask = gaussian_mask((4, 6, 4), 0.25)
     video = np.ones((6, 3, 12, 10))
-    out = merge(split(video, grid), grid, mask)
+    out = round_trip(video, grid, mask)
+    assert out.shape == (3, 3, 12, 10)
     assert np.max(np.abs(out - 1.0)) <= 1e-12
 
 
@@ -173,8 +193,9 @@ def test_merge_roundtrip_random():
     video = make_video(rng, 5, 2, 9, 11)
     grid = plan_tiles((5, 9, 11), (3, 4, 5))
     mask = gaussian_mask((3, 4, 5), 0.25)
-    out = merge(split(video, grid), grid, mask)
-    assert np.max(np.abs(out - video)) <= 1e-12
+    out = round_trip(video, grid, mask)
+    assert out.shape == (3, 2, 9, 11)  # the noise frames of 5
+    assert np.max(np.abs(out - video[0::2])) <= 1e-12
 
 
 def test_merge_two_tile_overlap_is_weighted_average():
@@ -182,8 +203,8 @@ def test_merge_two_tile_overlap_is_weighted_average():
     grid = plan_tiles((1, 1, 3), (1, 1, 2))
     mask = gaussian_mask((1, 1, 2), 0.25)
     a, b = 2.0, 5.0
-    tiles = np.stack([np.full((1, 1, 1, 2), a), np.full((1, 1, 1, 2), b)])[None]
-    out = merge(tiles, grid, mask)
+    tiles = np.stack([np.full((1, 1, 1, 2), a), np.full((1, 1, 1, 2), b)])
+    out = blended(tiles, Blend(grid, mask))
     # symmetric mask weights cancel in the shared voxel
     assert abs(out[0, 0, 0, 0] - a) < 1e-12
     assert abs(out[0, 0, 0, 1] - (a + b) / 2.0) < 1e-12
@@ -191,19 +212,57 @@ def test_merge_two_tile_overlap_is_weighted_average():
 
 
 def test_merge_rejects_bad_tile_sets():
-    # the (n, m) layout's shape stands for coverage, order and channel count
+    # a stack's estimates must be its tiles, in the grid's tile dims; the
+    # numerator must be the noise frames' shape with the estimates' channels
     rng = np.random.default_rng(1)
     video = make_video(rng, 4, 1, 8, 8)
     grid = plan_tiles((4, 8, 8), (2, 4, 4))
-    mask = gaussian_mask((2, 4, 4), 0.25)
-    tiles = split(video, grid)
-    assert tiles.shape == (3, 9, 2, 1, 4, 4)
-    for bad in (tiles[:-1], tiles[:, :-1], tiles[:, :, :1], tiles[..., :3], tiles[..., :3, :],
-                tiles[0], tiles[None]):
-        with pytest.raises(ValueError, match="tiles have shape"):
-            merge(bad, grid, mask)
+    blend = Blend(grid, gaussian_mask((2, 4, 4), 0.25))
+    assert blend.weights.shape == (2, 1, 8, 8)
+    tiles = split(video, grid, slice(None))
+    assert tiles.shape == (27, 2, 1, 4, 4)
+    num = np.zeros((2, 1, 8, 8))
+    for bad, stack in ((tiles[:-1], slice(None)), (tiles, slice(0, 26)), (tiles[:, :1], slice(None)),
+                       (tiles[..., :3], slice(None)), (tiles[..., :3, :], slice(None)),
+                       (tiles[0], slice(0, 1)), (tiles[None], slice(None))):
+        with pytest.raises(ValueError, match="estimates have shape"):
+            merge(num, bad, blend, stack)
+    for bad_num in (np.zeros((4, 1, 8, 8)), np.zeros((2, 2, 8, 8)), np.zeros((2, 1, 8, 7))):
+        with pytest.raises(ValueError, match="numerator shape"):
+            merge(bad_num, tiles, blend, slice(None))
+    assert not num.any()
     with pytest.raises(ValueError, match="mask shape"):
-        merge(tiles, grid, gaussian_mask((2, 4, 5), 0.25))
+        Blend(grid, gaussian_mask((2, 4, 5), 0.25))
+
+
+def test_merge_adds_only_the_noise_frames_of_each_tile():
+    # 7 frames in tiles of 3 start at 0, 2 and 4: each tile's noise frames
+    # are its even ones, the video's 0, 2, 4 and 6; a tile at an odd start
+    # (tile of 2 over 5 frames: 0, 1, 2, 3) holds them in its odd half
+    rng = np.random.default_rng(3)
+    for frames, tf in ((7, 3), (5, 2), (6, 1), (4, 4)):
+        grid = plan_tiles((frames, 4, 4), (tf, 4, 4))
+        blend = Blend(grid, gaussian_mask((tf, 4, 4), 0.5))
+        video = make_video(rng, frames, 2, 4, 4)
+        tiles = split(video, grid, slice(None))
+        poisoned = tiles.copy()
+        for i, t0 in enumerate(grid.offsets_t):
+            poisoned[i, 1 - t0 % 2::2] = np.nan  # every frame of the conditioning half
+        assert np.array_equal(blended(poisoned, blend), blended(tiles, blend))
+        assert np.max(np.abs(blended(tiles, blend) - video[0::2])) <= 1e-12
+
+
+def test_blend_weights_are_the_summed_masks_on_the_noise_frames():
+    grid = plan_tiles((6, 12, 10), (3, 6, 4))
+    mask = gaussian_mask((3, 6, 4), 0.25)
+    want = np.zeros((6, 1, 12, 10))
+    for n in range(grid.n_temporal):
+        for m in range(grid.n_spatial):
+            st, sy, sx = grid.slices(n, m)
+            want[st, :, sy, sx] += mask[:, None]
+    blend = Blend(grid, mask)
+    assert blend.weights.tobytes() == want[0::2].tobytes()
+    assert blend.mask.dtype == np.float64
 
 
 @settings(deadline=None, max_examples=60)
@@ -218,8 +277,8 @@ def test_merge_reconstructs_any_geometry(frames, ch, h, w, tf, th, tw, sigma_f):
     video = make_video(rng, frames, ch, h, w)
     grid = plan_tiles((frames, h, w), (tf, th, tw))
     mask = gaussian_mask((tf, th, tw), sigma_f)
-    out = merge(split(video, grid), grid, mask)
-    assert np.max(np.abs(out - video)) <= 1e-6
+    out = round_trip(video, grid, mask)
+    assert np.max(np.abs(out - video[0::2])) <= 1e-6
 
 
 # --- interleave -------------------------------------------------------------
@@ -243,7 +302,11 @@ def test_interleave_validation():
     with pytest.raises(ValueError):
         interleave(x, np.zeros((3, 1, 4, 4)))
     with pytest.raises(ValueError):
-        deinterleave(np.zeros((3, 1, 4, 4)))
+        deinterleave(np.zeros((6, 4, 4)))
+    # an odd count, as in a tile that starts or ends inside a pair: the even
+    # half is one frame longer
+    even, odd = deinterleave(np.arange(3.0).reshape(3, 1, 1, 1))
+    assert even.ravel().tolist() == [0.0, 2.0] and odd.ravel().tolist() == [1.0]
 
 
 def test_validate_video_rejects_bad_arrays():
