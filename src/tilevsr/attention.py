@@ -167,7 +167,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, injected: InjectedKV | N
         root_d = np.sqrt(d)
         q_scale = (temper * root_d)[:, None, None]
         bound = qmax * kmax / temper
-        weights = _scratch((min(per_block, n_mat), nq, n_keys))
+        weights = _scratch((min(per_block, per_tile), nq, n_keys))  # a block never crosses tiles
         ones = np.ones(n_keys)
         for t in range(tiles):
             # blocks: runs of per_block matrices, never across tiles

@@ -128,19 +128,34 @@ def _flow_fn(cfg: RunConfig):
 def _metric_rows(cfg: RunConfig, restored: np.ndarray, gt: np.ndarray | None,
                  gt_flows: list[np.ndarray] | None = None) -> dict:
     """Metric rows. tof and we share the restored video's flows; the ground
-    truth's are computed here unless given (from frame_flows)."""
-    flow = _flow_fn(cfg)
-    multi = restored.shape[0] >= 2
-    flows = frame_flows(restored, flow) if multi else None
+    truth's are computed here unless given (from frame_flows).
+
+    The temporal rows walk frame pairs: pair i's flows, tof gap and warping
+    error are computed and dropped before pair i + 1, so at most one pair's
+    flows are alive. tof and warping_error over one pair return that pair's
+    gap and error, and their mean over pairs is the whole-video value."""
     rows: dict = {}
     if gt is not None:
         rows["psnr"] = psnr(gt, restored)
         rows["ssim"] = ssim(gt, restored)
-        if multi and gt_flows is None:
-            gt_flows = frame_flows(gt, flow)
-        rows["tof"] = tof(gt_flows, flows) if multi else "n/a"
-        rows["tlp"] = tlp(gt, restored) if multi else "n/a"
-    rows["we"] = warping_error(restored, flows) if multi else "n/a"
+    if restored.shape[0] < 2:
+        if gt is not None:
+            rows["tof"] = rows["tlp"] = "n/a"
+        rows["we"] = "n/a"
+        return rows
+    flow = _flow_fn(cfg)
+    gaps, errs = [], []
+    for i in range(restored.shape[0] - 1):
+        pair = restored[i:i + 2]
+        flows = frame_flows(pair, flow)
+        if gt is not None:
+            gt_pair = frame_flows(gt[i:i + 2], flow) if gt_flows is None else gt_flows[i:i + 1]
+            gaps.append(tof(gt_pair, flows))
+        errs.append(warping_error(pair, flows))
+    if gt is not None:
+        rows["tof"] = float(np.mean(gaps))
+        rows["tlp"] = tlp(gt, restored)
+    rows["we"] = float(np.mean(errs))
     return rows
 
 

@@ -4,6 +4,12 @@ Container layout: magic "DCVT", u16 version (currently 1), u16 rank, rank
 u32 dims, then the float32 little-endian payload in row-major order. All
 writers go through an atomic temp-file replace so readers never observe a
 half-written file.
+
+Memory: every writer builds its file image once, a bytearray of header and
+payload into which the payload is cast through a NumPy view (a container's
+finiteness check runs on that view), so a write holds the file once plus its
+input. A container read fills one bytearray of the file's size and returns
+the float32 array that views it: the file is held once, never copied.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ VERSION = 1
 _MAX_RANK = 8
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: bytes | bytearray) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -33,27 +39,43 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def _file_image(header: bytes, dtype: str, shape: tuple) -> tuple[bytearray, np.ndarray]:
+    """A zeroed file image of `header` and a payload, and the payload viewed
+    as a C-contiguous `dtype` array of `shape` to be filled in place."""
+    count = math.prod(shape)
+    image = bytearray(len(header) + np.dtype(dtype).itemsize * count)
+    image[:len(header)] = header
+    return image, np.frombuffer(image, dtype, count=count, offset=len(header)).reshape(shape)
+
+
 def write_tensor(path: str, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if arr.ndim < 1 or arr.ndim > _MAX_RANK:
         raise ValueError(f"rank must be in [1, {_MAX_RANK}], got {arr.ndim}")
+    header = MAGIC + struct.pack(f"<HH{arr.ndim}I", VERSION, arr.ndim, *arr.shape)
+    image, payload = _file_image(header, "<f4", arr.shape)
     with np.errstate(over="ignore"):  # values beyond float32 range become inf, refused below
-        payload = arr.astype("<f4")
+        np.copyto(payload, arr, casting="unsafe")
     if not np.all(np.isfinite(payload)):
         raise ValueError("refusing to store non-finite values")
-    header = MAGIC + struct.pack("<HH", VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    atomic_write_bytes(path, header + payload.tobytes())
+    atomic_write_bytes(path, image)
 
 
 def read_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The container's float32 array, a view of the one buffer it was read into."""
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: no read buffer beside `data`
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        got = 0
+        with memoryview(data) as view:
+            while got < len(data) and (n := fh.readinto(view[got:])):
+                got += n
+        if got != len(data) or fh.read(1):
+            raise ValueError(f"{path}: file changed size while being read")
     if len(data) < 8:
         raise ValueError(f"{path}: truncated container header")
     if data[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {data[:4]!r}")
-    version, rank = struct.unpack("<HH", data[4:8])
+        raise ValueError(f"{path}: bad magic {bytes(data[:4])!r}")
+    version, rank = struct.unpack_from("<HH", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported container version {version}")
     if not 1 <= rank <= _MAX_RANK:
@@ -61,15 +83,14 @@ def read_tensor(path: str) -> np.ndarray:
     dims_end = 8 + 4 * rank
     if len(data) < dims_end:
         raise ValueError(f"{path}: truncated dims")
-    dims = struct.unpack(f"<{rank}I", data[8:dims_end])
+    dims = struct.unpack_from(f"<{rank}I", data, 8)
     if any(d == 0 for d in dims):
         raise ValueError(f"{path}: zero-length dim in {dims}")
     count = math.prod(dims)
     expected = dims_end + 4 * count
     if len(data) != expected:
         raise ValueError(f"{path}: payload length {len(data) - dims_end}, expected {4 * count}")
-    flat = np.frombuffer(data, dtype="<f4", count=count, offset=dims_end)
-    return flat.reshape(dims).copy()
+    return np.frombuffer(data, dtype="<f4", count=count, offset=dims_end).reshape(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +111,9 @@ def write_ppm(path: str, frame: np.ndarray) -> None:
         raise ValueError(f"expected (1|3, h, w) frame, got shape {frame.shape}")
     c, h, w = frame.shape
     tag = b"P6" if c == 3 else b"P5"
-    raster = _quantize_u8(frame).transpose(1, 2, 0)  # (h, w, c)
-    header = tag + f"\n{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + raster.tobytes())
+    image, raster = _file_image(tag + f"\n{w} {h}\n255\n".encode("ascii"), "u1", (h, w, c))
+    raster[...] = _quantize_u8(frame).transpose(1, 2, 0)
+    atomic_write_bytes(path, image)
 
 
 def _read_ppm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -148,15 +169,15 @@ def read_ppm(path: str) -> np.ndarray:
 
 
 def write_pfm(path: str, frame: np.ndarray) -> None:
-    frame = np.asarray(frame, dtype="<f4")
+    frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[0] not in FRAME_CHANNELS:
         raise ValueError(f"expected (1|3, h, w) frame, got shape {frame.shape}")
     c, h, w = frame.shape
     tag = b"PF" if c == 3 else b"Pf"
     # PFM stores scanlines bottom to top; negative scale marks little-endian
-    raster = frame.transpose(1, 2, 0)[::-1]
-    header = tag + f"\n{w} {h}\n-1.0\n".encode("ascii")
-    atomic_write_bytes(path, header + np.ascontiguousarray(raster).tobytes())
+    image, raster = _file_image(tag + f"\n{w} {h}\n-1.0\n".encode("ascii"), "<f4", (h, w, c))
+    np.copyto(raster, frame.transpose(1, 2, 0)[::-1], casting="unsafe")
+    atomic_write_bytes(path, image)
 
 
 def read_pfm(path: str) -> np.ndarray:

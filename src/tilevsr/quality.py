@@ -153,7 +153,7 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return 99.0
-    return min(99.0, -10.0 * np.log10(mse))
+    return min(99.0, float(-10.0 * np.log10(mse)))
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -180,6 +180,11 @@ def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
     return total
 
 
+# _ssim_frame's output rows per strip: the window statistics live one strip
+# at a time, so its temporaries are strip-sized, not plane-sized
+SSIM_STRIP_ROWS = 64
+
+
 def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float) -> float:
     win = min(window, a.shape[0], a.shape[1])
     out_h, out_w = a.shape[0] - win + 1, a.shape[1] - win + 1
@@ -192,21 +197,33 @@ def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float)
         # sums as a single pairwise sum, so that case keeps the window view.
         if out_w == 1:
             return sliding_window_view(plane, (win, win)).mean(axis=(-2, -1))
+        n = plane.shape[0] - win + 1
         rows = _pairwise_sum([plane[:, j:j + out_w] for j in range(win)])
-        total = rows[:out_h] + 0.0
+        total = rows[:n] + 0.0
         for i in range(1, win):
-            total += rows[i:i + out_h]
+            total += rows[i:i + n]
         total /= win * win
         return total
 
-    mu_a = window_mean(a)
-    mu_b = window_mean(b)
-    var_a = window_mean(a * a) - mu_a * mu_a
-    var_b = window_mean(b * b) - mu_b * mu_b
-    cov = window_mean(a * b) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    def strip_ssim(sa: np.ndarray, sb: np.ndarray, out: np.ndarray) -> None:
+        # one strip's statistics, released on return
+        mu_a = window_mean(sa)
+        mu_b = window_mean(sb)
+        var_a = window_mean(sa * sa) - mu_a * mu_a
+        var_b = window_mean(sb * sb) - mu_b * mu_b
+        cov = window_mean(sa * sb) - mu_a * mu_b
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        np.divide(num, den, out=out)
+
+    # Each output row's statistics read only its own win input rows, so a
+    # strip's values are those of the whole plane; the map is kept whole for
+    # the final mean, which then sums the same array as one plane-wide pass.
+    ssim_map = np.empty((out_h, out_w))
+    for top in range(0, out_h, SSIM_STRIP_ROWS):
+        bottom = min(top + SSIM_STRIP_ROWS, out_h)
+        strip_ssim(a[top:bottom + win - 1], b[top:bottom + win - 1], ssim_map[top:bottom])
+    return float(np.mean(ssim_map))
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:

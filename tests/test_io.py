@@ -3,12 +3,14 @@
 import os
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilevsr import io as tio
 from tilevsr.io import (
     VIDEO_NAME,
     atomic_write_bytes,
@@ -95,6 +97,49 @@ def test_container_refuses_values_beyond_float32(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         write_tensor(str(path), np.full((1, 1, 2, 2), 1e39))
     assert not path.exists()
+
+
+def test_read_tensor_returns_a_view_of_the_buffer_it_read(tmp_path):
+    path = str(tmp_path / "v.dcvt")
+    write_tensor(path, np.arange(24.0).reshape(2, 3, 4))
+    arr = read_tensor(path)
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    buf = base.obj if isinstance(base, memoryview) else base
+    assert isinstance(buf, bytearray) and len(buf) == os.path.getsize(path)
+    assert np.shares_memory(arr, np.frombuffer(buf, dtype=np.uint8))
+    assert arr.flags.aligned and np.array_equal(arr, np.arange(24.0).reshape(2, 3, 4))
+
+
+@pytest.mark.parametrize("delta", [1, -1], ids=["short-read", "longer-file"])
+def test_read_tensor_refuses_a_file_that_changes_size(tmp_path, monkeypatch, delta):
+    """The buffer is sized from fstat; a file that ends early, or goes on
+    past that size, is an error, not a truncated or partial read."""
+    path = str(tmp_path / "v.dcvt")
+    write_tensor(path, np.zeros((2, 2)))
+    real = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real(fd).st_size + delta))
+    with pytest.raises(ValueError, match="changed size"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("write, name", [(write_tensor, "v.dcvt"), (write_ppm, "f.ppm"),
+                                         (write_pfm, "f.pfm")], ids=["container", "ppm", "pfm"])
+def test_writers_pass_the_whole_file_image_to_the_atomic_write(tmp_path, monkeypatch, write, name):
+    """Each writer hands atomic_write_bytes one image of the whole file, so
+    len(data) is the file's byte count."""
+    sizes = []
+    real = tio.atomic_write_bytes
+
+    def spy(path, data):
+        sizes.append(len(data))
+        real(path, data)
+
+    monkeypatch.setattr(tio, "atomic_write_bytes", spy)
+    path = str(tmp_path / name)
+    write(path, np.random.default_rng(0).uniform(0.0, 1.0, (3, 5, 7)))
+    assert sizes == [os.path.getsize(path)]
 
 
 @settings(deadline=None, max_examples=40)

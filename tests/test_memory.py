@@ -6,7 +6,9 @@ reuses a per-thread workspace for its score buffer and never copies the
 injected rows. A pass runs its tiles in stacks of bounded bytes, each split
 out of the latent when it runs and merged into the blend as it finishes, so
 its working memory does not grow with the tile count. SSIM works one plane at
-a time, with plane-sized temporaries.
+a time and, within a plane, one strip of output rows at a time. Container
+writes and reads hold the file once, and `metrics` holds one frame pair's
+flows at a time.
 Peaks are measured with tracemalloc, which sees NumPy's array allocations;
 page faults with `resource.getrusage`.
 """
@@ -21,11 +23,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tilevsr import attention, quality
+from tilevsr import attention, cli, quality
 from tilevsr.attention import SCORE_BLOCK_BYTES, InjectedKV, attend
 from tilevsr.guidance import GuidanceConfig
+from tilevsr.io import read_tensor, write_tensor
 from tilevsr.models import ToyAttentionDenoiser, ToyCodec
-from tilevsr.quality import DegradationConfig, _ssim_frame, bicubic_resize, degrade, gaussian_blur
+from tilevsr.quality import (
+    SSIM_STRIP_ROWS, DegradationConfig, _ssim_frame, bicubic_resize, degrade, gaussian_blur,
+)
 from tilevsr.sampler import (
     STACK_BYTES, PipelineConfig, RunStats, _condition_latent, denoise_pass_sap, sample_video,
 )
@@ -61,12 +66,60 @@ def test_bicubic_resize_peaks_at_three_outputs():
     assert peak <= 3 * out.nbytes
 
 
-def test_ssim_frame_peaks_at_nine_planes():
-    """The window statistics and their separable sums stay a few plane-sized
-    arrays; `metrics` sets the pipeline's memory peak."""
-    a, b = np.random.default_rng(2).uniform(0.0, 1.0, (2, 256, 256))
+def test_ssim_frame_holds_its_map_and_a_few_strips():
+    """The window statistics and their separable sums live one strip of
+    SSIM_STRIP_ROWS output rows at a time; only the SSIM map, kept whole for
+    its mean, is plane-sized. Measured on 512x512: 4.17 MiB, a 1.95 MiB map
+    and 8.9 strips of 0.25 MiB; the whole-plane statistics took 15.8 MiB."""
+    a, b = np.random.default_rng(2).uniform(0.0, 1.0, (2, 512, 512))
+    map_bytes = 505 * 505 * 8
+    strip_bytes = SSIM_STRIP_ROWS * 512 * 8
+    assert 512 > 4 * SSIM_STRIP_ROWS  # several strips
     _, peak = traced_peak(lambda: _ssim_frame(a, b, 8, 0.01 ** 2, 0.03 ** 2))
-    assert peak <= 9 * a.nbytes
+    assert peak <= map_bytes + 10 * strip_bytes < 3 * a.nbytes
+
+
+VIDEO_SHAPE = (8, 3, 128, 128)  # the pipeline benchmark's ground truth
+
+
+def test_write_tensor_holds_the_file_once(tmp_path):
+    """The header and the float32 payload are built in one file image, cast
+    into place and checked for finiteness there: the image plus its bool
+    mask (a quarter of the payload), beside the caller's float64 video.
+    Measured: 1.25x the file; casting, serialising and prefixing the
+    payload as three copies took 3x."""
+    video = np.random.default_rng(0).uniform(0.0, 1.0, VIDEO_SHAPE)
+    path = str(tmp_path / "v.dcvt")
+    write_tensor(path, video)
+    _, peak = traced_peak(lambda: write_tensor(path, video))
+    assert peak <= 1.3 * os.path.getsize(path)
+
+
+def test_read_tensor_holds_the_file_once(tmp_path):
+    """The file is read into one buffer of its size, which the returned
+    array views: no read buffer beside it and no copy of it."""
+    path = str(tmp_path / "v.dcvt")
+    write_tensor(path, np.random.default_rng(0).uniform(0.0, 1.0, VIDEO_SHAPE))
+    read_tensor(path)
+    arr, peak = traced_peak(lambda: read_tensor(path))
+    assert arr.shape == VIDEO_SHAPE
+    assert peak <= os.path.getsize(path) + 4096
+
+
+def test_metrics_holds_three_videos_and_one_pair_of_flows(tmp_path, capsys):
+    """metrics loads both videos in float64 and walks frame pairs, so only
+    one pair's flows are alive beside them; psnr's squared difference is
+    the third video. Measured: 9.13 MiB against 10; with every pair's flows
+    held at once, 12.5."""
+    rng = np.random.default_rng(0)
+    gt = rng.uniform(0.0, 1.0, VIDEO_SHAPE)
+    paths = [str(tmp_path / "gt.dcvt"), str(tmp_path / "restored.dcvt")]
+    write_tensor(paths[0], gt)
+    write_tensor(paths[1], np.clip(gt + rng.normal(0.0, 0.05, gt.shape), 0.0, 1.0))
+    assert cli.main(["metrics", *paths]) == 0
+    rc, peak = traced_peak(lambda: cli.main(["metrics", *paths]))
+    assert rc == 0 and "we=" in capsys.readouterr().out
+    assert peak <= 3 * gt.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.5, 3.0])
@@ -120,6 +173,22 @@ def test_injected_call_holds_one_score_block_and_own_sized_arrays():
     out, peak = traced_peak(lambda: in_fresh_thread(lambda: attend(q, k, v, injected, 0.5)))
     assert peak <= bound < score_block + 14 * (16 + 504) * 16 * 8
     assert out.shape == (14, 16, 16)
+
+
+def test_stacked_attend_keeps_a_score_buffer_of_one_tiles_block():
+    """Blocks never cross tiles, so a block of the sap_tap_dssag stack (3
+    tiles of 14 matrices, 31 matrices a block by bytes) is one tile's 14
+    matrices, and the thread keeps a buffer of that size, not 31."""
+    rng = np.random.default_rng(1)
+    q, k, v = (rng.standard_normal((3, 14, 16, 16)) for _ in range(3))
+    injected = InjectedKV(rng.standard_normal((504, 16)), rng.standard_normal((504, 16)))
+    assert SCORE_BLOCK_BYTES // (16 * 520 * 8) == 31
+
+    def run():
+        attend(q, k, v, injected, 0.5)
+        return {name: buf.nbytes for name, buf in vars(attention._workspace).items()}
+
+    assert in_fresh_thread(run) == {"weights": 14 * 16 * 520 * 8}
 
 
 def test_workspace_is_per_thread_and_keeps_outputs_fresh():

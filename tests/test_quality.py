@@ -162,6 +162,13 @@ def test_psnr_forced_arithmetic():
     assert abs(psnr(a, b) - 20.0) < 1e-9
 
 
+def test_psnr_returns_a_python_float_below_and_at_the_cap():
+    x = np.zeros((1, 1, 4, 4))
+    below, capped = psnr(x, np.full(x.shape, 0.1)), psnr(x, x.copy())
+    assert (below, capped) == (pytest.approx(20.0), 99.0)
+    assert type(below) is float and type(capped) is float
+
+
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 5)))

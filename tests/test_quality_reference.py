@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tilevsr.quality import (
-    _catmull_rom_weights, _ssim_frame, bicubic_resize, block_match_flow, frame_flows, ssim, tof,
-    warping_error,
+    SSIM_STRIP_ROWS, _catmull_rom_weights, _ssim_frame, bicubic_resize, block_match_flow,
+    frame_flows, ssim, tof, warping_error,
 )
 
 
@@ -166,6 +166,18 @@ def test_ssim_frame_is_bit_equal_to_window_copies(h, w, window, quantised, seed)
     a, b = rng.uniform(0.0, 1.0, (2, h, w))
     if quantised:
         a, b = np.round(a * 4) / 4, np.round(b * 4) / 4
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    assert _ssim_frame(a, b, window, c1, c2) == window_copy_ssim_frame(a, b, window, c1, c2)
+
+
+@pytest.mark.parametrize("h, w, window", [(3 * SSIM_STRIP_ROWS + 20, 8, 8),
+                                          (2 * SSIM_STRIP_ROWS + 7, 9, 8),
+                                          (SSIM_STRIP_ROWS + 10, 37, 10)],
+                         ids=["window-wide", "two-full-strips", "tail-strip-of-one-row"])
+def test_ssim_frame_in_several_strips_is_bit_equal_to_window_copies(h, w, window):
+    """Planes taller than one strip of output rows: the strips' statistics
+    fill one map whose mean has the bits of the whole-plane computation."""
+    a, b = np.random.default_rng(h + w).uniform(0.0, 1.0, (2, h, w))
     c1, c2 = 0.01 ** 2, 0.03 ** 2
     assert _ssim_frame(a, b, window, c1, c2) == window_copy_ssim_frame(a, b, window, c1, c2)
 
