@@ -60,9 +60,10 @@ def synthetic_video(
         return np.stack([base] * frames)
     if kind == "translate":
         dy, dx = int(shift[0]), int(shift[1])
-        return np.stack(
-            [np.roll(base, (i * dy, i * dx), axis=(1, 2)) for i in range(frames)]
-        )
+        video = np.empty((frames, channels, height, width))
+        for i in range(frames):  # one rolled frame at a time beside the video
+            video[i] = np.roll(base, (i * dy, i * dx), axis=(1, 2))
+        return video
     raise ValueError(f"unknown fixture kind {kind!r}, expected one of {FIXTURE_KINDS}")
 
 

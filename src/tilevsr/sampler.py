@@ -10,15 +10,17 @@ one of two cross-tile attention schemes per step: spatial propagation on
 even steps (global subsampled key/value aggregation across all tiles of a
 temporal index) and temporal propagation on odd steps (neighbor tiles hand
 selected frames' key/values along the time axis, direction alternating).
-Tiles run in stacks, each split out of the latent when it runs; its
-guidance-combined noise estimate is merged into a Gaussian blend of the
-noise frames as soon as every stack before it is, so memory follows the
-latent, not the tile count. The blend is advanced with one Euler step.
+A pass is a short list of waves of independent stacks of tiles: one wave
+for a plain or SAP pass, one per temporal index for TAP, where stack i of a
+wave takes the key/values stack i of the wave before handed on. Each stack
+is split out of the latent when it runs, and its guidance-combined noise
+estimate is merged into a Gaussian blend of the noise frames as it arrives,
+in the order the pass runs its stacks, so memory follows the latent, not
+the tile count. The blend is advanced with one Euler step.
 """
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -116,12 +118,6 @@ class RunStats:
     eps_calls: int = 0  # one per tile per guided forward
     gather_calls: int = 0  # one per tile per SAP gather
     tile_units: int = 0  # one per tile per step
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
-
-    def increment(self, counter: str, tiles: int) -> None:
-        """Add a stack's tiles to a pass counter; stack workers share one RunStats."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + tiles)
 
     @property
     def ff_per_iter(self) -> float:
@@ -169,40 +165,8 @@ def _require_finite(arrays, stack: slice, n_spatial: int, step: int, what: str,
                                f"{divmod(stack.start + i, n_spatial)}, sigma={sigma:g}")
 
 
-class _StepBlend:
-    """One pass's blend: merge adds each stack's estimate into num in
-    ascending flat order. A stack that arrives before all stacks below it
-    (a TAP chain, a worker thread, a reversed schedule) waits in `held`, so
-    the arrival order cannot change a bit. The instance stores no closure or
-    bound method of its own, so it sits in no reference cycle and num is
-    freed when the pass returns, not by the cycle collector."""
-
-    def __init__(self, blend: Blend, channels: int):
-        self.blend = blend
-        self.num = np.zeros(blend.weights.shape[:1] + (channels,) + blend.weights.shape[2:])
-        self.held: dict[int, tuple[slice, np.ndarray]] = {}  # stack.start -> (stack, estimate)
-        self.merged = 0  # flat index of the first tile not merged yet
-        self._lock = threading.Lock()
-
-    def add(self, stack: slice, estimate: np.ndarray) -> None:
-        with self._lock:
-            self.held[stack.start] = (stack, estimate)
-            while self.merged in self.held:
-                stack, estimate = self.held.pop(self.merged)
-                merge(self.num, estimate, self.blend, stack)
-                self.merged = stack.stop
-
-    def result(self) -> np.ndarray:
-        """The blended noise estimate, num / weights, once every tile is in."""
-        if self.merged != self.blend.grid.n_tiles or self.held:
-            raise RuntimeError(f"blend merged {self.merged} of {self.blend.grid.n_tiles} tiles, "
-                               f"{len(self.held)} stacks held")
-        return self.num / self.blend.weights
-
-
 def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect_kv: bool,
-                denoiser, cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats,
-                step: int):
+                denoiser, cfg: PipelineConfig, sigma: float, gamma_t: float, step: int):
     """Guided noise estimates of a stack of tiles (tile axis first), and its
     target branch's stacked result.
 
@@ -211,7 +175,6 @@ def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect
     input is built from branch 0's estimate and attention map.
     """
     x0 = split(y, grid, stack)
-    stats.increment("tile_units", len(x0))
     g = cfg.guidance
     branches = GUIDANCE_BRANCHES[g.mode]
     needs_map = any(branch.blurred for branch in branches)
@@ -226,7 +189,6 @@ def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect
             collect_kv=collect_kv and i == len(branches) - 1,
             collect_attention=needs_map and i == 0,
         )
-        stats.increment("eps_calls", len(x0))
         e = (x - result.denoised) / sigma
         _require_finite([e], stack, grid.n_spatial, step, "noise estimate", sigma)
         if i == 0:
@@ -240,42 +202,51 @@ def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect
     return guided, result
 
 
-def _map_tiles(items: list, fn, workers: int) -> list:
-    """fn over items (stacks, or chains of stacks), threaded when workers > 1;
-    results in item order."""
+def _map_tiles(items: list | range, fn, workers: int):
+    """fn over items, threaded when workers > 1; yields the results in item order."""
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
 
 
-def _run_pass(y: np.ndarray, blend: Blend, chains: list[list[slice]], inject, denoiser,
-              cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats,
-              step: int) -> np.ndarray:
+def _run_pass(y: np.ndarray, blend: Blend, waves: list[list[slice]], inject, denoiser,
+              cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats, step: int,
+              handoff=None) -> np.ndarray:
     """The blended guided noise estimate of the noise frames of y.
 
-    A chain is a list of stacks that run in order, one forward per branch
-    each, with the per-layer K/V inject(stack, result) gives them: result is
-    the previous stack's target-branch DenoiseResult (None for the first),
-    kept for it. Chains run independently through _map_tiles, and each
-    stack's estimate goes to the step's blend as soon as it exists.
+    A pass is a list of waves of independent stacks: the waves run in order,
+    and the stacks of a wave through _map_tiles, one forward per branch each.
+    Stack i of a wave gets the per-layer K/V inject(stack, handed) returns,
+    where handed is what stack i of the wave before handed on: None without
+    a handoff and in the first wave. With handoff, the stacks of every wave
+    but the last keep their target branch's K/V and hand handoff(result)
+    on, which the next wave drops once read. Each estimate is merged into
+    the blend, and its tiles counted, on this thread as it arrives, so the
+    blend sums tiles in the order the pass runs them.
     """
-    step_blend = _StepBlend(blend, y.shape[1])
+    num = np.zeros(blend.weights.shape[:1] + y.shape[1:2] + blend.weights.shape[2:])
+    forwards = len(GUIDANCE_BRANCHES[cfg.guidance.mode])
+    handed = [None] * len(waves[0])
+    for w, wave in enumerate(waves):
+        collect_kv = handoff is not None and w + 1 < len(waves)
 
-    def run_chain(chain: list[slice]) -> None:
-        prev = None
-        for rank, stack in enumerate(chain):
-            injections = inject(stack, prev)
-            del prev  # its full K/V: the next stack reads only the injections
-            eps, prev = _guided_eps(
-                y, blend.grid, stack, injections, rank + 1 < len(chain), denoiser, cfg, sigma,
-                gamma_t, stats, step,
-            )
-            step_blend.add(stack, eps)
-            del eps
+        def run_stack(i: int):
+            injections = inject(wave[i], handed[i])
+            handed[i] = None  # read once: it goes with this stack's forward
+            eps, result = _guided_eps(y, blend.grid, wave[i], injections, collect_kv, denoiser,
+                                      cfg, sigma, gamma_t, step)
+            return i, eps, handoff(result) if collect_kv else None
 
-    _map_tiles(chains, run_chain, cfg.workers)
-    return step_blend.result()
+        for i, eps, handed_on in _map_tiles(range(len(wave)), run_stack, cfg.workers):
+            merge(num, eps, blend, wave[i])
+            handed[i] = handed_on
+            del eps  # before the next stack's estimate exists
+            tiles = wave[i].stop - wave[i].start
+            stats.tile_units += tiles
+            stats.eps_calls += forwards * tiles
+    return num / blend.weights
 
 
 def _require_hooks(denoiser, scheme: str):
@@ -301,23 +272,23 @@ def denoise_pass_sap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
     def gather(stack: slice) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         # only the subsampled rows outlive the task, not the full K/V
         result = denoiser.denoise(split(y, grid, stack), True, sigma, kv_only=True)
-        stats.increment("gather_calls", stack.stop - stack.start)
         _require_finite([*result.keys.values(), *result.values.values()], stack, grid.n_spatial,
                         step, "key/value rows", sigma)
         return {layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
                 for layer in layers}
 
-    parts = _map_tiles(_stacks(0, grid.n_tiles, tile_bytes), gather, cfg.workers)
+    parts = list(_map_tiles(_stacks(0, grid.n_tiles, tile_bytes), gather, cfg.workers))
+    stats.gather_calls += grid.n_tiles
     # phase 2 holds the rows once, in the aggregates: each layer's stack rows
     # go as soon as that layer's are concatenated
     aggregate = {layer: aggregate_frame_kv([p.pop(layer) for p in parts], grid.n_temporal)
                  for layer in layers}
     del parts
-    chains = [[stack] for n in range(grid.n_temporal)
-              for stack in _stacks(n * grid.n_spatial, (n + 1) * grid.n_spatial, tile_bytes)]
-    return _run_pass(y, blend, chains,
-                     lambda stack, _prev: {layer: groups[stack.start // grid.n_spatial]
-                                           for layer, groups in aggregate.items()},
+    wave = [stack for n in range(grid.n_temporal)
+            for stack in _stacks(n * grid.n_spatial, (n + 1) * grid.n_spatial, tile_bytes)]
+    return _run_pass(y, blend, [wave],
+                     lambda stack, _: {layer: groups[stack.start // grid.n_spatial]
+                                       for layer, groups in aggregate.items()},
                      denoiser, cfg, sigma, gamma_t, stats, step)
 
 
@@ -339,9 +310,9 @@ def denoise_pass_tap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
                      gamma_t: float, direction: str, stats: RunStats, step: int = 0) -> np.ndarray:
     """Sequential temporal propagation along each spatial tile column.
 
-    A chain is a run of columns m that advance in lockstep through time
-    (reversed when direction is backward), one stack [n, run] per n; each
-    tile receives the selected key/value frames tapped from its immediate
+    One wave per temporal index n, in time order (reversed when direction
+    is backward), of stacks [n, run] over runs of columns m; each tile
+    receives the selected key/value frames tapped from its immediate
     predecessor's target-branch pass.
     """
     if direction not in ("forward", "backward"):
@@ -349,20 +320,20 @@ def denoise_pass_tap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
     _require_hooks(denoiser, "temporal")
     n_temporal, n_spatial = blend.grid.n_temporal, blend.grid.n_spatial
     order = range(n_temporal) if direction == "forward" else range(n_temporal)[::-1]
-    chains = [[slice(n * n_spatial + run.start, n * n_spatial + run.stop) for n in order]
-              for run in _stacks(0, n_spatial, _tile_bytes(y, blend.grid))]
-
-    def inject(_stack: slice, prev):
-        return None if prev is None else _tap_injections(prev, cfg.tap_frames, denoiser.hook_layers)
-
-    return _run_pass(y, blend, chains, inject, denoiser, cfg, sigma, gamma_t, stats, step)
+    runs = _stacks(0, n_spatial, _tile_bytes(y, blend.grid))
+    waves = [[slice(n * n_spatial + run.start, n * n_spatial + run.stop) for run in runs]
+             for n in order]
+    return _run_pass(y, blend, waves, lambda _stack, handed: handed, denoiser, cfg, sigma,
+                     gamma_t, stats, step,
+                     handoff=lambda result: _tap_injections(result, cfg.tap_frames,
+                                                            denoiser.hook_layers))
 
 
 def denoise_pass_plain(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig, sigma: float,
                        gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """No cross-tile propagation; guidance branches still run per stack."""
-    chains = [[stack] for stack in _stacks(0, blend.grid.n_tiles, _tile_bytes(y, blend.grid))]
-    return _run_pass(y, blend, chains, lambda *_: None, denoiser, cfg, sigma, gamma_t, stats, step)
+    wave = _stacks(0, blend.grid.n_tiles, _tile_bytes(y, blend.grid))
+    return _run_pass(y, blend, [wave], lambda *_: None, denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ def merge(num: np.ndarray, estimates: np.ndarray, blend: Blend, stack: slice) ->
     """Add mask * estimate over the noise frames of the tiles of `stack` (a
     slice of the flat tile index, in split's order) into num, the blend's
     numerator of shape (ceil(frames / 2), C, h, w). Each tile's noise half is
-    chosen with deinterleave. Merging the slices in ascending order gives
-    every pixel one summation order however the tiles were computed."""
+    chosen with deinterleave. Each pixel sums its tiles in the order their
+    slices are merged."""
     grid = blend.grid
     index = range(grid.n_tiles)[stack]
     estimates = np.asarray(estimates, dtype=np.float64)

@@ -1,7 +1,8 @@
 """End-to-end output lock: SHA-256 of `sample_video` bytes for a small
-matrix of configs (every guidance mode with both propagation schemes on,
-plus each scheme alone and neither). Every digest also holds with threaded
-tiles run in reverse order.
+matrix of 2-step configs (every guidance mode with both propagation schemes
+on, plus each scheme alone and neither) and one 4-step config, whose step 3
+is a backward TAP step. Every digest also holds with threaded tiles run in
+reverse order.
 
 A change that is meant to keep outputs byte-identical must leave every
 digest as it is. A change that alters output bits says so, bounds the drift,
@@ -70,6 +71,16 @@ GOLDEN = {
         "18170c403cb4413cc8ed57582df106b0428612a00242a50ca074ec5ee0621f72",
 }
 
+# (guidance mode, sap, tap) of the 4-step case, and its digest: steps 0-2 run
+# SAP, forward TAP and SAP, and step 3 the backward TAP step that 2 steps
+# never reach
+BACKWARD_CASE = ("dssag", True, True)
+BACKWARD_DIGEST = "97fbe0dbabb8146f7bb33e37f078f56cbfacb9d3aaf6e34dc09fed101fbd65e3"
+BACKWARD_STEPS = 4
+
+# (mode, sap, tap, steps) of every stored output
+STORED = [(*key, 2) for key in sorted(GOLDEN)] + [(*BACKWARD_CASE, BACKWARD_STEPS)]
+
 # Other BLAS kernels and SIMD paths move the outputs by at most about 1e-14
 # of their largest magnitude; the stored outputs are held to 1e-12.
 RTOL = 1e-12
@@ -95,20 +106,21 @@ def platform_key() -> str:
             f"simd={','.join(dispatched_simd())}")
 
 
-def output_name(mode: str, sap: bool, tap: bool) -> str:
-    return f"{mode}-{sap}-{tap}"
+def output_name(mode: str, sap: bool, tap: bool, steps: int = 2) -> str:
+    return f"{mode}-{sap}-{tap}" + ("" if steps == 2 else f"-{steps}steps")
 
 
-def run_video(mode: str, sap: bool, tap: bool, workers: int = 1) -> np.ndarray:
+def run_video(mode: str, sap: bool, tap: bool, workers: int = 1, steps: int = 2) -> np.ndarray:
     # 2 latent frames interleave to 4; 12x12 latent with 8x8x2 tiles gives
     # 2x2 spatial x 3 temporal tiles, 16 tokens per frame, so SAP injects
-    # 32 rows and TAP hands over 2 frames; step 0 runs SAP, step 1 TAP.
+    # 32 rows and TAP hands over 2 frames; step 0 runs SAP, step 1 TAP
+    # forward (and, with 4 steps, step 2 SAP and step 3 TAP backward).
     lr = np.random.default_rng(11).uniform(0.0, 1.0, size=(2, 1, 12, 12))
     denoiser = ToyAttentionDenoiser(
         seed=7, channels=1, patch_size=2, embed_dim=8, spatial_layers=4, cond_dim=4,
     )
     cfg = PipelineConfig(
-        steps=2, tile_frames=2, tile_h=8, tile_w=8, sap=sap, tap=tap,
+        steps=steps, tile_frames=2, tile_h=8, tile_w=8, sap=sap, tap=tap,
         sap_rate=2, tap_frames=2, guidance=GuidanceConfig(mode=mode, scale=1.5),
         seed=3, sigma_min=0.1, sigma_max=80.0, upscale_factor=1, workers=workers,
     )
@@ -119,8 +131,8 @@ def digest(video: np.ndarray) -> str:
     return hashlib.sha256(video.tobytes()).hexdigest()
 
 
-def check_digest(got: str, key: tuple) -> None:
-    assert got == GOLDEN[key], (
+def check_digest(got: str, key: tuple, want: str | None = None) -> None:
+    assert got == (want or GOLDEN[key]), (
         f"digest of {key} differs; recorded on {RECORDED_PLATFORM!r}, "
         f"running on {platform_key()!r}")
 
@@ -136,13 +148,21 @@ def test_output_digest_holds_threaded_and_descending(mode, sap, tap, reverse_til
     check_digest(digest(run_video(mode, sap, tap, workers=3)), (mode, sap, tap))
 
 
+def test_backward_tap_step_digest_is_pinned(reverse_tiles):
+    check_digest(digest(run_video(*BACKWARD_CASE, steps=BACKWARD_STEPS)), BACKWARD_CASE,
+                 BACKWARD_DIGEST)
+    reverse_tiles()
+    check_digest(digest(run_video(*BACKWARD_CASE, workers=3, steps=BACKWARD_STEPS)),
+                 BACKWARD_CASE, BACKWARD_DIGEST)
+
+
 def test_outputs_match_the_stored_floats_on_any_platform():
     print(f"platform: {platform_key()}")
     with np.load(OUTPUTS) as stored:
-        assert sorted(stored.files) == sorted(output_name(*key) for key in GOLDEN)
-        for key in sorted(GOLDEN):
-            want = stored[output_name(*key)]
-            got = run_video(*key)
+        assert sorted(stored.files) == sorted(output_name(*case) for case in STORED)
+        for *key, steps in STORED:
+            want = stored[output_name(*key, steps)]
+            got = run_video(*key, steps=steps)
             assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
             drift = float(np.max(np.abs(got - want)))
             assert drift <= RTOL * float(np.max(np.abs(want))), (key, drift, platform_key())
@@ -179,9 +199,11 @@ def test_stored_floats_hold_under_other_kernels(env, key_part, needs):
 
 
 if __name__ == "__main__":
-    videos = {key: run_video(*key) for key in GOLDEN}
+    videos = {case: run_video(*case[:3], steps=case[3]) for case in STORED}
     if "--floats" in sys.argv[1:]:
-        np.savez(OUTPUTS, **{output_name(*key): video for key, video in videos.items()})
+        np.savez(OUTPUTS, **{output_name(*case): video for case, video in videos.items()})
     print(f'RECORDED_PLATFORM = "{platform_key()}"')
-    for (mode, sap, tap), video in videos.items():
-        print(f'    ("{mode}", {sap}, {tap}):\n        "{digest(video)}",')
+    for (mode, sap, tap, steps), video in videos.items():
+        if steps == 2:
+            print(f'    ("{mode}", {sap}, {tap}):\n        "{digest(video)}",')
+    print(f'BACKWARD_DIGEST = "{digest(videos[(*BACKWARD_CASE, BACKWARD_STEPS)])}"')

@@ -5,6 +5,7 @@ import gc
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from tilevsr.sampler import (
     NumericError,
     PipelineConfig,
     RunStats,
-    _StepBlend,
     _tap_injections,
     build_sigma_schedule,
     denoise_pass_plain,
@@ -248,7 +248,7 @@ def test_seeded_runs_are_bit_identical(reverse_tiles):
     par = sample_video(lr, toy, codec, pipe_cfg(steps=4, workers=4))
     reached = reverse_tiles()
     rev = sample_video(lr, toy, codec, pipe_cfg(steps=4))
-    assert set(reached) == {"gather", "run_chain"}  # the SAP gather runs reversed too
+    assert set(reached) == {"gather", "run_stack"}  # the SAP gather runs reversed too
     assert a.video.tobytes() == b.video.tobytes()
     assert a.video.tobytes() == par.video.tobytes()
     assert a.video.tobytes() == rev.video.tobytes()
@@ -355,9 +355,9 @@ def test_hook_layers_and_cond_vector_are_not_constructor_options():
 
 def test_pass_counts_exact_under_thread_contention():
     # 27 tiles per step (3x3 spatial x 3 temporal), cfg = 2 passes per tile;
-    # step 0 runs SAP (plus one gather per tile), step 1 TAP. The threads
-    # hand their stacks' estimates to one blend, so a lost or doubled merge
-    # would show in the bytes.
+    # step 0 runs SAP (plus one gather per tile), step 1 TAP. The threads'
+    # estimates are merged and counted as they arrive, so a lost or doubled
+    # merge would show in the bytes, and a lost count in the counters.
     lr = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 1, 16, 16))
     cfg = pipe_cfg(steps=2, tile_frames=2, guidance=GuidanceConfig(mode="cfg"),
                    workers=4 * (os.cpu_count() or 1))
@@ -434,6 +434,43 @@ def test_non_finite_gathered_kv_names_its_tile():
         sample_video(lr, BrokenGather(small_toy()), ToyCodec(2), pipe_cfg(steps=2, tile_frames=2))
 
 
+@pytest.mark.parametrize("scheme", ["sap", "tap"])
+def test_a_threaded_pass_raises_the_error_of_its_stack(monkeypatch, scheme):
+    # 27 tiles (3 temporal x 9 spatial), one a stack, on 3 workers: the
+    # NumericError of one stack's forward, raised on a worker thread, still
+    # names its step and tile, and the pass leaves no worker thread behind
+    y = np.random.default_rng(14).standard_normal((4, 1, 16, 16))
+    blend = blend_of((4, 16, 16), (2, 8, 8))
+    monkeypatch.setattr(sampler, "STACK_BYTES", 1)
+    bad = split(y, blend.grid, slice(13, 14))[0]  # tile (1, 4)
+    threads = set()
+
+    class PoisonsOneTile:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+        def denoise(self, x, conditional=False, sigma=1.0, kv_only=False, **kw):
+            threads.add(threading.get_ident())
+            result = self.inner.denoise(x, conditional, sigma, kv_only=kv_only, **kw)
+            if not kv_only and np.array_equal(x[0], bad):
+                result.denoised[0, 0, 0, 0, 0] = np.nan
+            return result
+
+    den = PoisonsOneTile(small_toy())
+    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, tap_frames=1, workers=3)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=r"noise estimate at step 5, tile \(1, 4\)"):
+        if scheme == "sap":
+            denoise_pass_sap(y, blend, den, cfg, 1.0, 0.3, RunStats(), step=5)
+        else:
+            denoise_pass_tap(y, blend, den, cfg, 1.0, 0.3, "backward", RunStats(), step=5)
+    assert threading.get_ident() not in threads  # every forward ran on a worker
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("mode", ["sag", "pag", "cfg_dssag"])
 def test_stack_size_changes_no_bit(monkeypatch, mode):
     # 27 tiles of 256 bytes a step (9 per SAP group and 9 TAP columns of 3):
@@ -478,7 +515,7 @@ def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
     blend = blend_of((4, 16, 16), (2, 8, 8))
     assert (blend.grid.n_temporal, blend.grid.n_spatial) == (3, 9)
     monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * split(y, blend.grid, slice(0, 1)).nbytes)
-    calls, splits = [], []
+    calls, splits, split_stacks = [], [], []
     real = ToyAttentionDenoiser.denoise
     real_split = sampler.split
 
@@ -488,6 +525,7 @@ def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
 
     def split_spy(video, grid, stack):
         assert video is y
+        split_stacks.append(stack)
         splits.append(real_split(video, grid, stack))
         return splits[-1]
 
@@ -507,6 +545,7 @@ def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
     for name, run in passes.items():
         calls.clear()
         splits.clear()
+        split_stacks.clear()
         merged.clear()
         run()
         sizes: dict[str, list[int]] = {}
@@ -526,51 +565,45 @@ def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
         assert set(sizes) == ({"gather", "sap"} if name == "sap" else {name})
         # one split a stack (the gather's and phase 2's for SAP), each merged once
         assert sum(map(len, splits)) == 27 * (2 if name == "sap" else 1)
-        assert [stack.start for stack, _ in merged] == sorted(stack.start for stack, _ in merged)
         assert sum(len(e) for _, e in merged) == 27
+        # each stack is merged as it finishes, so tiles merge in run order:
+        # ascending flat order, but a backward TAP pass walks its temporal
+        # indices down (columns still ascending)
+        assert split_stacks[-len(merged):] == [stack for stack, _ in merged]
+        starts = [stack.start for stack, _ in merged]
+        run_order = (lambda start: (-(start // 9), start)) if name == "tap backward" else None
+        assert starts == sorted(starts, key=run_order)
+        if name == "tap backward" and per_stack < 9:
+            assert starts != sorted(starts)
 
 
-def test_blend_order_cannot_change_a_bit():
-    # stacks handed to the blend ascending, reversed or shuffled merge in
-    # ascending flat order, so every order gives the same bytes, and
-    # nothing is left waiting
-    rng = np.random.default_rng(13)
-    blend = blend_of((6, 12, 12), (3, 8, 8))
-    estimates = rng.standard_normal((blend.grid.n_tiles, 3, 2, 8, 8))
-    stacks = [slice(i, min(i + 2, blend.grid.n_tiles)) for i in range(0, blend.grid.n_tiles, 2)]
-    orders = [stacks, stacks[::-1]] + [list(rng.permutation(stacks)) for _ in range(4)]
-    results = []
-    for order in orders:
-        step_blend = _StepBlend(blend, 2)
-        for stack in order:
-            step_blend.add(stack, estimates[stack])
-        assert step_blend.held == {} and step_blend.merged == blend.grid.n_tiles
-        results.append(step_blend.result())
-    for got in results[1:]:
-        assert got.tobytes() == results[0].tobytes()
-    # a blend missing a stack holds its successors and refuses to finish
-    step_blend = _StepBlend(blend, 2)
-    for stack in stacks[1:]:
-        step_blend.add(stack, estimates[stack])
-    assert step_blend.merged == 0 and len(step_blend.held) == len(stacks) - 1
-    with pytest.raises(RuntimeError, match="merged 0 of 16 tiles"):
-        step_blend.result()
-
-
-def test_a_pass_leaves_no_blend_behind():
-    # the step blend sits in no reference cycle: with the cycle collector
-    # off, none outlives its pass, so no step's numerator waits for it
+def test_a_pass_frees_its_numerator_on_return(monkeypatch):
+    # the pass's numerator sits in no reference cycle: with the cycle
+    # collector off, it is gone once its pass returns, so no step's
+    # numerator waits for the collector
     y = np.random.default_rng(11).standard_normal((4, 1, 16, 16))
     blend = blend_of((4, 16, 16), (2, 8, 8))
-    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, tap_frames=1)
+    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, tap_frames=1, workers=2)
+    monkeypatch.setattr(sampler, "STACK_BYTES", 1)  # one tile a stack: threaded waves
+    numerators = []
+    real = sampler.merge
+
+    def spy(num, estimates, blend, stack):
+        numerators.append(weakref.ref(num))
+        return real(num, estimates, blend, stack)
+
+    monkeypatch.setattr(sampler, "merge", spy)
     gc.collect()
     gc.disable()
     try:
-        for run in (lambda: denoise_pass_sap(y, blend, small_toy(), cfg, 1.0, 0.3, RunStats()),
+        for run in (lambda: denoise_pass_plain(y, blend, small_toy(), cfg, 1.0, 0.3, RunStats()),
+                    lambda: denoise_pass_sap(y, blend, small_toy(), cfg, 1.0, 0.3, RunStats()),
                     lambda: denoise_pass_tap(y, blend, small_toy(), cfg, 1.0, 0.3, "backward",
                                              RunStats())):
+            numerators.clear()
             run()
-            assert not any(isinstance(obj, _StepBlend) for obj in gc.get_objects())
+            assert len(numerators) == blend.grid.n_tiles
+            assert all(ref() is None for ref in numerators)
     finally:
         gc.enable()
 
