@@ -1,11 +1,6 @@
 """Tile-based diffusion video upscaling with cross-tile attention propagation."""
 
-from .attention import (
-    InjectedKV,
-    aggregate_frame_kv,
-    select_tap_frames,
-    subsample_spatial_kv,
-)
+from .attention import InjectedKV
 from .config import RunConfig, echo_lines, resolve_config
 from .guidance import (
     GUIDANCE_MODES,
@@ -45,22 +40,11 @@ from .sampler import (
     ode_step,
     sample_video,
 )
-from .tiles import (
-    Blend,
-    TileGrid,
-    deinterleave,
-    gaussian_mask,
-    interleave,
-    merge,
-    plan_tiles,
-    split,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticGaussianDenoiser",
-    "Blend",
     "DegradationConfig",
     "DenoiseResult",
     "GUIDANCE_MODES",
@@ -72,34 +56,24 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "RunStats",
-    "TileGrid",
     "ToyAttentionDenoiser",
     "ToyCodec",
-    "aggregate_frame_kv",
     "bicubic_resize",
     "block_match_flow",
     "build_sigma_schedule",
     "combine",
     "degrade",
-    "deinterleave",
     "echo_lines",
     "gamma_schedule",
     "gaussian_blur",
-    "gaussian_mask",
-    "interleave",
-    "merge",
     "ode_step",
-    "plan_tiles",
     "precondition",
     "psnr",
     "quantize",
     "resolve_config",
     "sag_input",
     "sample_video",
-    "select_tap_frames",
-    "split",
     "ssim",
-    "subsample_spatial_kv",
     "tlp",
     "tof",
     "warp_frame",

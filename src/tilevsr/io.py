@@ -9,7 +9,8 @@ Memory: every writer builds its file image once, a bytearray of header and
 payload into which the payload is cast through a NumPy view (a container's
 finiteness check runs on that view), so a write holds the file once plus its
 input. A container read fills one bytearray of the file's size and returns
-the float32 array that views it: the file is held once, never copied.
+the float32 array that views it: the file is held once, never copied. A
+frame directory loads into one preallocated video, a frame at a time.
 """
 from __future__ import annotations
 
@@ -192,7 +193,7 @@ def read_pfm(path: str) -> np.ndarray:
     dtype = "<f4" if scale < 0 else ">f4"
     raster = np.frombuffer(data, dtype=dtype, count=w * h * channels, offset=offset)
     frame = raster.reshape(h, w, channels)[::-1].transpose(2, 0, 1)
-    return np.ascontiguousarray(frame).astype("<f4")
+    return frame.astype("<f4", order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +258,14 @@ def load_video(path: str) -> np.ndarray:
         names = sorted(n for n in os.listdir(path) if n.lower().endswith((".ppm", ".pgm")))
     if not names:
         raise ValueError(f"{path}: no frame files (.ppm/.pfm) found")
-    frames = []
-    for name in names:
+    video = None
+    for i, name in enumerate(names):
         full = os.path.join(path, name)
         frame = read_pfm(full) if name.lower().endswith(".pfm") else read_ppm(full)
-        frames.append(np.asarray(frame, dtype=np.float64))
-    shapes = {f.shape for f in frames}
-    if len(shapes) != 1:
-        raise ValueError(f"{path}: frames disagree on shape: {sorted(shapes)}")
-    return np.stack(frames)
+        if video is None:
+            video = np.empty((len(names),) + frame.shape)
+        elif frame.shape != video.shape[1:]:
+            raise ValueError(f"{path}: frames disagree on shape: {names[0]} is {video.shape[1:]}, "
+                             f"{name} is {frame.shape}")
+        video[i] = frame
+    return video

@@ -10,13 +10,17 @@ one of two cross-tile attention schemes per step: spatial propagation on
 even steps (global subsampled key/value aggregation across all tiles of a
 temporal index) and temporal propagation on odd steps (neighbor tiles hand
 selected frames' key/values along the time axis, direction alternating).
-A pass is a short list of waves of independent stacks of tiles: one wave
-for a plain or SAP pass, one per temporal index for TAP, where stack i of a
-wave takes the key/values stack i of the wave before handed on. Each stack
-is split out of the latent when it runs, and its guidance-combined noise
-estimate is merged into a Gaussian blend of the noise frames as it arrives,
-in the order the pass runs its stacks, so memory follows the latent, not
-the tile count. The blend is advanced with one Euler step.
+Every pass walks the tile grid's rows, one per temporal index, each cut
+into stacks of tiles (TileGrid.stacks), and runs them as a short list of
+waves of independent stacks: one wave holding every row for a plain or SAP
+pass, one wave per row for TAP. Every injection is a handoff: stack i of
+the first wave runs with what the pass hands it (its row's aggregates for
+SAP, nothing otherwise), and stack i of a later wave with the key/values
+stack i of the wave before handed on. Each stack is split out of the
+latent when it runs, and its guidance-combined noise estimate is merged
+into a Gaussian blend of the noise frames as it arrives, in the order the
+pass runs its stacks, so memory follows the latent, not the tile count.
+The blend is advanced with one Euler step.
 """
 from __future__ import annotations
 
@@ -132,25 +136,20 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the pass engine: guided noise estimates over stacks of tiles. A stack is a
-# slice of the flat tile index n * n_spatial + m; split copies its tiles out
-# of the step's interleaved latent when it runs, and merge adds its estimate
-# into the step's blend, so no array of every tile exists.
+# the pass engine: guided noise estimates over stacks of tiles. The grid cuts
+# each of its rows into stacks; split copies a stack's tiles out of the
+# step's interleaved latent when it runs, and merge adds its estimate into
+# the step's blend, so no array of every tile exists.
 
 # Tile input of one stacked denoiser forward (one tile when it alone is larger),
 # so a forward's activations stay bounded however many tiles a pass has.
 STACK_BYTES = 256 * 1024
 
 
-def _stacks(start: int, stop: int, tile_bytes: int) -> list[slice]:
-    """range(start, stop) in order, cut into slices that hold at most
-    STACK_BYTES of tile input (one index a slice when a tile alone is larger)."""
-    size = max(1, STACK_BYTES // max(1, tile_bytes))
-    return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
-
-
-def _tile_bytes(y: np.ndarray, grid: TileGrid) -> int:
-    return math.prod(grid.tile_dims) * y.shape[1] * y.itemsize
+def _stacks(y: np.ndarray, grid: TileGrid) -> list[list[slice]]:
+    """The grid's rows of stacks of at most STACK_BYTES of tile input each
+    (one tile a stack when a tile alone is larger)."""
+    return grid.stacks(max(1, STACK_BYTES // (math.prod(grid.tile_dims) * y.shape[1] * y.itemsize)))
 
 
 def _require_finite(arrays, stack: slice, n_spatial: int, step: int, what: str,
@@ -211,30 +210,31 @@ def _map_tiles(items: list | range, fn, workers: int):
         yield from map(fn, items)
 
 
-def _run_pass(y: np.ndarray, blend: Blend, waves: list[list[slice]], inject, denoiser,
+def _run_pass(y: np.ndarray, blend: Blend, waves: list[list[slice]], denoiser,
               cfg: PipelineConfig, sigma: float, gamma_t: float, stats: RunStats, step: int,
-              handoff=None) -> np.ndarray:
+              handed: list | None = None, handoff=None) -> np.ndarray:
     """The blended guided noise estimate of the noise frames of y.
 
     A pass is a list of waves of independent stacks: the waves run in order,
     and the stacks of a wave through _map_tiles, one forward per branch each.
-    Stack i of a wave gets the per-layer K/V inject(stack, handed) returns,
-    where handed is what stack i of the wave before handed on: None without
-    a handoff and in the first wave. With handoff, the stacks of every wave
-    but the last keep their target branch's K/V and hand handoff(result)
-    on, which the next wave drops once read. Each estimate is merged into
-    the blend, and its tiles counted, on this thread as it arrives, so the
-    blend sums tiles in the order the pass runs them.
+    Every injection is a handoff: stack i of a wave runs with the per-layer
+    K/V handed[i] and drops them once read. In the first wave, handed is the
+    pass's own list, one entry per stack (None for each stack when not
+    given); in a later wave, handed[i] is what stack i of the wave before
+    handed on. With handoff, the stacks of every wave but the last keep
+    their target branch's K/V and hand handoff(result) on. Each estimate is
+    merged into the blend, and its tiles counted, on this thread as it
+    arrives, so the blend sums tiles in the order the pass runs them.
     """
     num = np.zeros(blend.weights.shape[:1] + y.shape[1:2] + blend.weights.shape[2:])
     forwards = len(GUIDANCE_BRANCHES[cfg.guidance.mode])
-    handed = [None] * len(waves[0])
+    if handed is None:
+        handed = [None] * len(waves[0])
     for w, wave in enumerate(waves):
         collect_kv = handoff is not None and w + 1 < len(waves)
 
         def run_stack(i: int):
-            injections = inject(wave[i], handed[i])
-            handed[i] = None  # read once: it goes with this stack's forward
+            injections, handed[i] = handed[i], None  # read once: it goes with this stack's forward
             eps, result = _guided_eps(y, blend.grid, wave[i], injections, collect_kv, denoiser,
                                       cfg, sigma, gamma_t, step)
             return i, eps, handoff(result) if collect_kv else None
@@ -258,16 +258,17 @@ def denoise_pass_sap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
                      gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """Two-phase spatial propagation over every temporal group.
 
-    Phase 1 runs stacks of tiles as far as their hook layers' key/values
+    Phase 1 runs the grid's stacks as far as their hook layers' key/values
     (kv_only), subsampled on a stride grid and aggregated over all tiles of
-    the group (own tile included). Phase 2 starts only after every gather
-    has: the tiles of each group are rerun in stacks, with the group's
-    aggregate injected into their hooked layers.
+    each row, a temporal group (own tile included). Phase 2 starts only
+    after every gather has: the same stacks are rerun, each handed its
+    row's aggregate for its hooked layers.
     """
     _require_hooks(denoiser, "spatial")
     layers = denoiser.hook_layers
     grid = blend.grid
-    tile_bytes = _tile_bytes(y, grid)
+    rows = _stacks(y, grid)
+    wave = [stack for row in rows for stack in row]
 
     def gather(stack: slice) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         # only the subsampled rows outlive the task, not the full K/V
@@ -277,19 +278,16 @@ def denoise_pass_sap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
         return {layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
                 for layer in layers}
 
-    parts = list(_map_tiles(_stacks(0, grid.n_tiles, tile_bytes), gather, cfg.workers))
+    parts = list(_map_tiles(wave, gather, cfg.workers))
     stats.gather_calls += grid.n_tiles
     # phase 2 holds the rows once, in the aggregates: each layer's stack rows
     # go as soon as that layer's are concatenated
     aggregate = {layer: aggregate_frame_kv([p.pop(layer) for p in parts], grid.n_temporal)
                  for layer in layers}
     del parts
-    wave = [stack for n in range(grid.n_temporal)
-            for stack in _stacks(n * grid.n_spatial, (n + 1) * grid.n_spatial, tile_bytes)]
-    return _run_pass(y, blend, [wave],
-                     lambda stack, _: {layer: groups[stack.start // grid.n_spatial]
-                                       for layer, groups in aggregate.items()},
-                     denoiser, cfg, sigma, gamma_t, stats, step)
+    return _run_pass(y, blend, [wave], denoiser, cfg, sigma, gamma_t, stats, step,
+                     handed=[{layer: groups[n] for layer, groups in aggregate.items()}
+                             for n, row in enumerate(rows) for _ in row])
 
 
 def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
@@ -310,21 +308,17 @@ def denoise_pass_tap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
                      gamma_t: float, direction: str, stats: RunStats, step: int = 0) -> np.ndarray:
     """Sequential temporal propagation along each spatial tile column.
 
-    One wave per temporal index n, in time order (reversed when direction
-    is backward), of stacks [n, run] over runs of columns m; each tile
-    receives the selected key/value frames tapped from its immediate
-    predecessor's target-branch pass.
+    One wave per row of the grid, in time order (reversed when direction is
+    backward): stack i of a row holds the same run of columns m in every
+    row, so each tile receives the selected key/value frames tapped from
+    its immediate predecessor's target-branch pass.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     _require_hooks(denoiser, "temporal")
-    n_temporal, n_spatial = blend.grid.n_temporal, blend.grid.n_spatial
-    order = range(n_temporal) if direction == "forward" else range(n_temporal)[::-1]
-    runs = _stacks(0, n_spatial, _tile_bytes(y, blend.grid))
-    waves = [[slice(n * n_spatial + run.start, n * n_spatial + run.stop) for run in runs]
-             for n in order]
-    return _run_pass(y, blend, waves, lambda _stack, handed: handed, denoiser, cfg, sigma,
-                     gamma_t, stats, step,
+    rows = _stacks(y, blend.grid)
+    return _run_pass(y, blend, rows if direction == "forward" else rows[::-1], denoiser, cfg,
+                     sigma, gamma_t, stats, step,
                      handoff=lambda result: _tap_injections(result, cfg.tap_frames,
                                                             denoiser.hook_layers))
 
@@ -332,8 +326,8 @@ def denoise_pass_tap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
 def denoise_pass_plain(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig, sigma: float,
                        gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
     """No cross-tile propagation; guidance branches still run per stack."""
-    wave = _stacks(0, blend.grid.n_tiles, _tile_bytes(y, blend.grid))
-    return _run_pass(y, blend, [wave], lambda *_: None, denoiser, cfg, sigma, gamma_t, stats, step)
+    wave = [stack for row in _stacks(y, blend.grid) for stack in row]
+    return _run_pass(y, blend, [wave], denoiser, cfg, sigma, gamma_t, stats, step)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +351,12 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
 
     Steps: bicubic-upsample the input and encode it to the conditioning
     latent, frame by frame, then run cfg.steps Euler steps from seeded noise.
-    The noisy and conditioning latents are interleaved frame by frame once;
-    every step writes its noisy latent into the even frames, runs the step's
+    The noisy and conditioning latents are interleaved frame by frame once,
+    and the noisy latent lives in the even frames: every step runs the step's
     propagation scheme (spatial on even steps, temporal on odd, when
     enabled) over half-overlapping tiles, stack by stack, blends the
     guidance-combined noise estimates of the noise frames with a Gaussian
-    mask, and steps the noisy latent. The final latent is decoded at
+    mask, and steps the noisy latent in place. The final latent is decoded at
     sigma_min.
     """
     lr = validate_video(lr_video, "lr_video").astype(np.float64)
@@ -383,12 +377,12 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
     sigmas = build_sigma_schedule(cfg.steps, cfg.sigma_min, cfg.sigma_max, cfg.schedule_exponent)
 
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((n_frames, channels, lat_h, lat_w)) * float(sigmas[0])
-
     # one interleaved latent for the run: the conditioning frames never
-    # change, and each step writes x, checked finite, into the noise frames
-    y = interleave(x, l)
+    # change, and the noisy latent x is a view of its noise frames, which
+    # each step overwrites with its Euler step
+    y = interleave(rng.standard_normal((n_frames, channels, lat_h, lat_w)) * float(sigmas[0]), l)
     del l
+    x = deinterleave(y)[0]
     stats = RunStats()
     trace: list[str] = []
     for step in range(cfg.steps):
@@ -400,14 +394,13 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
         if not getattr(cfg, scheme):
             scheme = "none"
         direction = ("forward" if step // 2 % 2 == 0 else "backward") if scheme == "tap" else "-"
-        deinterleave(y)[0][...] = x
         if scheme == "sap":
             eps_x = denoise_pass_sap(y, blend, denoiser, cfg, sigma, gamma_t, stats, step)
         elif scheme == "tap":
             eps_x = denoise_pass_tap(y, blend, denoiser, cfg, sigma, gamma_t, direction, stats, step)
         else:
             eps_x = denoise_pass_plain(y, blend, denoiser, cfg, sigma, gamma_t, stats, step)
-        x = ode_step(x, x - sigma * eps_x, sigma, sigma_next)
+        x[...] = ode_step(x, x - sigma * eps_x, sigma, sigma_next)
         del eps_x  # before the next step's pass
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite latent after step {step} (sigma {sigma:g} -> {sigma_next:g})")
@@ -415,6 +408,7 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
             f"step={step:02d} sigma={sigma:.6g} gamma={gamma_t:.6f} "
             f"scheme={scheme} direction={direction} guidance={cfg.guidance.mode}"
         )
+    x = x.copy()  # so that the decode does not keep y alive
     del y
     hr = codec.decode(x)
     return RunResult(video=hr, trace=trace, stats=stats)

@@ -1,13 +1,16 @@
 """Spatio-temporal tile planning, splitting, and Gaussian alpha-blend merging.
 
 Videos are numpy arrays of shape (frames, channels, height, width) with finite
-values. Tiles overlap by half their extent along every tiled axis and are
-numbered by the flat index n * n_spatial + m (n temporal, m spatial). `split`
-copies out a slice of that index at a time, and `merge` adds a slice's
-estimates into the blend of the video's noise frames, the even frames of an
-interleaved video, with a separable Gaussian weight mask. So overlapping
-regions blend smoothly, no array of every tile need exist, and a full round
-trip (split, then merge every tile) reproduces the noise frames.
+values. Tiles overlap by half their extent along every tiled axis. A TileGrid
+owns tile addressing: tile n * n_spatial + m (n temporal, m spatial) is a
+flat index that only the grid decodes, and the grid's rows, one per temporal
+index, cut into stacks of at most a given number of tiles, are the stack
+layout every pass walks. `split` copies out one stack, a slice of the flat
+index, at a time, and `merge` adds a stack's estimates into the blend of the
+video's noise frames, the even frames of an interleaved video, with a
+separable Gaussian weight mask. So overlapping regions blend smoothly, no
+array of every tile need exist, and a full round trip (split, then merge
+every tile) reproduces the noise frames.
 """
 from __future__ import annotations
 
@@ -64,20 +67,14 @@ def axis_offsets(extent: int, tile_extent: int) -> tuple[int, ...]:
     if extent < tile_extent:
         raise ValueError(f"axis extent {extent} smaller than tile extent {tile_extent}")
     stride = max(1, tile_extent // 2)
-    offsets = []
-    pos = 0
-    while pos + tile_extent < extent:
-        offsets.append(pos)
-        pos += stride
-    last = extent - tile_extent
-    if not offsets or offsets[-1] != last:
-        offsets.append(last)
-    return tuple(offsets)
+    return tuple(range(0, extent - tile_extent, stride)) + (extent - tile_extent,)
 
 
 @dataclass(frozen=True)
 class TileGrid:
-    """Tile layout over (frames, h, w). m indexes space row-major, n time."""
+    """Tile layout over (frames, h, w). m indexes space row-major, n time,
+    and the grid's methods address tile (n, m) by its flat index
+    n * n_spatial + m."""
 
     video_dims: tuple[int, int, int]
     tile_dims: tuple[int, int, int]
@@ -97,17 +94,25 @@ class TileGrid:
     def n_tiles(self) -> int:
         return self.n_temporal * self.n_spatial
 
-    def spatial_offset(self, m: int) -> tuple[int, int]:
-        ny, nx = len(self.offsets_y), len(self.offsets_x)
-        if not 0 <= m < ny * nx:
-            raise ValueError(f"spatial index {m} out of range for {ny}x{nx} grid")
-        return self.offsets_y[m // nx], self.offsets_x[m % nx]
-
-    def slices(self, n: int, m: int) -> tuple[slice, slice, slice]:
-        t0 = self.offsets_t[n]
-        y0, x0 = self.spatial_offset(m)
+    def slices(self, flat: int) -> tuple[slice, slice, slice]:
+        """The frame, row and column slices of tile `flat`, the flat index
+        n * n_spatial + m of temporal index n and spatial index m."""
+        if not 0 <= flat < self.n_tiles:
+            raise ValueError(f"tile index {flat} out of range for "
+                             f"{self.n_temporal}x{self.n_spatial} tiles")
+        n, m = divmod(flat, self.n_spatial)
+        nx = len(self.offsets_x)
+        t0, y0, x0 = self.offsets_t[n], self.offsets_y[m // nx], self.offsets_x[m % nx]
         tf, th, tw = self.tile_dims
         return slice(t0, t0 + tf), slice(y0, y0 + th), slice(x0, x0 + tw)
+
+    def stacks(self, size: int) -> list[list[slice]]:
+        """Row n is temporal index n's flat indices, in ascending m, cut into
+        slices of at most `size` tiles; no slice crosses a row."""
+        size = int_in_range("stack size", size, ge=1)
+        s = self.n_spatial
+        return [[slice(n * s + m, n * s + min(m + size, s)) for m in range(0, s, size)]
+                for n in range(self.n_temporal)]
 
 
 def plan_tiles(video_dims: tuple[int, int, int], tile_dims: tuple[int, int, int]) -> TileGrid:
@@ -136,7 +141,7 @@ def split(video: np.ndarray, grid: TileGrid, stack: slice) -> np.ndarray:
     tf, th, tw = grid.tile_dims
     tiles = np.empty((len(index), tf, video.shape[1], th, tw), video.dtype)
     for i, flat in enumerate(index):
-        st, sy, sx = grid.slices(*divmod(flat, grid.n_spatial))
+        st, sy, sx = grid.slices(flat)
         tiles[i] = video[st, :, sy, sx]
     return tiles
 
@@ -178,7 +183,7 @@ def _noise_half(grid: TileGrid, flat: int) -> tuple[tuple[slice, ...], int]:
     """Where tile `flat`'s noise frames (the even frames of the video) sit
     among the video's noise frames, and which half of deinterleave(tile)
     holds them: the even one when the tile starts on an even frame."""
-    st, sy, sx = grid.slices(*divmod(flat, grid.n_spatial))
+    st, sy, sx = grid.slices(flat)
     return (slice((st.start + 1) // 2, (st.stop + 1) // 2), slice(None), sy, sx), st.start % 2
 
 

@@ -2,6 +2,7 @@
 denoiser builder."""
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from tilevsr.models import ToyCodec
 from tilevsr.quality import DegradationConfig
 from tilevsr.sampler import PipelineConfig
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
 
 def test_defaults_match_documented_values():
     cfg = resolve_config(None, None)
@@ -33,6 +36,16 @@ def test_defaults_match_documented_values():
     assert (p.sigma_min, p.sigma_max) == (0.002, 700.0)
     assert p.upscale_factor == 4
     assert cfg.codec.factor == 8
+
+
+def test_readme_key_table_is_the_default_echo():
+    # README's "full key set with defaults" table holds every key=value of
+    # the default config's echo, each once, grouped rather than sorted
+    table = README.read_text(encoding="utf-8").split("The full key set with defaults:", 1)[1]
+    rows = table.split("\n\n")[1].splitlines()
+    assert rows[0] == "| group | keys |"
+    cells = [cell for row in rows[2:] for cell in row.split("|")[2].strip(" `").split()]
+    assert sorted(cells) == sorted(echo_lines(RunConfig()))
 
 
 def test_parse_tile_formats():

@@ -348,7 +348,11 @@ def test_load_video_errors(tmp_path):
     mixed.mkdir()
     write_ppm(str(mixed / "a.ppm"), np.zeros((3, 4, 4)))
     write_ppm(str(mixed / "b.ppm"), np.zeros((3, 5, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"frames disagree on shape: a\.ppm is \(3, 4, 4\), "
+                                         r"b\.ppm is \(3, 5, 4\)"):
+        load_video(str(mixed))
+    write_ppm(str(mixed / "b.ppm"), np.zeros((1, 4, 4)))  # same dims, other channels
+    with pytest.raises(ValueError, match="frames disagree on shape"):
         load_video(str(mixed))
 
 

@@ -355,6 +355,18 @@ def test_package_exports_resolve_without_the_reference_kernels():
     # the step-by-step kernels are test references; attend is what runs
     assert not {"scaled_scores", "softmax_rows", "extend_kv"} & set(tilevsr.__all__)
     assert tilevsr.precondition is models.precondition
+    # the denoiser protocol, configs, models, schedule and metrics; the pass
+    # engine's internals (tiles, blends, SAP/TAP row helpers) stay in their
+    # modules
+    assert sorted(tilevsr.__all__) == [
+        "AnalyticGaussianDenoiser", "DegradationConfig", "DenoiseResult", "GUIDANCE_MODES",
+        "GuidanceConfig", "InjectedKV", "NumericError", "PipelineConfig", "Precondition",
+        "RunConfig", "RunResult", "RunStats", "ToyAttentionDenoiser", "ToyCodec",
+        "bicubic_resize", "block_match_flow", "build_sigma_schedule", "combine", "degrade",
+        "echo_lines", "gamma_schedule", "gaussian_blur", "ode_step", "precondition", "psnr",
+        "quantize", "resolve_config", "sag_input", "sample_video", "ssim", "tlp", "tof",
+        "warp_frame", "warping_error",
+    ]
 
 
 def test_models_does_not_import_the_sampler():

@@ -540,8 +540,6 @@ def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
         "tap forward": lambda: denoise_pass_tap(y, blend, toy, cfg, 1.0, 0.3, "forward", RunStats()),
         "tap backward": lambda: denoise_pass_tap(y, blend, toy, cfg, 1.0, 0.3, "backward", RunStats()),
     }
-    # the largest stack: every tile, a SAP group or the TAP columns side by side
-    largest = {"plain": 27, "gather": 27, "sap": 9, "tap forward": 9, "tap backward": 9}
     for name, run in passes.items():
         calls.clear()
         splits.clear()
@@ -559,12 +557,15 @@ def test_each_stack_is_split_when_it_runs(monkeypatch, per_stack):
                 sizes.setdefault(kind, []).append(len(x))
             blurred = collect_attention
         for kind, got in sizes.items():
-            assert max(got) == min(per_stack, largest[kind]), (kind, got)
+            # the largest stack is one row of the grid: a temporal index's 9 tiles
+            assert max(got) == min(per_stack, 9), (kind, got)
             # every tile once per gather and once per unblurred sag branch
             assert sum(got) == 27 * (1 if kind == "gather" else 2), (kind, got)
         assert set(sizes) == ({"gather", "sap"} if name == "sap" else {name})
         # one split a stack (the gather's and phase 2's for SAP), each merged once
         assert sum(map(len, splits)) == 27 * (2 if name == "sap" else 1)
+        # no stack crosses a row
+        assert all(stack.start // 9 == (stack.stop - 1) // 9 for stack in split_stacks)
         assert sum(len(e) for _, e in merged) == 27
         # each stack is merged as it finishes, so tiles merge in run order:
         # ascending flat order, but a backward TAP pass walks its temporal
@@ -626,8 +627,9 @@ def test_blend_weights_are_built_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("per_stack", [1, 4, 27])
 def test_sap_subsamples_once_per_hook_layer_per_gather_stack(monkeypatch, per_stack):
-    # 27 tiles (3 temporal x 9 spatial) in gather stacks of per_stack tiles:
-    # each stack's K/V are subsampled whole, layer by layer, never tile by tile
+    # 27 tiles (3 temporal x 9 spatial) in gather stacks of per_stack tiles
+    # within a row: each stack's K/V are subsampled whole, layer by layer,
+    # never tile by tile
     y = np.random.default_rng(12).standard_normal((4, 1, 16, 16))
     blend = blend_of((4, 16, 16), (2, 8, 8))
     monkeypatch.setattr(sampler, "STACK_BYTES", per_stack * split(y, blend.grid, slice(0, 1)).nbytes)
@@ -642,7 +644,7 @@ def test_sap_subsamples_once_per_hook_layer_per_gather_stack(monkeypatch, per_st
     toy = small_toy()
     cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8)
     denoise_pass_sap(y, blend, toy, cfg, 1.0, 0.3, RunStats())
-    stacks = -(-27 // per_stack)
+    stacks = 3 * -(-9 // per_stack)
     assert len(calls) == len(toy.hook_layers) * stacks
     assert sum(calls) == len(toy.hook_layers) * 27
 

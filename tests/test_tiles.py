@@ -54,6 +54,17 @@ def test_axis_offsets_enumerated_cases():
     assert axis_offsets(7, 4) == (0, 2, 3)
 
 
+def test_axis_offsets_are_the_stride_walk():
+    # every offset below extent - tile_extent on the stride, then the last
+    for extent in range(1, 101):
+        for tile in range(1, extent + 1):
+            want, pos = [], 0
+            while pos + tile < extent:
+                want.append(pos)
+                pos += max(1, tile // 2)
+            assert axis_offsets(extent, tile) == tuple(want) + (extent - tile,), (extent, tile)
+
+
 def test_axis_offsets_validation():
     with pytest.raises(ValueError):
         axis_offsets(4, 8)
@@ -87,15 +98,30 @@ def test_plan_tiles_counts_and_indexing():
     assert grid.n_temporal == 3
     assert grid.n_spatial == 9
     assert grid.n_spatial * grid.n_temporal == 27
-    # spatial index m walks the y/x grid row-major
-    assert grid.spatial_offset(0) == (0, 0)
-    assert grid.spatial_offset(1) == (0, 32)
-    assert grid.spatial_offset(3) == (32, 0)
-    assert grid.spatial_offset(8) == (64, 64)
-    sl_t, sl_y, sl_x = grid.slices(1, 5)
+    # tile (n, m) is flat index n * 9 + m, and m walks the y/x grid row-major
+    for flat, origin in ((0, (0, 0, 0)), (1, (0, 0, 32)), (3, (0, 32, 0)), (8, (0, 64, 64)),
+                         (9, (7, 0, 0)), (26, (14, 64, 64))):
+        assert tuple(sl.start for sl in grid.slices(flat)) == origin
+    sl_t, sl_y, sl_x = grid.slices(1 * 9 + 5)
     assert (sl_t.start, sl_t.stop) == (7, 21)
     assert (sl_y.start, sl_y.stop) == (32, 96)
     assert (sl_x.start, sl_x.stop) == (64, 128)
+    for flat in (-1, 27):
+        with pytest.raises(ValueError, match="tile index .* out of range"):
+            grid.slices(flat)
+
+
+def test_grid_stacks_cut_each_row_and_no_more():
+    # rows are temporal indices: a stack never crosses one, so a row of 9
+    # tiles in stacks of 4 ends in a stack of 1
+    grid = plan_tiles((28, 128, 128), (14, 64, 64))
+    assert grid.stacks(4) == [[slice(9 * n, 9 * n + 4), slice(9 * n + 4, 9 * n + 8),
+                               slice(9 * n + 8, 9 * n + 9)] for n in range(3)]
+    assert grid.stacks(9) == grid.stacks(27) == [[slice(9 * n, 9 * n + 9)] for n in range(3)]
+    assert [len(row) for row in grid.stacks(1)] == [9, 9, 9]
+    for size in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="stack size"):
+            grid.stacks(size)
 
 
 def test_plan_tiles_rejects_oversized_tile():
@@ -110,10 +136,9 @@ def test_split_order_and_copies():
     tiles = split(video, grid, slice(None))
     assert grid.n_tiles == grid.n_temporal * grid.n_spatial
     assert tiles.shape == (grid.n_tiles, 4, 2, 4, 4)
-    for n in range(grid.n_temporal):
-        for m in range(grid.n_spatial):
-            sl = grid.slices(n, m)
-            assert np.array_equal(tiles[n * grid.n_spatial + m], video[sl[0], :, sl[1], sl[2]])
+    for flat in range(grid.n_tiles):
+        st, sy, sx = grid.slices(flat)
+        assert np.array_equal(tiles[flat], video[st, :, sy, sx])
     # a stack is a run of the flat index (n * n_spatial + m), copied alone
     assert np.array_equal(split(video, grid, slice(5, 12)), tiles[5:12])
     assert split(video, grid, slice(3, 3)).shape == (0, 4, 2, 4, 4)
@@ -256,10 +281,9 @@ def test_blend_weights_are_the_summed_masks_on_the_noise_frames():
     grid = plan_tiles((6, 12, 10), (3, 6, 4))
     mask = gaussian_mask((3, 6, 4), 0.25)
     want = np.zeros((6, 1, 12, 10))
-    for n in range(grid.n_temporal):
-        for m in range(grid.n_spatial):
-            st, sy, sx = grid.slices(n, m)
-            want[st, :, sy, sx] += mask[:, None]
+    for flat in range(grid.n_tiles):
+        st, sy, sx = grid.slices(flat)
+        want[st, :, sy, sx] += mask[:, None]
     blend = Blend(grid, mask)
     assert blend.weights.tobytes() == want[0::2].tobytes()
     assert blend.mask.dtype == np.float64
