@@ -1,4 +1,5 @@
-"""Attention kernels and cross-tile key/value plumbing.
+"""Attention kernels and cross-tile key/value plumbing (SAP's subsampling
+and per-row group aggregates, TAP's frame selection).
 
 All kernels accept matrices of shape (..., tokens, d); leading axes are
 batched (the video denoiser batches over frames). `attend` is the one kernel
@@ -278,17 +279,14 @@ def subsample_spatial_kv(keys: np.ndarray, values: np.ndarray,
             values[:, :, ::rate, ::rate].reshape(tiles, -1, values.shape[-1]))
 
 
-def aggregate_frame_kv(parts: list[tuple[np.ndarray, np.ndarray]], groups: int) -> list[InjectedKV]:
-    """One shared (rows, d) aggregate per group: the stacks' (tiles, rows, d)
-    key and value rows, (keys, values) a stack in flat tile order, are
-    concatenated once along the tile axis, and group n is a C-contiguous
-    view of the n-th of `groups` equal runs of tiles (np.split raises
-    ValueError when they do not divide evenly)."""
-    groups = int_in_range("groups", groups, ge=1)
+def aggregate_frame_kv(parts: list[tuple[np.ndarray, np.ndarray]]) -> InjectedKV:
+    """One group's shared (rows, d) aggregate: its stacks' (tiles, rows, d)
+    key and value rows, (keys, values) a stack in tile order, concatenated
+    into one new array each (np.concatenate raises ValueError for no parts
+    or mismatched shapes)."""
     keys = np.concatenate([k for k, _ in parts])
     values = np.concatenate([v for _, v in parts])
-    return [InjectedKV(k.reshape(-1, k.shape[-1]), v.reshape(-1, v.shape[-1]))
-            for k, v in zip(np.split(keys, groups), np.split(values, groups))]
+    return InjectedKV(keys.reshape(-1, keys.shape[-1]), values.reshape(-1, values.shape[-1]))
 
 
 def select_tap_frames(keys: np.ndarray, count: int) -> np.ndarray:

@@ -31,7 +31,9 @@ class Branch(NamedTuple):
 
 # The passes of every mode, in run order; the last is the target. The guided
 # estimate is combine(b[-2], b[-1]) (b[0] alone for one branch); a row whose
-# first branch is identity-perturbed (pag) adds combine(b[0], b[1]) - b[1].
+# first branch is identity-perturbed (pag) adds combine(b[0], b[1]) - b[1],
+# so with one scale pag's plain branch cancels: the sum is combine(b[0], b[2])
+# up to rounding, identity-perturbed base against conditional target.
 # Branch 0 collects its attention map when a later branch is blurred.
 GUIDANCE_BRANCHES = {
     "none": (Branch(conditional=True),),

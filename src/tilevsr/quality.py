@@ -150,43 +150,43 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("psnr needs finite inputs, got non-finite values")
-    mse = float(np.mean((a - b) ** 2))
+    total = 0.0  # squared errors, summed a frame (leading index) at a time
+    for fa, fb in zip(np.atleast_2d(a), np.atleast_2d(b)):
+        diff = fa - fb
+        total += float(np.square(diff, out=diff).sum())
+    mse = total / a.size
     if mse == 0.0:
         return 99.0
     return min(99.0, float(-10.0 * np.log10(mse)))
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Sum same-shape arrays in the order NumPy's add reduction takes over a
-    contiguous run: one by one below 8 items, otherwise 8 lanes, then
-    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the tail in order. NumPy
-    splits runs longer than 128 items recursively, which this does not."""
+    """Sum at most 8 same-shape arrays in the order NumPy's add reduction
+    takes over a contiguous run: one by one below 8 items, and
+    ((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)) for 8."""
     if len(terms) < 8:
         total = terms[0].copy()
         for t in terms[1:]:
             total += t
         return total
-    full = len(terms) - len(terms) % 8
-    lanes = terms[:8]
-    for i in range(8, full, 8):
-        lanes = [lane + t for lane, t in zip(lanes, terms[i:i + 8])]
-    total = lanes[0] + lanes[1]
-    total += lanes[2] + lanes[3]
-    right = lanes[4] + lanes[5]
-    right += lanes[6] + lanes[7]
+    total = terms[0] + terms[1]
+    total += terms[2] + terms[3]
+    right = terms[4] + terms[5]
+    right += terms[6] + terms[7]
     total += right
-    for t in terms[full:]:
-        total += t
     return total
 
+
+# _ssim_frame's window edge and C1 = (K1 L)^2, C2 = (K2 L)^2 (K1 = 0.01, K2 = 0.03, L = 1)
+_SSIM_WINDOW, _SSIM_C1, _SSIM_C2 = 8, 0.01 ** 2, 0.03 ** 2
 
 # _ssim_frame's output rows per strip: the window statistics live one strip
 # at a time, so its temporaries are strip-sized, not plane-sized
 SSIM_STRIP_ROWS = 64
 
 
-def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float) -> float:
-    win = min(window, a.shape[0], a.shape[1])
+def _ssim_frame(a: np.ndarray, b: np.ndarray) -> float:
+    win = min(_SSIM_WINDOW, a.shape[0], a.shape[1])
     out_h, out_w = a.shape[0] - win + 1, a.shape[1] - win + 1
 
     def window_mean(plane: np.ndarray) -> np.ndarray:
@@ -212,8 +212,8 @@ def _ssim_frame(a: np.ndarray, b: np.ndarray, window: int, c1: float, c2: float)
         var_a = window_mean(sa * sa) - mu_a * mu_a
         var_b = window_mean(sb * sb) - mu_b * mu_b
         cov = window_mean(sa * sb) - mu_a * mu_b
-        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+        den = (mu_a * mu_a + mu_b * mu_b + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
         np.divide(num, den, out=out)
 
     # Each output row's statistics read only its own win input rows, so a
@@ -233,7 +233,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     vals = [
-        _ssim_frame(a[f, c], b[f, c], 8, 0.01 ** 2, 0.03 ** 2)
+        _ssim_frame(a[f, c], b[f, c])
         for f in range(a.shape[0])
         for c in range(a.shape[1])
     ]

@@ -14,13 +14,13 @@ Every pass walks the tile grid's rows, one per temporal index, each cut
 into stacks of tiles (TileGrid.stacks), and runs them as a short list of
 waves of independent stacks: one wave holding every row for a plain or SAP
 pass, one wave per row for TAP. Every injection is a handoff: stack i of
-the first wave runs with what the pass hands it (its row's aggregates for
-SAP, nothing otherwise), and stack i of a later wave with the key/values
-stack i of the wave before handed on. Each stack is split out of the
-latent when it runs, and its guidance-combined noise estimate is merged
-into a Gaussian blend of the noise frames as it arrives, in the order the
-pass runs its stacks, so memory follows the latent, not the tile count.
-The blend is advanced with one Euler step.
+the first wave runs with what the pass hands it (for SAP, its row's own
+aggregates, a row being a temporal group; nothing otherwise), and stack i
+of a later wave with what stack i of the wave before built for it. Each
+stack is split out of the latent when it runs, and its guidance-combined
+noise estimate is merged into a Gaussian blend of the noise frames as it
+arrives, in the order the pass runs its stacks, so memory follows the
+latent, not the tile count. The blend is advanced with one Euler step.
 """
 from __future__ import annotations
 
@@ -164,10 +164,10 @@ def _require_finite(arrays, stack: slice, n_spatial: int, step: int, what: str,
                                f"{divmod(stack.start + i, n_spatial)}, sigma={sigma:g}")
 
 
-def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect_kv: bool,
+def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, handoff,
                 denoiser, cfg: PipelineConfig, sigma: float, gamma_t: float, step: int):
-    """Guided noise estimates of a stack of tiles (tile axis first), and its
-    target branch's stacked result.
+    """Guided noise estimates of a stack of tiles (tile axis first), and what
+    handoff builds from its target branch's result (None without a handoff).
 
     The branches of the mode's GUIDANCE_BRANCHES row run in order, one
     stacked forward each, on the stack split out once; a blurred branch's
@@ -185,7 +185,7 @@ def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect
         result = denoiser.denoise(
             x, branch.conditional, sigma, injected=injections,
             gamma=gamma_t if branch.tempered else 0.0, identity=branch.identity,
-            collect_kv=collect_kv and i == len(branches) - 1,
+            collect_kv=handoff is not None and i == len(branches) - 1,
             collect_attention=needs_map and i == 0,
         )
         e = (x - result.denoised) / sigma
@@ -193,12 +193,10 @@ def _guided_eps(y: np.ndarray, grid: TileGrid, stack: slice, injections, collect
         if i == 0:
             attention = result.attention
         eps.append(e)
-    if len(eps) == 1:
-        return eps[0], result
-    guided = combine(eps[-2], eps[-1], g.scale)
+    guided = eps[0] if len(eps) == 1 else combine(eps[-2], eps[-1], g.scale)
     if branches[0].identity:  # pag: also guide away from the identity-perturbed branch
         guided = guided + (combine(eps[0], eps[1], g.scale) - eps[1])
-    return guided, result
+    return guided, None if handoff is None else handoff(result)
 
 
 def _map_tiles(items: list | range, fn, workers: int):
@@ -221,23 +219,22 @@ def _run_pass(y: np.ndarray, blend: Blend, waves: list[list[slice]], denoiser,
     K/V handed[i] and drops them once read. In the first wave, handed is the
     pass's own list, one entry per stack (None for each stack when not
     given); in a later wave, handed[i] is what stack i of the wave before
-    handed on. With handoff, the stacks of every wave but the last keep
-    their target branch's K/V and hand handoff(result) on. Each estimate is
-    merged into the blend, and its tiles counted, on this thread as it
-    arrives, so the blend sums tiles in the order the pass runs them.
+    handed on. With handoff, each stack of every wave but the last hands on
+    what its task built with handoff from its target branch's K/V. Each
+    estimate is merged into the blend, and its tiles counted, on this
+    thread as it arrives, so the blend sums tiles in the order they run.
     """
     num = np.zeros(blend.weights.shape[:1] + y.shape[1:2] + blend.weights.shape[2:])
     forwards = len(GUIDANCE_BRANCHES[cfg.guidance.mode])
     if handed is None:
         handed = [None] * len(waves[0])
     for w, wave in enumerate(waves):
-        collect_kv = handoff is not None and w + 1 < len(waves)
+        wave_handoff = handoff if w + 1 < len(waves) else None
 
         def run_stack(i: int):
             injections, handed[i] = handed[i], None  # read once: it goes with this stack's forward
-            eps, result = _guided_eps(y, blend.grid, wave[i], injections, collect_kv, denoiser,
-                                      cfg, sigma, gamma_t, step)
-            return i, eps, handoff(result) if collect_kv else None
+            return i, *_guided_eps(y, blend.grid, wave[i], injections, wave_handoff, denoiser,
+                                   cfg, sigma, gamma_t, step)
 
         for i, eps, handed_on in _map_tiles(range(len(wave)), run_stack, cfg.workers):
             merge(num, eps, blend, wave[i])
@@ -256,13 +253,13 @@ def _require_hooks(denoiser, scheme: str):
 
 def denoise_pass_sap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig, sigma: float,
                      gamma_t: float, stats: RunStats, step: int = 0) -> np.ndarray:
-    """Two-phase spatial propagation over every temporal group.
+    """Two-phase spatial propagation over the temporal groups, the grid's rows.
 
-    Phase 1 runs the grid's stacks as far as their hook layers' key/values
-    (kv_only), subsampled on a stride grid and aggregated over all tiles of
-    each row, a temporal group (own tile included). Phase 2 starts only
-    after every gather has: the same stacks are rerun, each handed its
-    row's aggregate for its hooked layers.
+    Phase 1 runs one wave of every stack as far as its hook layers' K/V
+    (kv_only), subsampled on a stride grid and taken row by row: per hook
+    layer, a row's stacks, in ascending m, make its own aggregate (own tile
+    included). Phase 2 starts after every gather: the same wave reruns,
+    each stack handed its row's aggregates, gone once the row has run.
     """
     _require_hooks(denoiser, "spatial")
     layers = denoiser.hook_layers
@@ -278,16 +275,16 @@ def denoise_pass_sap(y: np.ndarray, blend: Blend, denoiser, cfg: PipelineConfig,
         return {layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
                 for layer in layers}
 
-    parts = list(_map_tiles(wave, gather, cfg.workers))
+    gathered = _map_tiles(wave, gather, cfg.workers)
+    handed = []
+    for row in rows:
+        parts = [next(gathered) for _ in row]
+        # each layer's stack rows go as soon as the row's aggregate of them exists
+        aggregate = {layer: aggregate_frame_kv([p.pop(layer) for p in parts]) for layer in layers}
+        handed += [aggregate] * len(row)
+    del gathered  # every result is taken: this closes the gather's thread pool
     stats.gather_calls += grid.n_tiles
-    # phase 2 holds the rows once, in the aggregates: each layer's stack rows
-    # go as soon as that layer's are concatenated
-    aggregate = {layer: aggregate_frame_kv([p.pop(layer) for p in parts], grid.n_temporal)
-                 for layer in layers}
-    del parts
-    return _run_pass(y, blend, [wave], denoiser, cfg, sigma, gamma_t, stats, step,
-                     handed=[{layer: groups[n] for layer, groups in aggregate.items()}
-                             for n, row in enumerate(rows) for _ in row])
+    return _run_pass(y, blend, [wave], denoiser, cfg, sigma, gamma_t, stats, step, handed=handed)
 
 
 def _tap_injections(result, l_frames: int, hook_layers) -> dict[int, InjectedKV]:
@@ -359,8 +356,9 @@ def sample_video(lr_video: np.ndarray, denoiser, codec, cfg: PipelineConfig) -> 
     mask, and steps the noisy latent in place. The final latent is decoded at
     sigma_min.
     """
-    lr = validate_video(lr_video, "lr_video").astype(np.float64)
+    lr = np.asarray(validate_video(lr_video, "lr_video"), dtype=np.float64)
     l = _condition_latent(lr, codec, cfg.upscale_factor)
+    del lr  # a converted copy would otherwise live through every step
     n_frames, channels, lat_h, lat_w = l.shape
 
     # the denoiser patchifies every tile: spatial extents clamp down to whole patches

@@ -345,47 +345,41 @@ def test_subsample_grid_mismatch():
 # --- aggregation ------------------------------------------------------------
 
 def test_aggregate_orders_rows_by_tile():
-    # two stacks of 3 and 1 tiles, 2 rows each, in two groups of 2 tiles
+    # one group of two stacks, of 3 and 1 tiles, 2 rows each
     rows = np.arange(4 * 2 * 3, dtype=np.float64).reshape(4, 2, 3)
     a = (rows[:3], -rows[:3, :, :2])
     b = (rows[3:], -rows[3:, :, :2])
-    groups = aggregate_frame_kv([a, b], 2)
-    assert len(groups) == 2
-    for n, agg in enumerate(groups):
-        assert agg.rows == 4
-        assert np.array_equal(agg.keys, rows[2 * n:2 * n + 2].reshape(4, 3))
-        assert np.array_equal(agg.values, -rows[2 * n:2 * n + 2, :, :2].reshape(4, 2))
-    (single,) = aggregate_frame_kv([a, b], 1)
-    assert np.array_equal(single.keys, rows.reshape(8, 3))
+    agg = aggregate_frame_kv([a, b])
+    assert agg.rows == 8
+    assert np.array_equal(agg.keys, rows.reshape(8, 3))
+    assert np.array_equal(agg.values, -rows[:, :, :2].reshape(8, 2))
+    single = aggregate_frame_kv([b])
+    assert np.array_equal(single.keys, rows[3].reshape(2, 3))
 
 
-def test_aggregate_groups_are_views_of_one_array():
+def test_aggregate_is_one_array_of_its_own():
     rng = np.random.default_rng(23)
     parts = [(rng.standard_normal((t, 5, 3)), rng.standard_normal((t, 5, 2))) for t in (2, 1, 3)]
-    groups = aggregate_frame_kv(parts, 3)
-    keys, values = groups[0].keys.base, groups[0].values.base
-    assert keys.shape == (6, 5, 3) and values.shape == (6, 5, 2)
-    for agg in groups:
-        assert agg.keys.flags.c_contiguous and agg.values.flags.c_contiguous
-        assert agg.keys.shape == (10, 3) and agg.values.shape == (10, 2)
-        assert agg.keys.base is keys and agg.values.base is values
-        assert not any(np.shares_memory(agg.keys, k) for k, _ in parts)
-    assert np.array_equal(np.concatenate([agg.keys for agg in groups]),
-                          np.concatenate([k for k, _ in parts]).reshape(-1, 3))
+    agg = aggregate_frame_kv(parts)
+    assert agg.keys.flags.c_contiguous and agg.values.flags.c_contiguous
+    assert agg.keys.shape == (30, 3) and agg.values.shape == (30, 2)
+    assert agg.keys.base.shape == (6, 5, 3) and agg.values.base.shape == (6, 5, 2)
+    assert not any(np.shares_memory(agg.keys, k) or np.shares_memory(agg.values, v)
+                   for k, v in parts)
+    assert np.array_equal(agg.keys, np.concatenate([k for k, _ in parts]).reshape(-1, 3))
+    assert np.array_equal(agg.values, np.concatenate([v for _, v in parts]).reshape(-1, 2))
 
 
 def test_aggregate_rejects_mismatches():
     a = (np.zeros((2, 2, 3)), np.zeros((2, 2, 2)))
-    for parts, groups in (
-        ([a, (np.zeros((2, 2, 4)), np.zeros((2, 2, 2)))], 1),  # key dims differ
-        ([a, (np.zeros((2, 3, 3)), np.zeros((2, 3, 2)))], 1),  # row counts differ
-        ([], 1),
-        ([a], 3),  # 2 tiles in 3 groups
-        ([a], 0),
-        ([a], 1.5),
+    for parts in (
+        [a, (np.zeros((2, 2, 4)), np.zeros((2, 2, 2)))],  # key dims differ
+        [a, (np.zeros((2, 3, 3)), np.zeros((2, 3, 2)))],  # row counts differ
+        [a, (np.zeros((2, 2, 3)), np.zeros((2, 2, 5)))],  # value dims differ
+        [],
     ):
         with pytest.raises(ValueError):
-            aggregate_frame_kv(parts, groups)
+            aggregate_frame_kv(parts)
 
 
 # --- frame selection --------------------------------------------------------

@@ -77,7 +77,7 @@ def test_ssim_frame_holds_its_map_and_a_few_strips():
     map_bytes = 505 * 505 * 8
     strip_bytes = SSIM_STRIP_ROWS * 512 * 8
     assert 512 > 4 * SSIM_STRIP_ROWS  # several strips
-    _, peak = traced_peak(lambda: _ssim_frame(a, b, 8, 0.01 ** 2, 0.03 ** 2))
+    _, peak = traced_peak(lambda: _ssim_frame(a, b))
     assert peak <= map_bytes + 10 * strip_bytes < 3 * a.nbytes
 
 
@@ -122,11 +122,25 @@ def test_a_frame_directory_loads_into_one_video(tmp_path, fmt):
     assert peak <= back.nbytes + 3 * back[0].nbytes
 
 
+def test_psnr_holds_one_frame_of_squared_errors():
+    """psnr sums squared errors a frame at a time: beside its inputs live
+    one frame's difference and the finiteness check's bool mask (a byte an
+    element). Measured: 0.75 MiB on the pipeline's videos; the whole-video
+    squared difference took 3.00."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.0, 1.0, VIDEO_SHAPE)
+    b = np.clip(a + rng.normal(0.0, 0.05, a.shape), 0.0, 1.0)
+    _, peak = traced_peak(lambda: quality.psnr(a, b))
+    assert peak <= a.size + a[0].nbytes + 4096
+
+
 def test_metrics_holds_three_videos_and_one_pair_of_flows(tmp_path, capsys):
     """metrics loads both videos in float64 and walks frame pairs, so only
-    one pair's flows are alive beside them; psnr's squared difference is
-    the third video. Measured: 9.13 MiB against 10; with every pair's flows
-    held at once, 12.5."""
+    one pair's flows are alive beside them. warping_error's temporaries
+    for one pair (warp_frame's pixel grids and whole-frame products) bring
+    the peak to about a third video; psnr's, one frame, stay below them.
+    Measured: 9.13 MiB against 10; with every pair's flows held at once,
+    12.5."""
     rng = np.random.default_rng(0)
     gt = rng.uniform(0.0, 1.0, VIDEO_SHAPE)
     paths = [str(tmp_path / "gt.dcvt"), str(tmp_path / "restored.dcvt")]
@@ -425,11 +439,12 @@ def test_smaller_tiles_raise_the_step_peak_by_their_extra_kv_rows():
 def test_the_noisy_latent_lives_only_in_the_interleaved_latent(monkeypatch, lr_shape, tile,
                                                                guidance, tap):
     """When each of 3 steps' passes starts, the run holds the interleaved
-    latent, the blend's weights and mask and the float64 input, and a few
-    KiB of bookkeeping: the noisy latent is a view of the interleaved
-    latent's noise frames, not a copy beside it. Measured: 4.5-10.7 KiB
-    over those arrays; with a copy, one latent more (0.84 MiB on sap_wide,
-    0.33 on sap_tap_dssag)."""
+    latent, the blend's weights and mask, and a few KiB of bookkeeping: the
+    noisy latent is a view of the interleaved latent's noise frames, not a
+    copy beside it, and no copy of the float64 input outlives the
+    conditioning latent. Measured: 4.2-11.0 KiB over those arrays; with a
+    copy of the input, 216 KiB more on sap_wide and 84 KiB on sap_tap_dssag,
+    and with a copy of the noisy latent, 0.84 and 0.33 MiB more."""
     lr = np.random.default_rng(0).uniform(0.0, 1.0, lr_shape)
     den = ToyAttentionDenoiser(**SAP_WIDE_DENOISER)
     cfg = PipelineConfig(steps=3, tile_h=tile[0], tile_w=tile[1], tile_frames=tile[2], tap=tap,
@@ -438,7 +453,7 @@ def test_the_noisy_latent_lives_only_in_the_interleaved_latent(monkeypatch, lr_s
     held = []
     for name in ("denoise_pass_sap", "denoise_pass_tap", "denoise_pass_plain"):
         def spy(y, blend, *args, real=getattr(sampler, name), **kw):
-            arrays = y.nbytes + blend.weights.nbytes + blend.mask.nbytes + lr.nbytes
+            arrays = y.nbytes + blend.weights.nbytes + blend.mask.nbytes
             held.append((tracemalloc.get_traced_memory()[0], arrays))
             return real(y, blend, *args, **kw)
         monkeypatch.setattr(sampler, name, spy)

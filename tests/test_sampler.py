@@ -649,6 +649,71 @@ def test_sap_subsamples_once_per_hook_layer_per_gather_stack(monkeypatch, per_st
     assert sum(calls) == len(toy.hook_layers) * 27
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sap_groups_are_the_grid_rows(monkeypatch, workers):
+    # 27 tiles (3 temporal x 9 spatial) in stacks of m 0-3, 4-7 and 8 within
+    # a row, on a latent whose rows differ: per hook layer, each row's stacks,
+    # in ascending m, make one aggregate, and every stack of that row, and
+    # no other, is handed it
+    y = np.random.default_rng(13).standard_normal((4, 1, 16, 16))
+    blend = blend_of((4, 16, 16), (2, 8, 8))
+    grid = blend.grid
+    monkeypatch.setattr(sampler, "STACK_BYTES", 4 * split(y, grid, slice(0, 1)).nbytes)
+    rows = grid.stacks(4)
+    assert [len(row) for row in rows] == [3, 3, 3]
+    row_of = {stack.start: n for n, row in enumerate(rows) for stack in row}
+    toy = small_toy()
+    layers = toy.hook_layers
+    cfg = pipe_cfg(tile_frames=2, tile_h=8, tile_w=8, workers=workers)
+    want = [[{layer: subsample_spatial_kv(result.keys[layer], result.values[layer], cfg.sap_rate)
+              for layer in layers}
+             for result in (toy.denoise(split(y, grid, stack), True, 1.0, kv_only=True)
+                            for stack in row)]
+            for row in rows]
+
+    aggregates = []  # (parts, aggregate) of every call, in call order
+    real_aggregate = sampler.aggregate_frame_kv
+
+    def aggregate_spy(parts):
+        aggregates.append((parts, real_aggregate(parts)))
+        return aggregates[-1][1]
+
+    splits = []  # (stack, split array) of every split
+    real_split = sampler.split
+
+    def split_spy(video, g, stack):
+        splits.append((stack, real_split(video, g, stack)))
+        return splits[-1][1]
+
+    handed = []  # (stack, injections) of every injected forward
+    real_denoise = ToyAttentionDenoiser.denoise
+
+    def denoise_spy(self, x, *args, injected=None, **kw):
+        if injected is not None:
+            handed.append((next(stack for stack, part in splits if part is x), injected))
+        return real_denoise(self, x, *args, injected=injected, **kw)
+
+    monkeypatch.setattr(sampler, "aggregate_frame_kv", aggregate_spy)
+    monkeypatch.setattr(sampler, "split", split_spy)
+    monkeypatch.setattr(ToyAttentionDenoiser, "denoise", denoise_spy)
+    denoise_pass_sap(y, blend, toy, cfg, 1.0, 0.3, RunStats())
+
+    assert len(aggregates) == len(rows) * len(layers)
+    by_row = {}
+    for k, (parts, aggregate) in enumerate(aggregates):
+        n, layer = k // len(layers), layers[k % len(layers)]
+        assert len(parts) == len(rows[n])
+        for (keys, values), stack_want in zip(parts, want[n]):
+            assert np.array_equal(keys, stack_want[layer][0])
+            assert np.array_equal(values, stack_want[layer][1])
+        by_row.setdefault(n, {})[layer] = aggregate
+    assert not np.array_equal(by_row[0][layers[0]].keys, by_row[1][layers[0]].keys)
+    assert sorted(stack.start for stack, _ in handed) == sorted(row_of)
+    for stack, injections in handed:
+        assert injections.keys() == by_row[row_of[stack.start]].keys()
+        assert all(injections[layer] is by_row[row_of[stack.start]][layer] for layer in layers)
+
+
 def test_injected_rows_match_token_major_selection():
     # hook-layer K/V are (frames, gh, gw, d); the rows SAP and TAP inject must
     # be those of the flat token-major layout, token (f, y, x) at row
