@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -117,41 +118,32 @@ def write_ppm(path: str, frame: np.ndarray) -> None:
     atomic_write_bytes(path, image)
 
 
-def _read_ppm_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-separated header tokens, skipping # comments."""
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise ValueError("truncated image header")
-        ch = data[i:i + 1]
-        if ch == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    return tokens, i + 1  # single whitespace byte ends the header
+# The four header tokens of a PPM or PFM file: each is the bytes up to a
+# whitespace byte or "#", after any whitespace and any "#" comment. A comment
+# runs to its newline or the end of the data, so it cannot end early and
+# leave a token behind; a token is whole, so none splits into two.
+_IMAGE_HEADER = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)(?![^\s#])" * 4)
 
 
-def _read_image_header(path: str, data: bytes, channels_by_tag: dict,
-                       itemsize: int) -> tuple[int, int, int, bytes, int]:
-    """(channels, h, w, the header's last token, raster offset) of a PPM or
-    PFM file. The dims must be positive and the data must hold the whole
-    raster, so no size beyond the file reaches NumPy."""
-    tokens, offset = _read_ppm_tokens(data, 4)
-    tag, w_s, h_s, last = tokens
+def _read_image_header(path: str, data: bytes, channels_by_tag: dict, itemsize: int,
+                       parse_last: type) -> tuple[int, int, int, int | float, int]:
+    """(channels, h, w, the header's last token read by parse_last, raster
+    offset) of a PPM or PFM file. The dims must be positive and the data
+    must hold the whole raster, so no size beyond the file reaches NumPy."""
+    header = _IMAGE_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: truncated image header")
+    tag, w_s, h_s, last_s = header.groups()
     if tag not in channels_by_tag:
         raise ValueError(f"{path}: unsupported image tag {tag!r}")
-    w, h = int(w_s), int(h_s)
+    try:
+        w, h, last = int(w_s), int(h_s), parse_last(last_s)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if w < 1 or h < 1:
         raise ValueError(f"{path}: image dims must be positive, got {w}x{h}")
     channels = channels_by_tag[tag]
+    offset = header.end() + 1  # one whitespace byte ends the header
     if w * h * channels * itemsize > len(data) - offset:
         raise ValueError(f"{path}: truncated raster for a {w}x{h} image")
     return channels, h, w, last, offset
@@ -160,8 +152,7 @@ def _read_image_header(path: str, data: bytes, channels_by_tag: dict,
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    channels, h, w, maxval_s, offset = _read_image_header(path, data, {b"P6": 3, b"P5": 1}, 1)
-    maxval = int(maxval_s)
+    channels, h, w, maxval, offset = _read_image_header(path, data, {b"P6": 3, b"P5": 1}, 1, int)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     raster = np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=offset)
@@ -184,12 +175,11 @@ def write_pfm(path: str, frame: np.ndarray) -> None:
 def read_pfm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    channels, h, w, scale_s, offset = _read_image_header(path, data, {b"PF": 3, b"Pf": 1}, 4)
-    scale = float(scale_s)
+    channels, h, w, scale, offset = _read_image_header(path, data, {b"PF": 3, b"Pf": 1}, 4, float)
     if scale == 0:
         raise ValueError(f"{path}: zero scale")
     if not math.isfinite(scale):  # its sign picks the byte order: nan < 0 is false
-        raise ValueError(f"{path}: non-finite scale {scale_s.decode()!r}")
+        raise ValueError(f"{path}: non-finite scale {scale}")
     dtype = "<f4" if scale < 0 else ">f4"
     raster = np.frombuffer(data, dtype=dtype, count=w * h * channels, offset=offset)
     frame = raster.reshape(h, w, channels)[::-1].transpose(2, 0, 1)

@@ -45,13 +45,9 @@ def gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
 
 def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
     """Weights for taps at offsets (-1, 0, 1, 2) around the base sample."""
-    w = np.empty(t.shape + (4,), dtype=np.float64)
-    for i, s in enumerate((-1.0, 0.0, 1.0, 2.0)):
-        u = np.abs(t - s)
-        near = (1.5 * u - 2.5) * u * u + 1.0
-        far = ((-0.5 * u + 2.5) * u - 4.0) * u + 2.0
-        w[..., i] = np.where(u <= 1.0, near, np.where(u < 2.0, far, 0.0))
-    return w
+    u = np.abs(t[..., None] - np.array([-1.0, 0.0, 1.0, 2.0]))
+    return np.where(u <= 1.0, (1.5 * u - 2.5) * u * u + 1.0,
+                    np.where(u < 2.0, ((-0.5 * u + 2.5) * u - 4.0) * u + 2.0, 0.0))
 
 
 def _resample_axis(arr: np.ndarray, out_n: int, scale: float, axis: int) -> np.ndarray:
@@ -256,10 +252,7 @@ def check_flow_window(block: int, radius: int) -> tuple[int, int]:
 
 def _block_starts(extent: int, block: int) -> np.ndarray:
     """Block offsets along one axis: stride `block`, last block clamped to the edge."""
-    starts = list(range(0, extent - block + 1, block))
-    if starts[-1] != extent - block:
-        starts.append(extent - block)
-    return np.asarray(starts)
+    return np.asarray([*range(0, extent - block, block), extent - block])
 
 
 def block_match_flow(f1: np.ndarray, f2: np.ndarray, block: int = 8, radius: int = 4) -> np.ndarray:
@@ -319,6 +312,12 @@ def block_match_flow(f1: np.ndarray, f2: np.ndarray, block: int = 8, radius: int
     return best[:, iy[:, None], ix[None, :]]
 
 
+# warp_frame's output rows per strip: its source coordinates, indices,
+# weights and products live one strip at a time, not one frame (at 128
+# columns, a strip's temporaries stay below warping_error's residual)
+_WARP_STRIP_ROWS = 32
+
+
 def warp_frame(frame: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward-sample a frame along a flow field, bilinear with edge clamp."""
     frame = _as_frame(frame)
@@ -326,21 +325,23 @@ def warp_frame(frame: np.ndarray, flow: np.ndarray) -> np.ndarray:
     _, h, w = frame.shape
     if flow.shape != (2, h, w):
         raise ValueError(f"flow shape {flow.shape} does not match frame ({h}, {w})")
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    sy = np.clip(yy - flow[0], 0.0, h - 1.0)
-    sx = np.clip(xx - flow[1], 0.0, w - 1.0)
-    y0 = np.floor(sy).astype(np.int64)
-    x0 = np.floor(sx).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = sy - y0
-    fx = sx - x0
-    out = (
-        frame[:, y0, x0] * (1 - fy) * (1 - fx)
-        + frame[:, y1, x0] * fy * (1 - fx)
-        + frame[:, y0, x1] * (1 - fy) * fx
-        + frame[:, y1, x1] * fy * fx
-    )
+    out = np.empty(frame.shape)
+    for top in range(0, h, _WARP_STRIP_ROWS):
+        rows = slice(top, top + _WARP_STRIP_ROWS)
+        sy = np.clip(np.arange(h, dtype=np.float64)[rows, None] - flow[0, rows], 0.0, h - 1.0)
+        sx = np.clip(np.arange(w, dtype=np.float64) - flow[1, rows], 0.0, w - 1.0)
+        y0 = np.floor(sy).astype(np.int64)
+        x0 = np.floor(sx).astype(np.int64)
+        y1 = np.minimum(y0 + 1, h - 1)
+        x1 = np.minimum(x0 + 1, w - 1)
+        fy = sy - y0
+        fx = sx - x0
+        out[:, rows] = (
+            frame[:, y0, x0] * (1 - fy) * (1 - fx)
+            + frame[:, y1, x0] * fy * (1 - fx)
+            + frame[:, y0, x1] * (1 - fy) * fx
+            + frame[:, y1, x1] * fy * fx
+        )
     return out
 
 

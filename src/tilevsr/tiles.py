@@ -206,13 +206,11 @@ class Blend:
         if mask.shape != self.grid.tile_dims:
             raise ValueError(f"mask shape {mask.shape} does not match tile dims {self.grid.tile_dims}")
         frames, height, width = self.grid.video_dims
-        weights = np.zeros(((frames + 1) // 2, 1, height, width))
-        halves = deinterleave(mask[:, None])
-        for flat in range(self.grid.n_tiles):
-            region, half = _noise_half(self.grid, flat)
-            weights[region] += halves[half]
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", np.zeros(((frames + 1) // 2, 1, height, width)))
+        # the weights are the blend of an estimate of ones on every tile
+        tf, th, tw = self.grid.tile_dims
+        merge(self.weights, np.broadcast_to(1.0, (self.grid.n_tiles, tf, 1, th, tw)), self, slice(None))
 
 
 def merge(num: np.ndarray, estimates: np.ndarray, blend: Blend, stack: slice) -> None:

@@ -206,6 +206,62 @@ def test_ppm_rejects_bad_headers(tmp_path):
             read_ppm(path)
 
 
+def loop_read_header_tokens(data, count):
+    """Reference: the first `count` header tokens and the raster offset, one
+    byte at a time. Whitespace is bytes.isspace, a "#" comment runs to its
+    newline, and one byte after the last token ends the header."""
+    tokens = []
+    i = 0
+    while len(tokens) < count:
+        if i >= len(data):
+            raise ValueError("truncated image header")
+        ch = data[i:i + 1]
+        if ch == b"#":
+            while i < len(data) and data[i:i + 1] != b"\n":
+                i += 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    return tokens, i + 1
+
+
+HEADER_PIECES = [b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"\x1c", b"#", b"#c", b"# a b\n",
+                 b"\n# only a comment", b"P6", b"P5", b"PF", b"Pf", b"0", b"7", b"255", b"-",
+                 b"-1.0", b"x"]
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.sampled_from(HEADER_PIECES), max_size=16).map(b"".join))
+def test_image_header_grammar_matches_the_byte_loop(data):
+    try:
+        want = loop_read_header_tokens(data, 4)
+    except ValueError:
+        want = None
+    header = tio._IMAGE_HEADER.match(data)
+    got = None if header is None else (list(header.groups()), header.end() + 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("read,tag,last", [(read_ppm, b"P6", b"255"), (read_pfm, b"PF", b"-1.0")])
+@pytest.mark.parametrize("header,message", [
+    (b"TAG\n2 abc\nLAST\n", "abc"),
+    (b"TAG\nx1 1\nLAST\n", "x1"),
+    (b"TAG\n2 1\nxyz\n", "xyz"),
+    (b"TAG\n2 1\n# only a comment", "truncated image header"),
+])
+def test_image_header_errors_name_the_file(tmp_path, read, tag, last, header, message):
+    path = tmp_path / "frame_0001.img"
+    path.write_bytes(header.replace(b"TAG", tag).replace(b"LAST", last) + bytes(24))
+    with pytest.raises(ValueError, match=message) as err:
+        read(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 # headers whose dims are not positive, or whose raster outgrows any file
 BAD_DIMS = ["0 2", "2 0", "-1 2", "99999999999 99999999999"]
 
