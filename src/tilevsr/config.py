@@ -1,20 +1,19 @@
 """Plain-text run configuration: `key=value` lines, `#` comments.
 
 Each key is a field of a component config (PipelineConfig, GuidanceConfig,
-DegradationConfig, ToyCodec) or of RunConfig itself. Unknown keys are
-rejected, defaults fill everything else, resolving builds the components (so
-their checks run at once), and the resolved config can be echoed back in the
-same format (parse(echo(cfg)) == cfg).
+DegradationConfig, ToyCodec, ToyDenoiserConfig) or of RunConfig itself.
+Unknown keys are rejected, defaults fill everything else, resolving builds
+the components (so their checks run at once), and the resolved config can be
+echoed back in the same format (parse(echo(cfg)) == cfg).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .guidance import GuidanceConfig
-from .models import ToyAttentionDenoiser, ToyCodec, check_toy_settings
+from .models import ToyAttentionDenoiser, ToyCodec, ToyDenoiserConfig
 from .quality import DegradationConfig, check_flow_window
 from .sampler import PipelineConfig
-from .tiles import in_range, int_in_range
 
 
 def _parse_bool(value: str) -> bool:
@@ -39,46 +38,29 @@ def parse_extents(name: str, value: str, count: int) -> tuple[int, ...]:
 
 @dataclass
 class RunConfig:
-    """The component configs, plus the denoiser and metric settings that have
-    no component config of their own. Every flat config key is exactly one
-    field of one of them (see `_KEYS`).
+    """The component configs, plus the metric settings that have no component
+    config of their own. Every flat config key is exactly one field of one of
+    them (see `_KEYS`).
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     degradation: DegradationConfig = field(default_factory=DegradationConfig)
     codec: ToyCodec = field(default_factory=ToyCodec)
-    # toy denoiser
-    denoiser_seed: int = 1234
-    patch_size: int = 4
-    embed_dim: int = 32
-    spatial_layers: int = 4
-    cond_dim: int = 8
-    sigma_data: float = 0.5  # the denoiser's preconditioning
+    denoiser: ToyDenoiserConfig = field(default_factory=ToyDenoiserConfig)
     # metrics
     flow_block: int = 8
     flow_radius: int = 4
 
     def __post_init__(self):
-        self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim = check_toy_settings(
-            self.patch_size, self.embed_dim, self.spatial_layers, self.cond_dim)
-        for name in ("tile_h", "tile_w"):  # the denoiser patchifies every tile
+        patch = self.denoiser.patch_size  # the denoiser patchifies every tile
+        for name in ("tile_h", "tile_w"):
             extent = getattr(self.pipeline, name)
-            if extent % self.patch_size:
-                raise ValueError(f"{name} {extent} must be a multiple of patch_size {self.patch_size}")
+            if extent % patch:
+                raise ValueError(f"{name} {extent} must be a multiple of patch_size {patch}")
         self.flow_block, self.flow_radius = check_flow_window(self.flow_block, self.flow_radius)
-        self.denoiser_seed = int_in_range("denoiser_seed", self.denoiser_seed, ge=0)
-        in_range("sigma_data", self.sigma_data, gt=0)
 
     def build_denoiser(self, channels: int) -> ToyAttentionDenoiser:
-        return ToyAttentionDenoiser(
-            seed=self.denoiser_seed,
-            channels=channels,
-            patch_size=self.patch_size,
-            embed_dim=self.embed_dim,
-            spatial_layers=self.spatial_layers,
-            cond_dim=self.cond_dim,
-            sigma_data=self.sigma_data,
-        )
+        return ToyAttentionDenoiser(**asdict(self.denoiser), channels=channels)
 
 
 # Where each component sits in a RunConfig. A field naming a section holds
@@ -89,10 +71,11 @@ _SECTIONS = {
     "guidance": (GuidanceConfig, lambda cfg: cfg.pipeline.guidance),
     "degradation": (DegradationConfig, lambda cfg: cfg.degradation),
     "codec": (ToyCodec, lambda cfg: cfg.codec),
+    "denoiser": (ToyDenoiserConfig, lambda cfg: cfg.denoiser),
 }
 # The flat keys that are not their field's name, kept for compatibility.
 _RENAMED = {("guidance", "mode"): "guidance", ("pipeline", "tap_frames"): "tap_l",
-            ("codec", "factor"): "codec_factor"}
+            ("codec", "factor"): "codec_factor", ("denoiser", "seed"): "denoiser_seed"}
 # flat key -> (section, dataclass field)
 _KEYS = {
     _RENAMED.get((section, f.name), f.name): (section, f)
@@ -173,6 +156,7 @@ def resolve_config(path: str | None = None, overrides: dict | None = None) -> Ru
         pipeline=PipelineConfig(guidance=GuidanceConfig(**args["guidance"]), **args["pipeline"]),
         degradation=DegradationConfig(**args["degradation"]),
         codec=ToyCodec(**args["codec"]),
+        denoiser=ToyDenoiserConfig(**args["denoiser"]),
         **args["run"],
     )
 

@@ -54,6 +54,8 @@ def write_tensor(path: str, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if arr.ndim < 1 or arr.ndim > _MAX_RANK:
         raise ValueError(f"rank must be in [1, {_MAX_RANK}], got {arr.ndim}")
+    if 0 in arr.shape:  # read_tensor refuses such a file
+        raise ValueError(f"zero-length dim in {arr.shape}")
     header = MAGIC + struct.pack(f"<HH{arr.ndim}I", VERSION, arr.ndim, *arr.shape)
     image, payload = _file_image(header, "<f4", arr.shape)
     with np.errstate(over="ignore"):  # values beyond float32 range become inf, refused below

@@ -114,20 +114,32 @@ def _positions(gh: int, gw: int, embed_dim: int) -> np.ndarray:
     return table
 
 
-def check_toy_settings(patch_size: int, embed_dim: int, spatial_layers: int,
-                       cond_dim: int) -> tuple[int, int, int, int]:
-    """ToyAttentionDenoiser's architecture checks, for configs that build one
-    later. Returns the four settings as ints, in argument order."""
-    spatial_layers = int_in_range("spatial_layers", spatial_layers, ge=4)  # first-two/last-two hooks
-    patch_size = int_in_range("patch_size", patch_size, ge=1)
-    cond_dim = int_in_range("cond_dim", cond_dim, ge=1)
-    embed_dim = int_in_range("embed_dim", embed_dim, ge=2)
-    if embed_dim % 2 != 0:
-        raise ValueError(f"embed_dim must be even, got {embed_dim}")
-    return patch_size, embed_dim, spatial_layers, cond_dim
+@dataclass(kw_only=True)
+class ToyDenoiserConfig:
+    """ToyAttentionDenoiser's settings: the run config's `denoiser` section."""
+
+    seed: int = 1234
+    patch_size: int = 4
+    embed_dim: int = 32
+    spatial_layers: int = 4
+    cond_dim: int = 8
+    sigma_data: float = 0.5  # the preconditioning's data scale
+
+    def __post_init__(self):
+        # the hook layers are the first two and the last two
+        self.spatial_layers = int_in_range("spatial_layers", self.spatial_layers, ge=4)
+        self.patch_size = int_in_range("patch_size", self.patch_size, ge=1)
+        self.cond_dim = int_in_range("cond_dim", self.cond_dim, ge=1)
+        self.embed_dim = int_in_range("embed_dim", self.embed_dim, ge=2)
+        if self.embed_dim % 2 != 0:
+            raise ValueError(f"embed_dim must be even, got {self.embed_dim}")
+        self.sigma_data = float(in_range("sigma_data", self.sigma_data, gt=0))
+        # named by its config key, which tells it from the sampler's seed
+        self.seed = int_in_range("denoiser_seed", self.seed, ge=0)
 
 
-class ToyAttentionDenoiser:
+@dataclass(kw_only=True, eq=False)
+class ToyAttentionDenoiser(ToyDenoiserConfig):
     """Patch-token denoiser with hookable per-frame spatial attention.
 
     Layout: patch embedding with sinusoidal spatial position features, then
@@ -141,19 +153,15 @@ class ToyAttentionDenoiser:
     updates pass through tanh, keeping outputs bounded on bounded inputs.
     """
 
-    def __init__(self, seed: int = 1234, channels: int = 3, patch_size: int = 4,
-                 embed_dim: int = 32, spatial_layers: int = 4, cond_dim: int = 8,
-                 sigma_data: float = 0.5):
-        patch_size, embed_dim, spatial_layers, cond_dim = check_toy_settings(
-            patch_size, embed_dim, spatial_layers, cond_dim)
-        in_range("sigma_data", sigma_data, gt=0)
-        self.seed = int_in_range("seed", seed, ge=0)
-        self.channels = int_in_range("channels", channels, ge=1)
-        self.patch_size = patch_size
-        self.embed_dim = embed_dim
-        self.spatial_layers = spatial_layers
-        self.cond_dim = cond_dim
-        self.sigma_data = float(sigma_data)
+    channels: int = 3
+
+    # a model is itself, not its settings: it compares and hashes by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.channels = int_in_range("channels", self.channels, ge=1)
 
         rng = np.random.default_rng(self.seed)
         d = self.embed_dim

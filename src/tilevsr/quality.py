@@ -17,30 +17,34 @@ from .tiles import in_range, int_in_range, validate_video
 # ---------------------------------------------------------------------------
 # filters
 
-def _conv1d_clamped(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate along one axis with edge-clamped sampling."""
-    n = arr.shape[axis]
-    radius = len(kernel) // 2
-    idx = np.arange(n)
-    out = np.zeros_like(arr, dtype=np.float64)
-    for j, w in enumerate(kernel):
-        src = np.clip(idx + (j - radius), 0, n - 1)
-        out += w * np.take(arr, src, axis=axis)
+def _add_taps(arr: np.ndarray, taps: np.ndarray, weights: np.ndarray, axis: int,
+              out: np.ndarray) -> np.ndarray:
+    """Add into `out`, in tap order, each tap of `arr` along axis -1 or -2:
+    the samples at `taps[:, j]` (indices clipped to the axis) times
+    `weights[..., j]`. One tap-sized temporary; returns `out`."""
+    tap = np.empty(out.shape)
+    for j in range(taps.shape[1]):
+        np.take(arr, taps[:, j], axis=axis, out=tap, mode="clip")  # clip: no buffered copy
+        tap *= weights[..., j]
+        out += tap
     return out
 
 
 def gaussian_blur(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of the last two axes. sigma = 0 is the identity."""
+    """Separable edge-clamped Gaussian blur of the last two axes; sigma = 0 is the identity."""
     in_range("sigma", sigma, ge=0)
     arr = np.asarray(arr, dtype=np.float64)
     if sigma == 0:
         return arr.copy()
     radius = max(1, int(np.ceil(3.0 * sigma)))
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
-    out = _conv1d_clamped(arr, kernel, axis=-1)
-    return _conv1d_clamped(out, kernel, axis=-2)
+    for axis in (-1, -2):
+        n = arr.shape[axis]
+        taps = np.clip(np.arange(n)[:, None] + offsets, 0, n - 1)
+        arr = _add_taps(arr, taps, kernel, axis, np.zeros(arr.shape))
+    return arr
 
 
 def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
@@ -68,13 +72,8 @@ def _resample_axis(arr: np.ndarray, out_n: int, scale: float, axis: int) -> np.n
     shape = list(arr.shape)
     shape[axis] = out_n
     out = np.zeros(shape)
-    tap = np.empty(shape[-2:])
     for i in np.ndindex(arr.shape[:-2]):
-        plane, acc = arr[i], out[i]
-        for j in range(4):
-            np.take(plane, taps[:, j], axis=axis, out=tap, mode="clip")  # taps are clipped
-            tap *= weights[..., j]
-            acc += tap
+        _add_taps(arr[i], taps, weights, axis, out[i])
     return out
 
 

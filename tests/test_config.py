@@ -2,6 +2,7 @@
 denoiser builder."""
 
 import dataclasses
+import functools
 import pathlib
 
 import numpy as np
@@ -16,7 +17,7 @@ from tilevsr.config import (
     resolve_config,
 )
 from tilevsr.guidance import GuidanceConfig
-from tilevsr.models import ToyCodec
+from tilevsr.models import ToyAttentionDenoiser, ToyCodec, ToyDenoiserConfig
 from tilevsr.quality import DegradationConfig
 from tilevsr.sampler import PipelineConfig
 
@@ -254,16 +255,16 @@ workers=1""".splitlines()
 KEY_WIRING = {
     "blur_sigma": ("0.75", ["degradation.blur_sigma"]),
     "codec_factor": ("4", ["codec.factor"]),
-    "cond_dim": ("3", ["cond_dim"]),
-    "denoiser_seed": ("7", ["denoiser_seed"]),
+    "cond_dim": ("3", ["denoiser.cond_dim"]),
+    "denoiser_seed": ("7", ["denoiser.seed"]),
     "down_factor": ("2", ["degradation.down_factor"]),
-    "embed_dim": ("16", ["embed_dim"]),
+    "embed_dim": ("16", ["denoiser.embed_dim"]),
     "flow_block": ("4", ["flow_block"]),
     "flow_radius": ("2", ["flow_radius"]),
     "guidance": ("pag", ["pipeline.guidance.mode"]),
     "mask_sigma_fraction": ("0.5", ["pipeline.mask_sigma_fraction"]),
     "noise_sigma": ("0.0", ["degradation.noise_sigma"]),
-    "patch_size": ("2", ["patch_size"]),
+    "patch_size": ("2", ["denoiser.patch_size"]),
     "quant_levels": ("16", ["degradation.quant_levels"]),
     "rho": ("0.25", ["pipeline.guidance.rho"]),
     "sag_blur_sigma": ("1.0", ["pipeline.guidance.sag_blur_sigma"]),
@@ -273,10 +274,10 @@ KEY_WIRING = {
     "scale": ("2.5", ["pipeline.guidance.scale"]),
     "schedule_exponent": ("5.0", ["pipeline.schedule_exponent"]),
     "seed": ("11", ["pipeline.seed"]),
-    "sigma_data": ("0.25", ["sigma_data"]),
+    "sigma_data": ("0.25", ["denoiser.sigma_data"]),
     "sigma_max": ("80.0", ["pipeline.sigma_max"]),
     "sigma_min": ("0.01", ["pipeline.sigma_min"]),
-    "spatial_layers": ("6", ["spatial_layers"]),
+    "spatial_layers": ("6", ["denoiser.spatial_layers"]),
     "steps": ("9", ["pipeline.steps"]),
     "tap": ("false", ["pipeline.tap"]),
     "tap_l": ("2", ["pipeline.tap_frames"]),
@@ -336,17 +337,19 @@ def test_every_component_field_is_reached_by_exactly_one_key():
         "pipeline.guidance.": GuidanceConfig,
         "degradation.": DegradationConfig,
         "codec.": ToyCodec,
+        "denoiser.": ToyDenoiserConfig,
     }
     expected = {prefix + f.name for prefix, cls in components.items()
                 for f in dataclasses.fields(cls)
-                if f.name not in ("pipeline", "guidance", "degradation", "codec")}
+                if f.name not in ("pipeline", "guidance", "degradation", "codec", "denoiser")}
     assert expected == set(reached)
     assert all(len(keys) == 1 for keys in reached.values())
 
 
 def test_run_config_declares_no_component_field():
-    own = {f.name for f in dataclasses.fields(RunConfig)} - {"pipeline", "degradation", "codec"}
-    for cls in (PipelineConfig, GuidanceConfig, DegradationConfig, ToyCodec):
+    own = {f.name for f in dataclasses.fields(RunConfig)} - {"pipeline", "degradation", "codec",
+                                                              "denoiser"}
+    for cls in (PipelineConfig, GuidanceConfig, DegradationConfig, ToyCodec, ToyDenoiserConfig):
         assert not own & {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
@@ -368,7 +371,8 @@ COMPONENT_INT_KEYS = ("steps", "tile_frames", "tile_h", "tile_w", "sap_rate", "t
 
 
 def test_float_keys_are_every_float_field():
-    classes = (RunConfig, PipelineConfig, GuidanceConfig, DegradationConfig, ToyCodec)
+    classes = (RunConfig, PipelineConfig, GuidanceConfig, DegradationConfig, ToyCodec,
+               ToyDenoiserConfig)
     floats = {f.name for cls in classes for f in dataclasses.fields(cls) if f.type == "float"}
     assert floats == set(FLOAT_KEYS)
 
@@ -390,21 +394,32 @@ def test_component_checks_run_at_resolve(overrides):
                                  "flow_block", "flow_radius"])
 def test_denoiser_and_flow_settings_reject_nan_and_inf(key, value):
     with pytest.raises(ValueError, match="must be finite"):
-        RunConfig(**{key: value})
+        resolve_config(None, {key: value})
 
 
 @pytest.mark.parametrize("key", ["patch_size", "embed_dim", "spatial_layers", "cond_dim",
                                  "flow_block", "flow_radius"])
 def test_denoiser_and_flow_settings_reject_non_integer_floats(key):
     with pytest.raises(ValueError, match="must be an integer"):
-        RunConfig(**{key: 4.5})
-    cfg = RunConfig(**{key: 4.0})  # an integral float is taken as its int
-    assert type(getattr(cfg, key)) is int and getattr(cfg, key) == 4
+        resolve_config(None, {key: 4.5})
+    cfg = resolve_config(None, {key: 4.0})  # an integral float is taken as its int
+    value = functools.reduce(getattr, KEY_WIRING[key][1][0].split("."), cfg)
+    assert type(value) is int and value == 4
 
 
 def test_denoiser_seed_rejects_non_integer_floats():
-    with pytest.raises(ValueError, match="must be an integer"):
-        RunConfig(denoiser_seed=1.5)
+    with pytest.raises(ValueError, match="^denoiser_seed must be an integer"):
+        resolve_config(None, {"denoiser_seed": 1.5})
+
+
+def test_built_denoiser_is_the_keyword_built_one():
+    settings = dict(patch_size=2, embed_dim=8, spatial_layers=6, cond_dim=4, sigma_data=0.25)
+    built = resolve_config(None, {"denoiser_seed": 7, **settings}).build_denoiser(channels=3)
+    direct = ToyAttentionDenoiser(seed=7, channels=3, **settings)
+    # every setting and every weight array: w_embed, layers, temporal, w_out, ...
+    assert vars(built).keys() == vars(direct).keys()
+    for name, value in vars(direct).items():
+        assert np.array_equal(np.asarray(getattr(built, name)), np.asarray(value)), name
 
 
 @pytest.mark.parametrize("key", COMPONENT_INT_KEYS + ("codec_factor", "seed"))

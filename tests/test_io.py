@@ -1,6 +1,7 @@
 """Tensor container, PPM/PGM/PFM frame formats, and video directory loading."""
 
 import os
+import re
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -89,6 +90,18 @@ def test_container_refuses_non_finite_and_bad_rank(tmp_path):
         write_tensor(path, np.float32(3.0))  # rank 0
     with pytest.raises(ValueError):
         write_tensor(path, np.zeros((1,) * 9, dtype=np.float32))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+def test_container_refuses_a_zero_length_dim_as_the_reader_does(tmp_path, shape):
+    path = tmp_path / "empty.dcvt"
+    with pytest.raises(ValueError, match=rf"^zero-length dim in {re.escape(str(shape))}$"):
+        write_tensor(str(path), np.zeros(shape))
+    assert not path.exists()
+    # the reader's wording for the file the writer refuses
+    path.write_bytes(b"DCVT" + struct.pack(f"<HH{len(shape)}I", 1, len(shape), *shape))
+    with pytest.raises(ValueError, match=rf"zero-length dim in {re.escape(str(shape))}$"):
+        read_tensor(str(path))
 
 
 def test_container_refuses_values_beyond_float32(tmp_path):

@@ -1,9 +1,9 @@
 """Memory bounds of the front end, of attention and of SSIM.
 
-Resampling works one leading plane at a time, `degrade` blurs one frame at
-a time, the conditioning latent is built one frame at a time, and `attend`
-reuses a per-thread workspace for its score buffer and never copies the
-injected rows. A pass runs its tiles in stacks of bounded bytes, each split
+Resampling works one leading plane at a time, the blur holds two passes'
+outputs and one tap, `degrade` blurs one frame at a time, the conditioning
+latent is built one frame at a time, and `attend` reuses a per-thread
+workspace for its score buffer and never copies the injected rows. A pass runs its tiles in stacks of bounded bytes, each split
 out of the latent when it runs and merged into the blend as it finishes, so
 its working memory does not grow with the tile count. The translate fixture
 is filled one frame at a time. SSIM works one plane at
@@ -66,6 +66,16 @@ def test_bicubic_resize_peaks_at_three_outputs():
     out, peak = traced_peak(lambda: bicubic_resize(x, 4.0))
     assert out.shape == (8, 3, 128, 128)
     assert peak <= 3 * out.nbytes
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 3.0])
+def test_gaussian_blur_peaks_at_three_inputs(sigma):
+    """The first pass's output, the second's, and one tap; the slack covers
+    the tap indices."""
+    x = np.random.default_rng(2).uniform(0.0, 1.0, (3, 128, 128))
+    out, peak = traced_peak(lambda: gaussian_blur(x, sigma))
+    assert out.shape == x.shape
+    assert peak <= 3 * x.nbytes + 2 ** 15
 
 
 def test_ssim_frame_holds_its_map_and_a_few_strips():

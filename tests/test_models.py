@@ -157,6 +157,15 @@ def test_toy_validation_errors():
             ToyAttentionDenoiser(**bad)
 
 
+def test_toy_settings_are_keyword_only_and_models_compare_by_identity():
+    # the settings' fields come first, so a positional (seed, channels) call
+    # would set seed and patch_size; keyword-only construction refuses it
+    with pytest.raises(TypeError):
+        ToyAttentionDenoiser(1234, 3)
+    a, b = toy(), toy()
+    assert a == a and a != b and len({a, b}) == 2
+
+
 def test_toy_hook_layers_are_first_two_and_last_two():
     assert toy().hook_layers == (0, 1, 2, 3)
     assert toy(spatial_layers=6).hook_layers == (0, 1, 4, 5)

@@ -1,6 +1,7 @@
 """The vectorised block matching and SSIM against their per-block and
-per-window reference forms, and the per-plane resampling against its
-whole-array tap gather: outputs must match bit for bit.
+per-window reference forms, the per-plane resampling against its
+whole-array tap gather, and the blur against a tap-by-tap clamped
+correlation: outputs must match bit for bit.
 
 SSIM's window means are separable sums that follow the order of NumPy's
 add reduction over each window of a window view: every window row is a
@@ -17,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tilevsr.quality import (
     SSIM_STRIP_ROWS, _catmull_rom_weights, _ssim_frame, bicubic_resize, block_match_flow,
-    frame_flows, ssim, tof, warping_error,
+    frame_flows, gaussian_blur, ssim, tof, warping_error,
 )
 
 
@@ -248,13 +249,16 @@ def gather_bicubic_resize(arr, scale):
 
 
 def filter_input(rng, lead, h, w, kind):
-    """Random planes; 'signed_zeros' mixes in rows of 0.0 and columns of -0.0."""
+    """Random planes; 'signed_zeros' mixes in rows of 0.0 and columns of -0.0,
+    'negative_zeros' is all -0.0."""
     x = rng.standard_normal(lead + (h, w))
     if kind == "unit":
         x = rng.uniform(0.0, 1.0, x.shape)
     elif kind == "signed_zeros":
         x[..., ::2, :] = 0.0
         x[..., 1::3] = -0.0
+    elif kind == "negative_zeros":
+        x[...] = -0.0
     return x
 
 
@@ -279,4 +283,52 @@ def test_bicubic_resize_is_bit_equal_to_the_tap_gather(lead, h, w, scale, kind, 
     got = bicubic_resize(x, scale)
     want = gather_bicubic_resize(x, scale)
     assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def correlate_clamped(arr, kernel, axis):
+    """Reference: correlate along one axis with edge-clamped sampling, adding
+    each whole weighted tap w * take(arr) to a +0.0 start in tap order."""
+    n = arr.shape[axis]
+    radius = len(kernel) // 2
+    idx = np.arange(n)
+    out = np.zeros_like(arr, dtype=np.float64)
+    for j, w in enumerate(kernel):
+        src = np.clip(idx + (j - radius), 0, n - 1)
+        out += w * np.take(arr, src, axis=axis)
+    return out
+
+
+def correlate_gaussian_blur(arr, sigma):
+    radius = max(1, int(np.ceil(3.0 * sigma)))
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
+    return correlate_clamped(correlate_clamped(arr, kernel, -1), kernel, -2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    sigma=st.one_of(st.sampled_from([0.1, 0.5, 1.0, 1.5, 3.0, 10.0]),
+                    st.floats(0.01, 10.0, allow_nan=False)),
+    kind=st.sampled_from(["normal", "unit", "signed_zeros", "negative_zeros"]),
+    magnitude=st.sampled_from([1.0, 1e-300, 1e-310, 1e200]),  # 1e-310: subnormal values
+    transposed=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@example(lead=(3,), h=128, w=128, sigma=1.5, kind="unit", magnitude=1.0, transposed=False, seed=0)
+# all-(-0.0) taps: the sum starts from +0.0, so the sample is +0.0
+@example(lead=(2,), h=5, w=3, sigma=0.5, kind="negative_zeros", magnitude=1.0, transposed=False,
+         seed=0)
+def test_gaussian_blur_is_bit_equal_to_the_clamped_correlation(lead, h, w, sigma, kind, magnitude,
+                                                               transposed, seed):
+    x = filter_input(np.random.default_rng(seed), lead, h, w, kind) * magnitude
+    if transposed:
+        x = np.swapaxes(x, -1, -2)
+    got = gaussian_blur(x, sigma)
+    want = correlate_gaussian_blur(x, sigma)
+    assert got.shape == want.shape == x.shape
     assert got.tobytes() == want.tobytes()
